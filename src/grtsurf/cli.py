@@ -1,8 +1,9 @@
 """Command-line front end: generate, verify, rotate, info.
 
-Exit codes: 0 ok, 2 expression/usage parse error, 3 empty mesh, 4 I/O
-failure, 5 verification failure or insufficient coverage.  Mesh and report
-outputs are byte-identical for identical configs; mesh files carry numbers
+Exit codes: 0 ok, 2 expression/usage parse error or invalid numeric input
+(RunConfig.validate, SurfaceSpec), 3 empty mesh, 4 I/O failure, 5
+verification failure or insufficient coverage.  Mesh and report outputs
+are byte-identical for identical configs; mesh files carry numbers
 with 17 significant digits so golden files round-trip exactly.
 """
 from __future__ import annotations
@@ -69,6 +70,22 @@ class RunConfig:
     mu_range: tuple[float, float] = (-1.0, 1.0)
     mu_samples: int = 101
     as_json: bool = False
+
+    def validate(self) -> None:
+        """Reject values the numerics would only trip over later.  The mesh
+        window, resolution and eps are checked by SurfaceSpec."""
+        if not (0.0 < self.fd_step < math.inf):
+            raise ValueError(f"--fd-step must be finite and > 0, got {self.fd_step!r}")
+        for name, tol in self.tolerances.items():
+            if not (0.0 <= tol < math.inf):
+                raise ValueError(f"tolerance of {name} must be finite and >= 0, "
+                                 f"got {tol!r}")
+        for name, value in (("--a", self.a), ("--b", self.b)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        surface.check_range("mu", *self.mu_range)
+        if self.mu_samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {self.mu_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +519,7 @@ def _config_from_args(args) -> RunConfig:
         config.mu_range = args.mu_range
         config.mu_samples = args.samples
         config.as_json = args.as_json
+        config.validate()
         return config
     config.u1 = args.u1
     config.u2 = args.u2
@@ -526,6 +544,7 @@ def _config_from_args(args) -> RunConfig:
             raise _UsageError(f"{args.subcommand} requires --out")
         config.out = out
         config.format = _pick_format(out, args.format)
+    config.validate()
     return config
 
 
@@ -551,10 +570,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return _DISPATCH[args.subcommand](config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
+    except (_UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EmptyMeshError as exc:

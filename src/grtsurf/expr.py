@@ -17,7 +17,9 @@ the principal branch and fails exactly at 0 and on the cut (re <= 0, im = 0).
 
 Evaluation produces 2-jets (value, first, second derivative) by second-order
 forward-mode arithmetic over the tree; it raises instead of returning
-non-finite values.  ASTs are immutable and safe to share across threads.
+non-finite values.  ``eval_jet2_array`` applies the same rules to an array of
+points at once and returns a mask where the pointwise evaluation would raise.
+ASTs are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 
 class ExprError(Exception):
@@ -137,6 +141,12 @@ _OPS = "+-*/^()"
 
 _ATOM_EXPECTED = ("number", "identifier", "'('", "'-'")
 
+# Deepest expression accepted.  It bounds both the nesting of parentheses,
+# calls and unary minus while parsing and the depth of the tree, so that the
+# recursive passes (parser, evaluators, derivative, unparser) stay well
+# inside Python's recursion limit.
+MAX_DEPTH = 100
+
 
 def _byte_offset(source: str, pos: int) -> int:
     return len(source[:pos].encode("utf-8"))
@@ -179,12 +189,15 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Each production returns ``(node, depth)``, the depth of its tree."""
+
     def __init__(self, source: str, variable_name: str, real: bool):
         self.source = source
         self.variable = variable_name
         self.real = real
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -197,8 +210,21 @@ class _Parser:
     def error(self, message: str, pos: int, expected: tuple[str, ...] = ()):
         raise ParseError(message, _byte_offset(self.source, pos), expected)
 
+    def limit(self, depth: int, pos: int) -> int:
+        """``depth`` if it is within MAX_DEPTH, else a ParseError at ``pos``."""
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def nested(self, production, pos: int):
+        """Run ``production`` one nesting level further in."""
+        self.nesting = self.limit(self.nesting + 1, pos)
+        result = production()
+        self.nesting -= 1
+        return result
+
     def parse(self) -> ExprNode:
-        node = self.expr()
+        node, _ = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             self.error(
@@ -208,32 +234,36 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    def expr(self) -> tuple[ExprNode, int]:
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
+            op, _, pos = self.advance()
+            rhs, rhs_depth = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            depth = self.limit(max(depth, rhs_depth) + 1, pos)
+        return node, depth
 
-    def term(self) -> ExprNode:
-        node = self.unary()
+    def term(self) -> tuple[ExprNode, int]:
+        node, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
+            op, _, pos = self.advance()
+            rhs, rhs_depth = self.unary()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            depth = self.limit(max(depth, rhs_depth) + 1, pos)
+        return node, depth
 
-    def unary(self) -> ExprNode:
-        if self.peek()[0] == "-":
+    def unary(self) -> tuple[ExprNode, int]:
+        kind, _, pos = self.peek()
+        if kind == "-":
             self.advance()
-            return Neg(self.unary())
+            node, depth = self.nested(self.unary, pos)
+            return Neg(node), self.limit(depth + 1, pos)
         return self.power()
 
-    def power(self) -> ExprNode:
-        node = self.atom()
+    def power(self) -> tuple[ExprNode, int]:
+        node, depth = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            _, _, op_pos = self.advance()
             kind, value, pos = self.peek()
             if kind != "num" or not value.isdigit():
                 self.error(
@@ -242,22 +272,22 @@ class _Parser:
                     ("integer",),
                 )
             self.advance()
-            node = Pow(node, int(value))
-        return node
+            node, depth = Pow(node, int(value)), self.limit(depth + 1, op_pos)
+        return node, depth
 
-    def atom(self) -> ExprNode:
+    def atom(self) -> tuple[ExprNode, int]:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Const(complex(float(value)))
+            return Const(complex(float(value))), 1
         if kind == "(":
             self.advance()
-            node = self.expr()
+            node, depth = self.nested(self.expr, pos)
             kind, value, pos = self.peek()
             if kind != ")":
                 self.error(f"unclosed parenthesis, got {value!r}", pos, ("')'",))
             self.advance()
-            return node
+            return node, depth
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
@@ -268,16 +298,16 @@ class _Parser:
                         FUNCTIONS,
                     )
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, pos)
                 kind2, value2, pos2 = self.peek()
                 if kind2 != ")":
                     self.error(
                         f"unclosed function call, got {value2!r}", pos2, ("')'",)
                     )
                 self.advance()
-                return Fn(value, arg)
+                return Fn(value, arg), self.limit(depth + 1, pos)
             if value == self.variable:
-                return Var()
+                return Var(), 1
             if value in FUNCTIONS:
                 self.error(
                     f"function {value!r} must be followed by '('", pos, ("'('",)
@@ -288,7 +318,7 @@ class _Parser:
                         "constant 'i' is not available in a real expression",
                         _byte_offset(self.source, pos),
                     )
-                return Const(_CONSTANTS[value])
+                return Const(_CONSTANTS[value]), 1
             raise UnknownIdentifierError(
                 f"unknown identifier {value!r}",
                 _byte_offset(self.source, pos),
@@ -301,6 +331,7 @@ def parse_expr(source: str, variable_name: str, real: bool = False) -> ExprNode:
 
     With ``real=True`` the constant ``i`` is rejected; evaluation semantics
     are otherwise decided by the point type passed to :func:`eval_jet2`.
+    Trees deeper than :data:`MAX_DEPTH` are rejected with a ParseError.
     """
     return _Parser(source, variable_name, real).parse()
 
@@ -520,14 +551,25 @@ _REAL_FNS = {
 }
 
 
+_ARRAY_FNS = {name: getattr(np, name) for name in FUNCTIONS}
+
+
 class _JetEvaluator:
+    """The node rules at one point; a failing rule raises EvalError."""
+
     def __init__(self, point, variable: str):
         self.point = point
         self.variable = variable
         self.is_complex = isinstance(point, complex)
+        self.fns = _COMPLEX_FNS if self.is_complex else _REAL_FNS
+        self.one, self.zero = (1 + 0j, 0j) if self.is_complex else (1.0, 0.0)
 
     def fail(self, node: ExprNode, reason: str):
         raise EvalError(unparse(node, self.variable), self.point, reason)
+
+    def fail_where(self, node: ExprNode, bad, reason: str):
+        if bad:
+            self.fail(node, reason)
 
     def check(self, node: ExprNode, jet):
         if not all(_finite(c) for c in jet):
@@ -538,17 +580,14 @@ class _JetEvaluator:
         v = node.value
         if self.is_complex:
             return (v, 0j, 0j)
-        if v.imag != 0.0:
-            self.fail(node, "complex constant in real evaluation")
+        self.fail_where(node, v.imag != 0.0, "complex constant in real evaluation")
         return (v.real, 0.0, 0.0)
 
     def run(self, node: ExprNode):
         if isinstance(node, Const):
             return self.const(node)
         if isinstance(node, Var):
-            one = 1 + 0j if self.is_complex else 1.0
-            zero = 0j if self.is_complex else 0.0
-            return (self.point, one, zero)
+            return (self.point, self.one, self.zero)
         if isinstance(node, Neg):
             v, d1, d2 = self.run(node.arg)
             return (-v, -d1, -d2)
@@ -571,8 +610,7 @@ class _JetEvaluator:
         if isinstance(node, Div):
             a = self.run(node.left)
             b = self.run(node.right)
-            if b[0] == 0:
-                self.fail(node, "division by zero")
+            self.fail_where(node, b[0] == 0, "division by zero")
             try:
                 w0 = a[0] / b[0]
                 w1 = (a[1] - w0 * b[1]) / b[0]
@@ -584,9 +622,7 @@ class _JetEvaluator:
             u = self.run(node.base)
             n = node.exponent
             if n == 0:
-                one = 1 + 0j if self.is_complex else 1.0
-                zero = 0j if self.is_complex else 0.0
-                return (one, zero, zero)
+                return (self.one, self.zero, self.zero)
             if n == 1:
                 return u
             try:
@@ -606,17 +642,16 @@ class _JetEvaluator:
     def apply_fn(self, node: Fn, u):
         name = node.name
         v = u[0]
+        fns = self.fns
         if name == "log":
             if self.is_complex:
-                if v == 0 or (v.imag == 0.0 and v.real < 0.0):
-                    self.fail(node, "log on the branch cut (re <= 0, im = 0)")
-            elif v <= 0.0:
-                self.fail(node, "log of a non-positive real")
+                self.fail_where(node, (v == 0) | ((v.imag == 0.0) & (v.real < 0.0)),
+                                "log on the branch cut (re <= 0, im = 0)")
+            else:
+                self.fail_where(node, v <= 0.0, "log of a non-positive real")
             w1 = u[1] / v
             w2 = u[2] / v - w1 * w1
-            fns = _COMPLEX_FNS if self.is_complex else _REAL_FNS
             return (fns["log"](v), w1, w2)
-        fns = _COMPLEX_FNS if self.is_complex else _REAL_FNS
         try:
             fv = fns[name](v)
             if name == "exp":
@@ -636,6 +671,33 @@ class _JetEvaluator:
         return (fv, d * u[1], dd * u[1] * u[1] + d * u[2])
 
 
+class _ArrayJetEvaluator(_JetEvaluator):
+    """The same rules over an array of points; a failing rule clears ``ok``
+    at the points where it fails instead of raising.  Run under
+    ``np.errstate(all="ignore")``: failed points carry garbage onwards.
+    Constants are numpy scalars, so constant subtrees follow numpy's
+    arithmetic too instead of raising like Python floats."""
+
+    def __init__(self, points: np.ndarray, variable: str):
+        super().__init__(points, variable)
+        self.is_complex = np.iscomplexobj(points)
+        self.fns = _ARRAY_FNS
+        self.number = np.complex128 if self.is_complex else np.float64
+        self.one, self.zero = self.number(1), self.number(0)
+        self.ok = np.ones(points.shape, dtype=bool)
+
+    def const(self, node: Const):
+        return tuple(map(self.number, super().const(node)))
+
+    def fail_where(self, node: ExprNode, bad, reason: str):
+        self.ok &= np.logical_not(bad)
+
+    def check(self, node: ExprNode, jet):
+        for c in jet:
+            self.ok &= np.isfinite(c)
+        return jet
+
+
 def eval_jet2(node: ExprNode, point, variable: str = "z") -> Jet2:
     """Evaluate the 2-jet (value, first, second derivative) at ``point``.
 
@@ -646,6 +708,23 @@ def eval_jet2(node: ExprNode, point, variable: str = "z") -> Jet2:
     if not all(_finite(c) for c in jet):
         raise EvalError(unparse(node, variable), point, "non-finite result")
     return Jet2(*jet)
+
+
+def eval_jet2_array(node: ExprNode, points, variable: str = "z") -> tuple[Jet2, np.ndarray]:
+    """2-jets at every element of the array ``points``, plus a validity mask.
+
+    Applies the rules of :func:`eval_jet2` elementwise, complex arithmetic
+    for a complex array and real otherwise.  The mask is False exactly where
+    eval_jet2 would raise (division by zero, the log cut, a non-finite
+    result, a complex constant in a real expression); the jet values there
+    are unspecified.  The jet components are arrays shaped like ``points``.
+    """
+    points = np.asarray(points)
+    evaluator = _ArrayJetEvaluator(points, variable)
+    with np.errstate(all="ignore"):
+        jet = evaluator.check(node, evaluator.run(node))
+    return Jet2(*(np.full(points.shape, c) if np.ndim(c) == 0 else c
+                  for c in jet)), evaluator.ok
 
 
 def evaluate(node: ExprNode, point, variable: str = "z"):

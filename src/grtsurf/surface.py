@@ -11,7 +11,9 @@ verification targets.  The rotation family X_ab realizes the surfaces of
 revolution obtained for f = a z + b, g = exp(z).
 
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
-det V numerically zero) and emit quad faces only over regular corners.
+det V numerically zero) and emit quad faces only over regular corners.  The
+grid is evaluated as numpy arrays, a block of whole rows at a time, by the
+same formulas that the pointwise functions apply to one point.
 """
 from __future__ import annotations
 
@@ -21,13 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .expr import (Add, Const, EvalError, ExprNode, Fn, Jet2, Mul, Var,
-                   eval_jet2, parse_expr, unparse)
-from .geometry import PointFrame, SingularPointError, inner
+from .expr import (Add, Const, ExprNode, Fn, Jet2, Mul, Var, eval_jet2,
+                   eval_jet2_array, parse_expr, unparse)
+from .geometry import GridFrame, inner
+
+# Grid points evaluated together: sample_mesh takes whole rows, about this
+# many points at a time.  The bound keeps the temporaries of the array
+# evaluation small; a whole 128x128 grid at once raises peak memory.
+BLOCK_POINTS = 2048
 
 
 class EmptyMeshError(Exception):
     """No vertex of the sampled grid was regular."""
+
+
+def check_range(name: str, lo: float, hi: float) -> None:
+    """Raise ValueError unless lo < hi with a finite width (no NaN, no inf)."""
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"{name} range must be finite with lo < hi, "
+                         f"got {lo!r}:{hi!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +59,13 @@ class SurfaceSpec:
     method: str = "closed_form"
 
     def __post_init__(self):
-        if self.u1_range[1] <= self.u1_range[0]:
-            raise ValueError(f"degenerate u1 range {self.u1_range}")
-        if self.u2_range[1] <= self.u2_range[0]:
-            raise ValueError(f"degenerate u2 range {self.u2_range}")
+        check_range("u1", *self.u1_range)
+        check_range("u2", *self.u2_range)
         if self.nu1 < 2 or self.nu2 < 2:
             raise ValueError("resolution must be at least 2 in each direction")
+        if not (0.0 <= self.regularity_eps < math.inf):
+            raise ValueError(f"regularity eps must be finite and >= 0, "
+                             f"got {self.regularity_eps!r}")
         if self.method not in ("closed_form", "direct"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -87,22 +102,25 @@ def jets_at(spec: SurfaceSpec, z: complex) -> tuple[Jet2, Jet2, Jet2]:
     return f_jet, g_jet, ell_jet
 
 
-def _point_closed_form(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-                       eps: float) -> np.ndarray:
+# The point formulas return the three coordinates of X, at one point or
+# over arrays; both take the (|g'|^2, T, L11) of geometry._sphere.
+
+def _closed_form_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
+                     gp2, t, l11) -> tuple:
     g, g1 = g_jet.value, g_jet.d1
-    gp2 = inner(g1, g1)
-    if gp2 <= eps * eps:
-        raise SingularPointError(f"g' = {g1!r} below regularity threshold")
-    t = 1.0 + inner(g, g)
     s = inner(g1, g * f_jet.d1)
     w = t * g1 * f_jet.d1.conjugate() - 2.0 * g * s
     l, l1 = ell_jet.value, ell_jet.d1
     a = l1 / (2.0 * gp2)
-    return np.array([
-        a * w.real + l * 2.0 * g.real / t,
-        a * w.imag + l * 2.0 * g.imag / t,
-        a * (-2.0 * s) + l * (2.0 - t) / t,
-    ])
+    return (a * w.real + l * 2.0 * g.real / t,
+            a * w.imag + l * 2.0 * g.imag / t,
+            a * (-2.0 * s) + l * (2.0 - t) / t)
+
+
+def _point_closed_form(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
+                       eps: float) -> np.ndarray:
+    sphere = geometry._checked_sphere(g_jet, eps)
+    return np.array(_closed_form_xyz(f_jet, g_jet, ell_jet, *sphere))
 
 
 def point_closed_form(spec: SurfaceSpec, z: complex) -> np.ndarray:
@@ -111,26 +129,26 @@ def point_closed_form(spec: SurfaceSpec, z: complex) -> np.ndarray:
     return _point_closed_form(f_jet, g_jet, ell_jet, spec.regularity_eps)
 
 
-def _point_direct(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-                  eps: float) -> np.ndarray:
+def _direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2, gp2, t, l11) -> tuple:
     g, g1 = g_jet.value, g_jet.d1
-    gp2 = inner(g1, g1)
-    if gp2 <= eps * eps:
-        raise SingularPointError(f"g' = {g1!r} below regularity threshold")
-    t = 1.0 + inner(g, g)
-    t2 = t * t
-    n = np.array([2.0 * g.real / t, 2.0 * g.imag / t, (2.0 - t) / t])
+    k = 2.0 / (t * t)
     q1 = inner(g, g1)
     q2 = inner(g, 1j * g1)
     w1 = t * g1 - 2.0 * g * q1
     w2 = t * (1j * g1) - 2.0 * g * q2
-    n_u1 = (2.0 / t2) * np.array([w1.real, w1.imag, -2.0 * q1])
-    n_u2 = (2.0 / t2) * np.array([w2.real, w2.imag, -2.0 * q2])
-    l, l1 = ell_jet.value, ell_jet.d1
-    h1 = l1 * inner(1.0, f_jet.d1)
-    h2 = l1 * inner(1.0, 1j * f_jet.d1)
-    l11 = 4.0 * gp2 / t2
-    return (h1 * n_u1 + h2 * n_u2) / l11 + l * n
+    h1, h2, _, _ = geometry._gradient(f_jet, ell_jet, l11)
+    l = ell_jet.value
+    # X = (h_,1 N_,1 + h_,2 N_,2) / L11 + h N, one coordinate at a time
+    return tuple((h1 * (k * n1) + h2 * (k * n2)) / l11 + l * n
+                 for n1, n2, n in zip((w1.real, w1.imag, -2.0 * q1),
+                                      (w2.real, w2.imag, -2.0 * q2),
+                                      geometry._unit_normal(g, t)))
+
+
+def _point_direct(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
+                  eps: float) -> np.ndarray:
+    sphere = geometry._checked_sphere(g_jet, eps)
+    return np.array(_direct_xyz(f_jet, g_jet, ell_jet, *sphere))
 
 
 def point_direct(spec: SurfaceSpec, z: complex) -> np.ndarray:
@@ -139,20 +157,25 @@ def point_direct(spec: SurfaceSpec, z: complex) -> np.ndarray:
     return _point_direct(f_jet, g_jet, ell_jet, spec.regularity_eps)
 
 
+def _rotation_xyz(a: float, jet: Jet2, u1, u2) -> tuple:
+    """X_ab at (u1, u2) from the jet of ell at mu = a*u1 + b."""
+    xp = np if isinstance(u1, np.ndarray) else math
+    e1 = xp.exp(u1)
+    e2 = e1 * e1
+    denom = 1.0 + e2
+    m = (a * jet.d1 * (xp.exp(-u1) - e2 * e1) + 4.0 * jet.value * e1) / (2.0 * denom)
+    nz = (jet.value * (1.0 - e2) - a * jet.d1 * denom) / denom
+    return m * xp.cos(u2), m * xp.sin(u2), nz
+
+
 def rotation_point(a: float, b: float, ell: ExprNode,
                    u1: float, u2: float) -> np.ndarray:
     """Point of the rotation family X_ab at (u1, u2), with mu = a*u1 + b.
 
     Equals the closed-form parameterization with f = a z + b, g = exp(z).
     """
-    mu = a * u1 + b
-    jet = eval_jet2(ell, mu, variable="t")
-    e1 = math.exp(u1)
-    e2 = e1 * e1
-    denom = 1.0 + e2
-    m = (a * jet.d1 * (math.exp(-u1) - e2 * e1) + 4.0 * jet.value * e1) / (2.0 * denom)
-    nz = (jet.value * (1.0 - e2) - a * jet.d1 * denom) / denom
-    return np.array([m * math.cos(u2), m * math.sin(u2), nz])
+    jet = eval_jet2(ell, a * u1 + b, variable="t")
+    return np.array(_rotation_xyz(a, jet, u1, u2))
 
 
 def rotation_spec(a: float, b: float, ell: ExprNode, **kwargs) -> SurfaceSpec:
@@ -214,19 +237,85 @@ class SurfaceMesh:
         return self.vertices[mask], self.normals[mask]
 
 
-def _vertex_residuals(frame: PointFrame, x: np.ndarray) -> tuple[float, float, float, float]:
-    support = abs(float(np.dot(x, frame.normal)) - frame.psi) / (1.0 + abs(frame.psi))
-    distance = abs(float(np.dot(x, x)) - frame.lam) / (1.0 + abs(frame.lam))
-    weingarten = math.nan
-    pde = math.nan
-    if not frame.degenerate_profile:
-        lap = frame.trace_v - 2.0 * frame.psi
-        pde_err = frame.psi * lap - frame.c * frame.grad_sq
-        pde = abs(pde_err) / (1.0 + abs(frame.psi * lap))
-        if abs(frame.psi) > geometry.PSI_EPS:
-            rhs = frame.c * (-frame.lam / (2.0 * frame.psi) + frame.psi / 2.0) - frame.psi
-            weingarten = abs(frame.h_over_k - rhs) / (1.0 + abs(frame.h_over_k))
-    return support, distance, weingarten, pde
+def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
+    """Support, distance, Weingarten and PDE residuals of the points ``x``.
+
+    Relative with denominator 1 + |reference|; the last two are NaN where
+    C is undefined, the Weingarten one also where |psi| <= PSI_EPS.
+    """
+    psi, lam, c, h_over_k = frame.psi, frame.lam, frame.c, frame.h_over_k
+    lap_term = psi * (frame.trace_v - 2.0 * psi)
+    rhs = c * (-lam / (2.0 * psi) + psi / 2.0) - psi
+    weingarten = abs(h_over_k - rhs) / (1.0 + abs(h_over_k))
+    return {
+        "support_residual": abs(np.vecdot(x, frame.normal) - psi) / (1.0 + abs(psi)),
+        "distance_residual": abs(np.vecdot(x, x) - lam) / (1.0 + abs(lam)),
+        "weingarten_residual": np.where(abs(psi) > geometry.PSI_EPS, weingarten, np.nan),
+        "pde_residual": abs(lap_term - c * frame.grad_sq) / (1.0 + abs(lap_term)),
+    }
+
+
+def _sample_rows(spec: SurfaceSpec, u1: np.ndarray, u2: np.ndarray,
+                 rotation_a: float | None) -> dict:
+    """Every per-vertex array of the mesh over the grid rows ``u1``.
+
+    A vertex is computed where f, g and ell evaluate and a frame exists, and
+    valid where its frame is also regular; diagnostics are NaN elsewhere.
+    """
+    z = np.empty((len(u1), len(u2)), dtype=complex)
+    z.real = u1[:, None]
+    z.imag = u2
+    f_jet, f_ok = eval_jet2_array(spec.f, z)
+    g_jet, g_ok = eval_jet2_array(spec.g, z)
+    ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
+    frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
+    computed = f_ok & g_ok & ell_ok & frame.exists
+    valid = computed & frame.regular
+    point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
+    with np.errstate(all="ignore"):
+        sphere = geometry._sphere(g_jet)
+        x = np.stack(point_xyz(f_jet, g_jet, ell_jet, *sphere), axis=-1)
+        residuals = _residuals(frame, x)
+        if rotation_a is not None:
+            x = np.stack(_rotation_xyz(rotation_a, ell_jet, z.real, z.imag), axis=-1)
+
+    def where(mask, value):
+        mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
+        return np.where(mask, value, np.nan)
+
+    rows = {key: where(valid, value) for key, value in dict(
+        residuals, mean=frame.mean, gauss=frame.gauss, vertices=x,
+        normals=frame.normal).items()}
+    rows.update({key: where(computed, getattr(frame, key))
+                 for key in ("psi", "lam", "c", "det_v")})
+    rows.update(valid=valid, regular=valid.copy())
+    return rows
+
+
+def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceMesh:
+    u1 = spec.grid_u1()
+    u2 = spec.grid_u2()
+    step = max(1, BLOCK_POINTS // spec.nu2)
+    grid = {}
+    for i in range(0, spec.nu1, step):
+        for key, rows in _sample_rows(spec, u1[i:i + step], u2, rotation_a).items():
+            if key not in grid:
+                grid[key] = np.empty((spec.nu1,) + rows.shape[1:], rows.dtype)
+            grid[key][i:i + step] = rows
+    valid = grid.pop("valid")
+    if not valid.any():
+        raise EmptyMeshError("no regular vertex in the sampled window")
+
+    vertex_index = np.full(valid.shape, -1, dtype=int)
+    vertex_index[valid] = np.arange(int(valid.sum()))
+    corners = np.stack((vertex_index[:-1, :-1], vertex_index[1:, :-1],
+                        vertex_index[1:, 1:], vertex_index[:-1, 1:]), axis=-1)
+    quads = corners[(corners >= 0).all(axis=-1)]
+    return SurfaceMesh(u1=u1, u2=u2, vertices=grid.pop("vertices"),
+                       normals=grid.pop("normals"), valid=valid,
+                       vertex_index=vertex_index,
+                       faces=list(map(tuple, quads.tolist())),
+                       diagnostics=MeshDiagnostics(**grid))
 
 
 def sample_mesh(spec: SurfaceSpec) -> SurfaceMesh:
@@ -236,65 +325,7 @@ def sample_mesh(spec: SurfaceSpec) -> SurfaceMesh:
     are flagged invalid and excluded from faces; the mesh is deterministic
     for a given spec.
     """
-    u1 = spec.grid_u1()
-    u2 = spec.grid_u2()
-    nu1, nu2 = spec.nu1, spec.nu2
-    vertices = np.full((nu1, nu2, 3), np.nan)
-    normals = np.full((nu1, nu2, 3), np.nan)
-    valid = np.zeros((nu1, nu2), dtype=bool)
-    diag = MeshDiagnostics(
-        psi=np.full((nu1, nu2), np.nan), lam=np.full((nu1, nu2), np.nan),
-        mean=np.full((nu1, nu2), np.nan), gauss=np.full((nu1, nu2), np.nan),
-        c=np.full((nu1, nu2), np.nan), det_v=np.full((nu1, nu2), np.nan),
-        support_residual=np.full((nu1, nu2), np.nan),
-        distance_residual=np.full((nu1, nu2), np.nan),
-        weingarten_residual=np.full((nu1, nu2), np.nan),
-        pde_residual=np.full((nu1, nu2), np.nan),
-        regular=np.zeros((nu1, nu2), dtype=bool),
-    )
-    point_fn = _point_closed_form if spec.method == "closed_form" else _point_direct
-    for i in range(nu1):
-        for j in range(nu2):
-            z = complex(u1[i], u2[j])
-            try:
-                f_jet = eval_jet2(spec.f, z)
-                g_jet = eval_jet2(spec.g, z)
-                ell_jet = eval_jet2(spec.ell, f_jet.value.real, variable="t")
-                frame = geometry.point_frame(f_jet, g_jet, ell_jet,
-                                             spec.regularity_eps)
-                x = point_fn(f_jet, g_jet, ell_jet, spec.regularity_eps)
-            except (EvalError, SingularPointError):
-                continue
-            diag.psi[i, j] = frame.psi
-            diag.lam[i, j] = frame.lam
-            diag.det_v[i, j] = frame.det_v
-            diag.regular[i, j] = frame.regular
-            if frame.c is not None:
-                diag.c[i, j] = frame.c
-            if not frame.regular:
-                continue
-            diag.mean[i, j] = frame.mean
-            diag.gauss[i, j] = frame.gauss
-            res = _vertex_residuals(frame, x)
-            (diag.support_residual[i, j], diag.distance_residual[i, j],
-             diag.weingarten_residual[i, j], diag.pde_residual[i, j]) = res
-            vertices[i, j] = x
-            normals[i, j] = frame.normal
-            valid[i, j] = True
-    if not valid.any():
-        raise EmptyMeshError("no regular vertex in the sampled window")
-
-    vertex_index = np.full((nu1, nu2), -1, dtype=int)
-    vertex_index[valid] = np.arange(int(valid.sum()))
-    faces = []
-    for i in range(nu1 - 1):
-        for j in range(nu2 - 1):
-            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-            if all(valid[c] for c in corners):
-                faces.append(tuple(int(vertex_index[c]) for c in corners))
-    return SurfaceMesh(u1=u1, u2=u2, vertices=vertices, normals=normals,
-                       valid=valid, vertex_index=vertex_index, faces=faces,
-                       diagnostics=diag)
+    return _sample_grid(spec)
 
 
 def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
@@ -304,15 +335,9 @@ def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
     """Mesh of the rotation family, with diagnostics from f = a*z + b, g = e^z.
 
     Vertices are evaluated by the rotation formula itself; normals and frame
-    data come from the equivalent holomorphic pair.
+    data come from the equivalent holomorphic pair, whose profile jets at
+    mu = Re f = a*u1 + b the rotation formula reuses.
     """
     spec = rotation_spec(a, b, ell, u1_range=u1_range, u2_range=u2_range,
                          nu1=nu1, nu2=nu2, regularity_eps=regularity_eps)
-    mesh = sample_mesh(spec)
-    for i in range(spec.nu1):
-        for j in range(spec.nu2):
-            if mesh.valid[i, j]:
-                mesh.vertices[i, j] = rotation_point(a, b, ell,
-                                                     float(mesh.u1[i]),
-                                                     float(mesh.u2[j]))
-    return mesh
+    return _sample_grid(spec, rotation_a=a)

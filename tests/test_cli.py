@@ -1,6 +1,8 @@
 """CLI: subcommands, exit codes, file outputs, determinism."""
 import json
 
+import pytest
+
 from grtsurf.cli import main
 
 
@@ -266,3 +268,54 @@ def test_info_degenerate_profile(capsys):
 def test_info_parse_error(capsys):
     code, _, stderr = run(capsys, "info", "--ell", "t+")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# invalid input ends in exit 2 with a one-line message
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--preset", "fig1", "--u1", "1:-1"),
+    ("generate", "--preset", "fig1", "--n", "1"),
+    ("generate", "--preset", "fig1", "--u1", "nan:1"),
+    ("generate", "--preset", "fig1", "--eps", "-1"),
+    ("rotate", "--preset", "fig3", "--u2", "0:inf"),
+    ("verify", "--fd-step", "0", "--n", "8"),
+    ("verify", "--tol-fd", "nan", "--n", "8"),
+    ("rotate", "--preset", "fig3", "--a", "inf"),
+    ("info", "--ell", "t", "--mu-range", "nan:1"),
+    ("info", "--ell", "t", "--samples", "0"),
+], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
+        "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
+        "no-samples"])
+def test_bad_numeric_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.obj"
+    extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()
+    code, stdout, stderr = run(capsys, *argv, *extra)
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert not out.exists() and stdout == ""
+
+
+@pytest.mark.parametrize("ell", ["(" * 199 + "t" + ")" * 199,
+                                 "+".join(["t"] * 1000)],
+                         ids=["nested-parentheses", "long-sum"])
+def test_too_deep_expression_exits_2(tmp_path, capsys, ell):
+    code, _, stderr = run(capsys, "generate", "--f", "z", "--g", "z",
+                          "--ell", ell, "--n", "4",
+                          "--out", str(tmp_path / "deep.obj"))
+    assert code == 2
+    assert "nested deeper than" in stderr and "offset" in stderr
+
+
+def test_overflowed_frames_are_singular_points(tmp_path, capsys):
+    # exp(400 z) overflows T^2 for u1 > 0.45: those vertices are singular
+    args = ("--f", "z", "--g", "exp(400*z)", "--ell", "t^2+1", "--n", "8")
+    code, stdout, _ = run(capsys, "generate", *args,
+                          "--out", str(tmp_path / "o.obj"))
+    assert code == 0
+    assert "16 vertices" in stdout
+    code, stdout, _ = run(capsys, "verify", *args,
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 5  # three quarters of the grid is singular
+    assert "insufficient_coverage" in stdout

@@ -2,13 +2,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import central_d1, central_d2, draw_sample, gen_source
-from grtsurf.expr import (Add, Const, Div, EvalError, Mul, Neg, ParseError,
-                          Pow, Sub, UnknownIdentifierError, Var, differentiate,
-                          eval_jet2, evaluate, parse_expr, simplify, unparse)
+from grtsurf.expr import (MAX_DEPTH, Add, Const, Div, EvalError, Mul, Neg,
+                          ParseError, Pow, Sub, UnknownIdentifierError, Var,
+                          differentiate, eval_jet2, eval_jet2_array, evaluate,
+                          parse_expr, simplify, unparse)
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +302,61 @@ def test_simplify_preserves_value(seed, real):
     a = evaluate(node, point, variable=var)
     b = evaluate(simplify(node), point, variable=var)
     assert abs(a - b) <= 1e-12 * (1 + abs(a))
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation against the scalar reference
+# ---------------------------------------------------------------------------
+
+# Grids through the poles and zeros the sampler's constants make (multiples
+# of 0.25), the origin and, for z, the negative real axis: the log cut.
+_REAL_GRID = np.linspace(-3.0, 3.0, 25)
+_COMPLEX_GRID = (np.linspace(-2.0, 2.0, 17)[:, None]
+                 + 1j * np.array([-1.0, -0.25, 0.0, 0.5])[None, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**48), st.booleans())
+def test_array_jets_match_scalar_evaluator(seed, real):
+    rng = random.Random(seed)
+    var = "t" if real else "z"
+    src = gen_source(rng, depth=rng.randint(1, 3), real=real)
+    node = parse_expr(src, var, real=real)
+    points = _REAL_GRID if real else _COMPLEX_GRID
+    jet, ok = eval_jet2_array(node, points, variable=var)
+    assert ok.shape == points.shape
+    for index in np.ndindex(points.shape):
+        try:
+            ref = eval_jet2(node, points[index].item(), variable=var)
+        except EvalError:
+            assert not ok[index], (src, points[index])
+            continue
+        assert ok[index], (src, points[index])
+        for got, want in zip((jet.value, jet.d1, jet.d2),
+                             (ref.value, ref.d1, ref.d2)):
+            assert abs(got[index] - want) <= 1e-10 * (1 + abs(want)), \
+                (src, points[index], got[index], want)
+
+
+def test_array_evaluation_masks_each_failure_kind():
+    z = np.array([0j, -1 + 0j, 1 + 0j, 400 + 0j])
+    _, ok = eval_jet2_array(parse_expr("1/z", "z"), z)
+    assert ok.tolist() == [False, True, True, True]
+    _, ok = eval_jet2_array(parse_expr("log(z)", "z"), z)
+    assert ok.tolist() == [False, False, True, True]
+    _, ok = eval_jet2_array(parse_expr("exp(2*z)", "z"), z)
+    assert ok.tolist() == [True, True, True, False]
+    _, ok = eval_jet2_array(Add(Var(), Const(1j)), np.array([0.5, 1.0]), "t")
+    assert ok.tolist() == [False, False]
+    # failures inside constant subtrees mask every point instead of raising
+    for src in ("t+log(2.5-2.5)", "t/(1-1)", "t*(1e200)^4"):
+        _, ok = eval_jet2_array(parse_expr(src, "t", real=True),
+                                np.array([0.5, 1.0]), "t")
+        assert ok.tolist() == [False, False], src
+
+
+def test_array_evaluation_of_constants_fills_the_grid():
+    jet, ok = eval_jet2_array(parse_expr("2", "t", real=True),
+                              np.zeros((2, 3)), "t")
+    assert jet.value.shape == jet.d1.shape == jet.d2.shape == (2, 3)
+    assert np.all(jet.value == 2.0) and np.all(jet.d2 == 0.0) and ok.all()

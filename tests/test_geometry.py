@@ -220,6 +220,15 @@ def test_v_matrix_against_fd_oracle():
                 (f_src, g_src, ell_src, z, v, v_fd)
 
 
+def test_point_frame_singular_when_t_squared_overflows():
+    # |g| = 1e200: T^2 overflows and the metric factor would be 0
+    g_jet = Jet2(1e200 + 0j, 1 + 0j, 0j)
+    with pytest.raises(SingularPointError, match="metric factor"):
+        point_frame(UNIT_JET, g_jet, Jet2(1.0, 1.0, 2.0))
+    with pytest.raises(SingularPointError):
+        gauss_map(g_jet)
+
+
 def test_v_matrix_singular_when_g_prime_vanishes():
     with pytest.raises(SingularPointError):
         v_matrix(Jet2(1.0, 1.0, 2.0), UNIT_JET, Jet2(0j, 0j, 2 + 0j))

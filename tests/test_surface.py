@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from grtsurf.expr import eval_jet2, parse_expr
-from grtsurf.geometry import SingularPointError, gauss_map, inner
-from grtsurf.surface import (EmptyMeshError, SurfaceSpec, point_closed_form,
-                             point_direct, rotation_point, rotation_spec,
-                             sample_mesh, sample_rotation_mesh)
+from grtsurf import surface
+from grtsurf.expr import EvalError, eval_jet2, parse_expr
+from grtsurf.geometry import (PSI_EPS, SingularPointError, gauss_map, inner,
+                              point_frame)
+from grtsurf.surface import (EmptyMeshError, SurfaceSpec, jets_at,
+                             point_closed_form, point_direct, rotation_point,
+                             rotation_spec, sample_mesh, sample_rotation_mesh)
 
 TRIPLES = [
     ("z", "z", "t^2+t+1"),
@@ -299,3 +301,122 @@ def test_spec_validation():
         spec_for("z", "z", "t", nu1=1)
     with pytest.raises(ValueError):
         spec_for("z", "z", "t", method="spline")
+    for kw in ({"u1_range": (math.nan, 1.0)}, {"u2_range": (-1.0, math.inf)},
+               {"u1_range": (-1e308, 1e308)}, {"regularity_eps": -1.0},
+               {"regularity_eps": math.nan}):
+        with pytest.raises(ValueError):
+            spec_for("z", "z", "t", **kw)
+    spec_for("z", "z", "t", regularity_eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Array sampling against a mesh built point by point
+# ---------------------------------------------------------------------------
+
+DIAGNOSTICS = ("psi", "lam", "mean", "gauss", "c", "det_v",
+               "support_residual", "distance_residual",
+               "weingarten_residual", "pde_residual")
+
+
+def reference_mesh(spec, rotation=None):
+    """Mask, vertices, normals, diagnostics and faces of ``spec``, computed
+    one grid point at a time by the pointwise functions."""
+    shape = (spec.nu1, spec.nu2)
+    valid = np.zeros(shape, dtype=bool)
+    vertices = np.full(shape + (3,), np.nan)
+    normals = np.full(shape + (3,), np.nan)
+    diag = {name: np.full(shape, np.nan) for name in DIAGNOSTICS}
+    point_fn = (surface._point_closed_form if spec.method == "closed_form"
+                else surface._point_direct)
+    for i, u1 in enumerate(spec.grid_u1()):
+        for j, u2 in enumerate(spec.grid_u2()):
+            try:
+                jets = jets_at(spec, complex(u1, u2))
+                frame = point_frame(*jets, spec.regularity_eps)
+                x = point_fn(*jets, spec.regularity_eps)
+            except (EvalError, SingularPointError):
+                continue
+            diag["psi"][i, j] = frame.psi
+            diag["lam"][i, j] = frame.lam
+            diag["det_v"][i, j] = frame.det_v
+            if frame.c is not None:
+                diag["c"][i, j] = frame.c
+            if not frame.regular:
+                continue
+            valid[i, j] = True
+            diag["mean"][i, j] = frame.mean
+            diag["gauss"][i, j] = frame.gauss
+            psi, lam = frame.psi, frame.lam
+            diag["support_residual"][i, j] = (abs(np.dot(x, frame.normal) - psi)
+                                              / (1 + abs(psi)))
+            diag["distance_residual"][i, j] = abs(np.dot(x, x) - lam) / (1 + abs(lam))
+            if frame.c is not None:
+                lap = psi * (frame.trace_v - 2 * psi)
+                diag["pde_residual"][i, j] = (abs(lap - frame.c * frame.grad_sq)
+                                              / (1 + abs(lap)))
+                if abs(psi) > PSI_EPS:
+                    rhs = frame.c * (-lam / (2 * psi) + psi / 2) - psi
+                    diag["weingarten_residual"][i, j] = (
+                        abs(frame.h_over_k - rhs) / (1 + abs(frame.h_over_k)))
+            if rotation is not None:
+                x = rotation_point(*rotation, spec.ell, float(u1), float(u2))
+            vertices[i, j] = x
+            normals[i, j] = frame.normal
+    index = np.cumsum(valid).reshape(shape) - 1
+    faces = []
+    for i in range(spec.nu1 - 1):
+        for j in range(spec.nu2 - 1):
+            corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+            if all(valid[c] for c in corners):
+                faces.append(tuple(int(index[c]) for c in corners))
+    return valid, vertices, normals, diag, faces
+
+
+def assert_matches_reference(mesh, reference):
+    valid, vertices, normals, diag, faces = reference
+    assert np.array_equal(mesh.valid, valid)
+    assert np.array_equal(mesh.diagnostics.regular, valid)
+    assert mesh.faces == faces
+    pairs = [("vertices", mesh.vertices, vertices), ("normals", mesh.normals, normals)]
+    pairs += [(name, getattr(mesh.diagnostics, name), diag[name]) for name in DIAGNOSTICS]
+    for name, got, want in pairs:
+        assert np.array_equal(np.isnan(got), np.isnan(want)), name
+        known = ~np.isnan(want)
+        got, want = got[known], want[known]
+        tol = 1e-10 * (1 + np.abs(want))
+        if name in ("mean", "gauss"):
+            # both are 1/det V: roundoff grows like 1/|det V| near det V = 0
+            tol *= 1 + 1 / np.abs(diag["det_v"][known])
+        assert np.all(np.abs(got - want) <= tol), name
+
+
+WINDOW = {"u1_range": (-1.0, 1.0), "u2_range": (-math.pi, math.pi)}
+REFERENCE_CASES = [
+    ("z", "z", "t^2+t+1", {}),
+    ("z", "z", "t^2+t+1", {"method": "direct"}),
+    ("z", "z^2", "t^2+t+1", {}),                # g'(0) = 0 on the grid
+    ("z", "z", "log(t+0.5)", {}),               # ell fails for u1 <= -0.5
+    ("z", "z", "cos(t)", {}),                   # ell'(0) = 0: C undefined
+    ("z", "z", "t", {"method": "direct"}),      # psi = 0 at u1 = 0
+    ("1/z", "z", "t^2+1", {"u2_range": (-1.0, 1.0)}),   # a pole of f
+    ("exp(z)*sin(z)+z^3", "cosh(z)/(z^2+3)", "exp(t)*cos(t)+2", WINDOW),
+    ("z", "exp(400*z)", "t^2+1", WINDOW),       # T^2 overflows
+]
+
+
+@pytest.mark.parametrize("block_points", [surface.BLOCK_POINTS, 20])
+@pytest.mark.parametrize("f,g,ell,kw", REFERENCE_CASES)
+def test_sample_mesh_matches_pointwise_reference(monkeypatch, block_points,
+                                                 f, g, ell, kw):
+    monkeypatch.setattr(surface, "BLOCK_POINTS", block_points)
+    spec = spec_for(f, g, ell, **dict({"nu1": 9, "nu2": 9}, **kw))
+    assert_matches_reference(sample_mesh(spec), reference_mesh(spec))
+
+
+@pytest.mark.parametrize("a,b,ell", [(1.0, 0.0, "t^2+t+1"), (0.0, 1.0, "t^2+t+1"),
+                                     (1.0, 0.0, "sinh(t)"), (2.0, -1.0, "log(t+2)")])
+def test_sample_rotation_mesh_matches_pointwise_reference(a, b, ell):
+    node = parse_expr(ell, "t", real=True)
+    spec = rotation_spec(a, b, node, nu1=17, nu2=12, **WINDOW)
+    mesh = sample_rotation_mesh(a, b, node, nu1=17, nu2=12, **WINDOW)
+    assert_matches_reference(mesh, reference_mesh(spec, rotation=(a, b)))
