@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 2 expression/usage parse error or invalid numeric input
 (RunConfig.validate, SurfaceSpec), 3 empty mesh, 4 I/O failure, 5
 verification failure or insufficient coverage.  Mesh and report outputs
-are byte-identical for identical configs; mesh files carry numbers
-with 17 significant digits so golden files round-trip exactly.
+are byte-identical for identical configs; OBJ and PLY numbers carry 17
+significant digits and mesh JSON floats are shortest repr, so all round-trip.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,10 +40,6 @@ ROTATE_PRESETS = {
     "fig5": {"a": 1.0, "b": 0.0, "ell": "sinh(t)"},
 }
 DEFAULT_U2 = (-math.pi, math.pi)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 @dataclass
@@ -76,6 +72,8 @@ class RunConfig:
         window, resolution and eps are checked by SurfaceSpec."""
         if not (0.0 < self.fd_step < math.inf):
             raise ValueError(f"--fd-step must be finite and > 0, got {self.fd_step!r}")
+        if not 0.0 < self.fd_step * self.fd_step < math.inf:
+            raise ValueError(f"--fd-step {self.fd_step!r} squares to 0 or inf")
         for name, tol in self.tolerances.items():
             if not (0.0 <= tol < math.inf):
                 raise ValueError(f"tolerance of {name} must be finite and >= 0, "
@@ -89,91 +87,102 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Mesh writers (single writer, after computation completes)
+# Mesh writers (single writer, after computation completes).  One ``%`` fills
+# each section, or each grid row of mesh JSON, which is written at once.
+# '%.17g' % x is format(x, '.17g'); '%r' % x is json's float.__repr__(x).
 # ---------------------------------------------------------------------------
+
+def _fill(template: str, values) -> str:
+    """``template`` filled in with ``values`` in row-major order."""
+    return template % tuple(np.ravel(values).tolist())
+
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    lines = ["# generated by grtsurf"]
-    for x, y, z in verts:
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for x, y, z in normals:
-        lines.append(f"vn {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for a, b, c, d in mesh.faces:
-        lines.append(f"f {a+1}//{a+1} {b+1}//{b+1} {c+1}//{c+1}")
-        lines.append(f"f {a+1}//{a+1} {c+1}//{c+1} {d+1}//{d+1}")
+    # triangles (a, b, c) and (a, c, d) of each quad, each index twice: i//i
+    tris = np.repeat(np.reshape(mesh.faces, (-1, 4))[:, [0, 1, 2, 0, 2, 3]] + 1,
+                     2, axis=1)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# generated by grtsurf\n")
+        fh.write(_fill("v %.17g %.17g %.17g\n" * len(verts), verts))
+        fh.write(_fill("vn %.17g %.17g %.17g\n" * len(normals), normals))
+        fh.write(_fill("f %d//%d %d//%d %d//%d\n" * (2 * len(tris)), tris))
 
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    tris = []
-    for a, b, c, d in mesh.faces:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(verts)}",
-        "property float x", "property float y", "property float z",
-        "property float nx", "property float ny", "property float nz",
-        f"element face {len(tris)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    for (x, y, z), (nx, ny, nz) in zip(verts, normals):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(nx)} {_fmt(ny)} {_fmt(nz)}")
-    for a, b, c in tris:
-        lines.append(f"3 {a} {b} {c}")
+    tris = np.reshape(mesh.faces, (-1, 4))[:, [0, 1, 2, 0, 2, 3]]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("ply\nformat ascii 1.0\n"
+                 f"element vertex {len(verts)}\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "property float nx\nproperty float ny\nproperty float nz\n"
+                 f"element face {2 * len(tris)}\n"
+                 "property list uchar int vertex_indices\nend_header\n")
+        fh.write(_fill("%.17g %.17g %.17g %.17g %.17g %.17g\n" * len(verts),
+                       np.hstack([verts, normals])))
+        fh.write(_fill("3 %d %d %d\n" * (2 * len(tris)), tris))
 
 
-def _mesh_json_dict(mesh: SurfaceMesh) -> dict:
-    def grid(arr):
-        return [[None if not mesh.valid[i, j] else list(map(float, arr[i, j]))
-                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+def _json_pieces(items, level: int):
+    """Formatted items as json.dump(indent=1) lays out a list at ``level``."""
+    pad = "\n" + " " * (level + 1)
+    sep = "[" + pad
+    for item in items:
+        yield sep + item
+        sep = "," + pad
+    yield "[]" if sep[0] == "[" else "\n" + " " * level + "]"
 
-    diag = mesh.diagnostics
 
-    def scalar(arr):
-        return [[None if math.isnan(arr[i, j]) else float(arr[i, j])
-                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+def _json_list(items: list[str], level: int) -> str:
+    return "".join(_json_pieces(items, level))
 
-    return {
-        "u1": [float(v) for v in mesh.u1],
-        "u2": [float(v) for v in mesh.u2],
-        "vertices": grid(mesh.vertices),
-        "normals": grid(mesh.normals),
-        "faces": [list(f) for f in mesh.faces],
-        "diagnostics": {
-            "psi": scalar(diag.psi),
-            "lam": scalar(diag.lam),
-            "mean_curvature": scalar(diag.mean),
-            "gauss_curvature": scalar(diag.gauss),
-            "c": scalar(diag.c),
-            "det_v": scalar(diag.det_v),
-            "support_residual": scalar(diag.support_residual),
-            "distance_residual": scalar(diag.distance_residual),
-            "weingarten_residual": scalar(diag.weingarten_residual),
-            "pde_residual": scalar(diag.pde_residual),
-            "regular": [[bool(v) for v in row] for row in diag.regular],
-        },
-    }
+
+def _json_floats(template: str, values, nan: str) -> str:
+    """``template`` filled in with floats as json writes them: repr if finite,
+    ``nan`` for NaN, else Infinity or -Infinity; no other text holds 'nan'/'inf'."""
+    return _fill(template, values).replace("nan", nan).replace("inf", "Infinity")
+
+
+# JSON keys of the MeshDiagnostics fields that are not named as in the file
+_JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 
 
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
+    """Mesh JSON, byte for byte the text of json.dump(..., indent=1)."""
+    cell = _json_list(["%r"] * 3, 3)
+    quads = np.reshape(mesh.faces, (-1, 4))
+
+    def vector_rows(grid):  # null at invalid vertices
+        for row, ok in zip(grid, mesh.valid):
+            template = _json_list([cell if v else "null" for v in ok.tolist()], 2)
+            yield _json_floats(template, row[ok], "NaN")
+
+    def diagnostic_rows(grid):  # null where a float is NaN
+        if grid.dtype == bool:
+            return (_json_list(np.where(row, "true", "false").tolist(), 3)
+                    for row in grid)
+        template = _json_list(["%r"] * grid.shape[1], 3)
+        return (_json_floats(template, row, "null") for row in grid)
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_mesh_json_dict(mesh), fh, indent=1)
-        fh.write("\n")
+        for key, u in (('{\n "u1": ', mesh.u1), (',\n "u2": ', mesh.u2)):
+            fh.write(key + _json_floats(_json_list(["%r"] * len(u), 1), u, "NaN"))
+        for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
+            fh.write(f',\n "{key}": ')
+            fh.writelines(_json_pieces(vector_rows(grid), 1))
+        fh.write(',\n "faces": ' + _fill(
+            _json_list([_json_list(["%d"] * 4, 2)] * len(quads), 1), quads))
+        sep = ',\n "diagnostics": {'
+        for name in (f.name for f in fields(mesh.diagnostics)):
+            fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": ')
+            fh.writelines(_json_pieces(
+                diagnostic_rows(getattr(mesh.diagnostics, name)), 2))
+            sep = ","
+        fh.write("\n }\n}\n")
 
 
 _WRITERS = {"obj": write_obj, "ply": write_ply, "json": write_mesh_json}
-
-
-def _write_mesh(mesh: SurfaceMesh, config: RunConfig) -> None:
-    _WRITERS[config.format](mesh, config.out)
 
 
 def _mesh_summary(mesh: SurfaceMesh, out: str) -> str:
@@ -191,18 +200,26 @@ def _mesh_summary(mesh: SurfaceMesh, out: str) -> str:
 _RANGE_FLAGS = ("--u1", "--u2", "--mu-range")
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join '--u1 -1:1' into '--u1=-1:1' so argparse keeps the value."""
+    """Join '--u1 -1:1' into '--u1=-1:1' and '--eps -1e-5' into '--eps=-1e-5':
+    argparse takes a token starting with '-' as a value only when it is a
+    plain negative decimal."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _RANGE_FLAGS and i + 1 < len(argv) and ":" in argv[i + 1]:
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok.startswith("-") and prev.startswith("--") and "=" not in prev
+                and (prev in _RANGE_FLAGS and ":" in tok or _is_number(tok))):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -248,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_output(p):
         p.add_argument("--out", default=None, help="output file")
-        p.add_argument("--format", choices=("obj", "ply", "json"), default=None,
+        p.add_argument("--format", choices=tuple(_WRITERS), default=None,
                        help="output format (default from extension, else obj)")
 
     gen = sub.add_parser("generate", help="sample a surface mesh and export it")
@@ -297,17 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolution(args) -> tuple[int, int]:
-    return (args.nu1 or args.n, args.nu2 or args.n)
-
-
 def _pick_format(out: str, explicit: str | None) -> str:
     if explicit:
         return explicit
-    for ext, fmt in ((".obj", "obj"), (".ply", "ply"), (".json", "json")):
-        if out.endswith(ext):
-            return fmt
-    return "obj"
+    return next((fmt for fmt in _WRITERS if out.endswith("." + fmt)), "obj")
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +336,31 @@ def _generate_spec(config: RunConfig) -> SurfaceSpec:
 def _cmd_generate(config: RunConfig) -> int:
     spec = _generate_spec(config)
     mesh = surface.sample_mesh(spec)
-    _write_mesh(mesh, config)
+    _WRITERS[config.format](mesh, config.out)
     print(_mesh_summary(mesh, config.out))
     return EXIT_OK
+
+
+def _profile_c(jet) -> float | None:
+    """C = ell*ell''/ell'^2 from a jet of ell; None where ell'^2 is 0 (also
+    by underflow) or C is not finite."""
+    d1_sq = jet.d1 * jet.d1
+    if d1_sq == 0.0:
+        return None
+    c = jet.value * jet.d2 / d1_sq
+    return c if math.isfinite(c) else None
+
+
+def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
+    """Whether sampled C values are constant, the constant, and its label:
+    Appell for C = 0, TR-surface for C = 1."""
+    if not cs or max(cs) - min(cs) >= 1e-9:
+        return False, None, None
+    value = cs[0] + 0.0  # folds away -0.0
+    for label, target in (("Appell", 0.0), ("TR-surface", 1.0)):
+        if abs(value - target) <= 1e-9:
+            return True, value, label
+    return True, value, None
 
 
 def _classify_profile(spec: SurfaceSpec) -> dict:
@@ -338,24 +370,12 @@ def _classify_profile(spec: SurfaceSpec) -> dict:
         for u2 in np.linspace(*spec.u2_range, 9):
             try:
                 f_val = eval_jet2(spec.f, complex(u1, u2)).value
-                jet = eval_jet2(spec.ell, f_val.real, variable="t")
+                c = _profile_c(eval_jet2(spec.ell, f_val.real, variable="t"))
             except EvalError:
                 continue
-            if jet.d1 == 0.0:
-                continue
-            c = jet.value * jet.d2 / (jet.d1 * jet.d1)
-            if math.isfinite(c):
+            if c is not None:
                 cs.append(c)
-    if not cs:
-        return {"profile_c_constant": False, "profile_c": None,
-                "profile_label": None}
-    constant = max(cs) - min(cs) < 1e-9
-    value = cs[0] + 0.0 if constant else None
-    label = None
-    if constant and abs(value) <= 1e-9:
-        label = "Appell"
-    elif constant and abs(value - 1.0) <= 1e-9:
-        label = "TR-surface"
+    constant, value, label = _label_c(cs)
     return {"profile_c_constant": constant, "profile_c": value,
             "profile_label": label}
 
@@ -388,7 +408,7 @@ def _cmd_rotate(config: RunConfig) -> int:
         nu1=config.nu1, nu2=config.nu2,
         regularity_eps=config.regularity_eps,
     )
-    _write_mesh(mesh, config)
+    _WRITERS[config.format](mesh, config.out)
     print(_mesh_summary(mesh, config.out))
     if config.a == 0.0:
         radius = abs(eval_jet2(ell, float(config.b), variable="t").value)
@@ -421,14 +441,14 @@ def _cmd_info(config: RunConfig) -> int:
     errors = 0
     for mu in mus:
         try:
-            jet = eval_jet2(ell, float(mu), variable="t")
+            c = _profile_c(eval_jet2(ell, float(mu), variable="t"))
         except EvalError:
             errors += 1
             continue
-        if jet.d1 == 0.0 or not math.isfinite(jet.value * jet.d2 / (jet.d1 * jet.d1)):
+        if c is None:
             degenerate += 1
-            continue
-        cs.append(jet.value * jet.d2 / (jet.d1 * jet.d1))
+        else:
+            cs.append(c)
     result = {
         "ell": unparse(ell, "t"),
         "ell_prime": unparse(d1, "t"),
@@ -439,24 +459,12 @@ def _cmd_info(config: RunConfig) -> int:
         "evaluation_errors": errors,
     }
     if cs:
-        spread = max(cs) - min(cs)
-        constant = spread < 1e-9
-        c_value = cs[0] + 0.0 if constant else None  # +0.0 folds away -0.0
-        result.update({
-            "c_min": min(cs), "c_max": max(cs),
-            "c_constant": constant,
-            "c_value": c_value,
-        })
-        label = None
-        if constant and abs(c_value) <= 1e-9:
-            label = "Appell"
-        elif constant and abs(c_value - 1.0) <= 1e-9:
-            label = "TR-surface"
-        result["label"] = label
-    else:
-        result.update({"c_constant": False, "c_value": None, "label": None,
-                       "note": "C undefined on the sampled range (ell' = 0 "
-                               "or evaluation failed everywhere)"})
+        result.update({"c_min": min(cs), "c_max": max(cs)})
+    constant, c_value, label = _label_c(cs)
+    result.update({"c_constant": constant, "c_value": c_value, "label": label})
+    if not cs:
+        result["note"] = ("C undefined on the sampled range (ell' = 0 "
+                          "or evaluation failed everywhere)")
     if config.as_json:
         print(json.dumps(result, indent=2))
         return EXIT_OK
@@ -523,18 +531,15 @@ def _config_from_args(args) -> RunConfig:
         return config
     config.u1 = args.u1
     config.u2 = args.u2
-    config.nu1, config.nu2 = _resolution(args)
+    config.nu1, config.nu2 = args.nu1 or args.n, args.nu2 or args.n
     config.regularity_eps = args.eps
     if args.subcommand == "verify":
         config.fd_step = args.fd_step
         if args.tol_algebraic is not None:
-            for name in ("param_equivalence", "support_identity",
-                         "quadratic_distance", "weingarten_relation",
-                         "pde_lapla1", "wv_identity", "rotation_match"):
-                config.tolerances[name] = args.tol_algebraic
+            config.tolerances.update(dict.fromkeys(verify.ALGEBRAIC_CHECKS,
+                                                   args.tol_algebraic))
         if args.tol_fd is not None:
-            for name in ("forms_vs_fd", "curvature_vs_fd", "harmonicity_mu"):
-                config.tolerances[name] = args.tol_fd
+            config.tolerances.update(dict.fromkeys(verify.FD_CHECKS, args.tol_fd))
         config.out = args.out
     else:
         out = args.out
@@ -571,14 +576,13 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         return _DISPATCH[args.subcommand](config)
     except (_UsageError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        error, code = exc, EXIT_PARSE
     except EmptyMeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
+        error, code = exc, EXIT_EMPTY
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        error, code = exc, EXIT_IO
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

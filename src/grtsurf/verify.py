@@ -39,19 +39,15 @@ ALL_CHECKS = (
     "wv_identity",
     "rotation_match",
 )
+# The two tolerance classes: identities exact up to rounding, and
+# comparisons against finite differences.
+ALGEBRAIC_CHECKS = ("param_equivalence", "support_identity",
+                    "quadratic_distance", "weingarten_relation", "pde_lapla1",
+                    "wv_identity", "rotation_match")
+FD_CHECKS = ("forms_vs_fd", "curvature_vs_fd", "harmonicity_mu")
 
-DEFAULT_TOLERANCES = {
-    "param_equivalence": 1e-9,
-    "support_identity": 1e-9,
-    "quadratic_distance": 1e-9,
-    "weingarten_relation": 1e-9,
-    "pde_lapla1": 1e-9,
-    "forms_vs_fd": 1e-4,
-    "curvature_vs_fd": 1e-4,
-    "harmonicity_mu": 1e-4,
-    "wv_identity": 1e-9,
-    "rotation_match": 1e-9,
-}
+DEFAULT_TOLERANCES = {name: 1e-9 if name in ALGEBRAIC_CHECKS else 1e-4
+                      for name in ALL_CHECKS}
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
@@ -97,6 +93,11 @@ class CheckResult:
         if rel_err >= self.max_rel:
             self.max_rel = rel_err
             self.worst_point = (float(point.real), float(point.imag))
+
+    def add_worst(self, pairs, point: complex) -> None:
+        """Add the (reference, value) pair with the largest relative error."""
+        ref, got = max(pairs, key=lambda p: _rel(p[1] - p[0], p[0]))
+        self.add(abs(got - ref), _rel(got - ref, ref), point)
 
     def exclude(self) -> None:
         self.excluded += 1
@@ -221,6 +222,8 @@ def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
     f = float(np.dot(x_u1, n_u2))
     g = float(np.dot(x_u2, n_u2))
     det_i = E * G - F * F
+    if det_i == 0.0:  # the step is below the resolution of the window
+        raise StencilError(f"stencil of size {step:g} has no area at {z!r}")
     k_fd = (e * g - f * f) / det_i
     h_fd = -(e * G - 2.0 * f * F + g * E) / (2.0 * det_i)
     psi_fd = float(np.dot(x0, frame0.normal))
@@ -237,6 +240,7 @@ def laplacian_mu_fd(spec: SurfaceSpec, z: complex,
     return (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (step * step)
 
 
+@np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
 def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None,
                rotation: tuple[float, float] | None = None,
@@ -261,9 +265,7 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
         names = [c for c in ALL_CHECKS if c in set(checks)]
     acc = {name: CheckResult(name=name, tolerance=tol[name]) for name in names}
 
-    algebraic = [n for n in names if n in (
-        "param_equivalence", "support_identity", "quadratic_distance",
-        "weingarten_relation", "pde_lapla1", "wv_identity", "rotation_match")]
+    algebraic = [n for n in names if n in ALGEBRAIC_CHECKS]
     fd_checks = [n for n in names if n in ("forms_vs_fd", "curvature_vs_fd")]
 
     for u1 in spec.grid_u1():
@@ -274,10 +276,8 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
                 frame = geometry.point_frame(f_jet, g_jet, ell_jet,
                                              spec.regularity_eps)
             except (EvalError, SingularPointError):
-                for name in names:
-                    acc[name].exclude()
-                continue
-            if not frame.regular:
+                frame = None
+            if frame is None or not frame.regular:
                 for name in names:
                     acc[name].exclude()
                 continue
@@ -330,17 +330,12 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
                     for name in fd_checks:
                         acc[name].exclude()
                 else:
-                    forms = frame.forms
                     if "forms_vs_fd" in acc:
-                        pairs = list(zip(forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)))
-                        worst = max(pairs, key=lambda p: _rel(p[1] - p[0], p[0]))
-                        acc["forms_vs_fd"].add(abs(worst[1] - worst[0]),
-                                               _rel(worst[1] - worst[0], worst[0]), z)
+                        acc["forms_vs_fd"].add_worst(
+                            zip(frame.forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)), z)
                     if "curvature_vs_fd" in acc:
-                        pairs = [(frame.mean, fd.H_fd), (frame.gauss, fd.K_fd)]
-                        worst = max(pairs, key=lambda p: _rel(p[1] - p[0], p[0]))
-                        acc["curvature_vs_fd"].add(abs(worst[1] - worst[0]),
-                                                   _rel(worst[1] - worst[0], worst[0]), z)
+                        acc["curvature_vs_fd"].add_worst(
+                            ((frame.mean, fd.H_fd), (frame.gauss, fd.K_fd)), z)
             if "harmonicity_mu" in acc:
                 try:
                     lap_mu = laplacian_mu_fd(spec, z, step)

@@ -1,9 +1,14 @@
 """CLI: subcommands, exit codes, file outputs, determinism."""
 import json
+import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import gen_source
 from grtsurf.cli import main
+from grtsurf.verify import FD_CHECKS
 
 
 def run(capsys, *argv):
@@ -165,6 +170,37 @@ def test_verify_insufficient_coverage_exit_5(capsys):
     assert wein["status"] == "insufficient_coverage"
 
 
+def test_tolerance_flags_follow_check_classes(capsys):
+    code, stdout, _ = run(capsys, "verify", "--n", "8",
+                          "--tol-algebraic", "1e-3", "--tol-fd", "0.5")
+    assert code == 0
+    for check in json.loads(stdout)["checks"]:
+        expected = 0.5 if check["name"] in FD_CHECKS else 1e-3
+        assert check["tolerance"] == expected, check["name"]
+
+
+def test_underflowed_ell_prime_leaves_c_undefined(capsys):
+    # ell' = 1e-200 squares to 0, so C = ell*ell''/ell'^2 is undefined
+    code, stdout, _ = run(capsys, "info", "--ell", "1e-200*t", "--json")
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["degenerate_points"] == 101 and data["label"] is None
+    code, stdout, _ = run(capsys, "verify", "--ell", "1e-200*t", "--n", "4")
+    assert code in (0, 5)
+    assert json.loads(stdout)["spec"]["profile_c"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    # u1 +- 1e-17 == u1: the FD stencil has no area
+    ("--u1", "1:2", "--u2", "1:2", "--fd-step", "1e-17"),
+    # V overflows next to g' = 0, which eps = 0 lets through
+    ("--g", "z*z", "--u1", "-1e-89:1", "--u2", "0:1", "--eps", "0"),
+], ids=["stencil-below-resolution", "overflowed-v"])
+def test_verify_degenerate_numerics_exit_5(capsys, argv):
+    code, _, stderr = run(capsys, "verify", *argv, "--n", "4")
+    assert code == 5 and stderr == ""
+
+
 def test_verify_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "verify", "--n", "8", "--out", str(a))
@@ -285,9 +321,13 @@ def test_info_parse_error(capsys):
     ("rotate", "--preset", "fig3", "--a", "inf"),
     ("info", "--ell", "t", "--mu-range", "nan:1"),
     ("info", "--ell", "t", "--samples", "0"),
+    ("generate", "--preset", "fig1", "--eps", "-1e-5"),
+    ("verify", "--fd-step", "-inf", "--n", "8"),
+    ("verify", "--fd-step", "1e-300", "--n", "8"),
 ], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
         "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
-        "no-samples"])
+        "no-samples", "exponent-eps", "minus-inf-fd-step",
+        "fd-step-square-underflows"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.obj"
     extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()
@@ -319,3 +359,43 @@ def test_overflowed_frames_are_singular_points(tmp_path, capsys):
                           "--out", str(tmp_path / "o.json"))
     assert code == 5  # three quarters of the grid is singular
     assert "insufficient_coverage" in stdout
+
+
+# ---------------------------------------------------------------------------
+# generated argv: every input ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                        1e-300, 1e300])
+
+
+def _mostly(good):
+    """``good`` three draws in four, an adversarial number in the fourth."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else _BAD)
+
+
+@st.composite
+def _range_arg(draw):
+    lo = draw(_mostly(st.floats(-3.0, 2.0)))
+    return f"{lo!r}:{lo + draw(_mostly(st.floats(1e-3, 3.0)))!r}"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**48), u1=_range_arg(), u2=_range_arg(),
+       n=st.integers(-1, 8), eps=_mostly(st.floats(0.0, 1e-3)),
+       fd_step=_mostly(st.floats(1e-6, 1e-2)))
+def test_generated_argv_exits_cleanly(tmp_path, capsys, seed, u1, u2, n, eps,
+                                      fd_step):
+    rng = random.Random(seed)
+    args = ("--f", gen_source(rng, rng.randint(1, 3)),
+            "--g", gen_source(rng, rng.randint(1, 3)),
+            "--ell", gen_source(rng, rng.randint(1, 3), real=True),
+            "--u1", u1, "--u2", u2, "--n", str(n), "--eps", repr(eps))
+    runs = [("generate", *args, "--out", str(tmp_path / f"mesh.{fmt}"))
+            for fmt in ("obj", "ply", "json")]
+    runs.append(("verify", *args, "--fd-step", repr(fd_step)))
+    for argv in runs:
+        code, _, stderr = run(capsys, *argv)
+        assert code in (0, 2, 3, 4, 5), argv
+        assert stderr.count("\n") <= 1, (argv, stderr)

@@ -6,7 +6,8 @@ import pytest
 
 from grtsurf.expr import parse_expr
 from grtsurf.surface import SurfaceSpec, rotation_spec
-from grtsurf.verify import (ALL_CHECKS, StencilError, convergence_order,
+from grtsurf.verify import (ALGEBRAIC_CHECKS, ALL_CHECKS, DEFAULT_TOLERANCES,
+                            FD_CHECKS, StencilError, convergence_order,
                             fd_fundamental_forms, laplacian_mu_fd, run_checks)
 
 
@@ -75,6 +76,13 @@ def test_laplacian_mu_fd_vanishes():
 # ---------------------------------------------------------------------------
 # run_checks
 # ---------------------------------------------------------------------------
+
+def test_tolerance_classes_partition_the_checks():
+    assert set(ALGEBRAIC_CHECKS).isdisjoint(FD_CHECKS)
+    assert set(ALGEBRAIC_CHECKS) | set(FD_CHECKS) == set(ALL_CHECKS)
+    assert all(DEFAULT_TOLERANCES[name] == 1e-9 for name in ALGEBRAIC_CHECKS)
+    assert all(DEFAULT_TOLERANCES[name] == 1e-4 for name in FD_CHECKS)
+
 
 def test_primary_run_passes_all_defaults():
     report = run_checks(spec_for("z", "z", "t^2+t+1", n=24))

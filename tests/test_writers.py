@@ -1,0 +1,170 @@
+"""Mesh writers against the per-value formatting they replaced.
+
+The reference writers below format every number on its own: an f-string
+with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
+nested Python lists for mesh JSON.  The batch writers must produce the same
+bytes.  Both format the same mesh, so nothing here pins ulps across numpy
+versions.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from grtsurf import cli, surface
+from grtsurf.surface import MeshDiagnostics, SurfaceMesh, SurfaceSpec
+
+
+def _fmt(v):
+    return format(float(v), ".17g")
+
+
+def reference_obj(mesh):
+    verts, normals = mesh.compact_vertices()
+    lines = ["# generated by grtsurf"]
+    for x, y, z in verts:
+        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+    for x, y, z in normals:
+        lines.append(f"vn {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+    for a, b, c, d in mesh.faces:
+        lines.append(f"f {a+1}//{a+1} {b+1}//{b+1} {c+1}//{c+1}")
+        lines.append(f"f {a+1}//{a+1} {c+1}//{c+1} {d+1}//{d+1}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_ply(mesh):
+    verts, normals = mesh.compact_vertices()
+    tris = []
+    for a, b, c, d in mesh.faces:
+        tris.append((a, b, c))
+        tris.append((a, c, d))
+    lines = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(verts)}",
+        "property float x", "property float y", "property float z",
+        "property float nx", "property float ny", "property float nz",
+        f"element face {len(tris)}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    for (x, y, z), (nx, ny, nz) in zip(verts, normals):
+        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)} {_fmt(nx)} {_fmt(ny)} {_fmt(nz)}")
+    for a, b, c in tris:
+        lines.append(f"3 {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_mesh_json(mesh):
+    def grid(arr):
+        return [[None if not mesh.valid[i, j] else list(map(float, arr[i, j]))
+                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+
+    diag = mesh.diagnostics
+
+    def scalar(arr):
+        return [[None if math.isnan(arr[i, j]) else float(arr[i, j])
+                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+
+    doc = {
+        "u1": [float(v) for v in mesh.u1],
+        "u2": [float(v) for v in mesh.u2],
+        "vertices": grid(mesh.vertices),
+        "normals": grid(mesh.normals),
+        "faces": [list(f) for f in mesh.faces],
+        "diagnostics": {
+            "psi": scalar(diag.psi),
+            "lam": scalar(diag.lam),
+            "mean_curvature": scalar(diag.mean),
+            "gauss_curvature": scalar(diag.gauss),
+            "c": scalar(diag.c),
+            "det_v": scalar(diag.det_v),
+            "support_residual": scalar(diag.support_residual),
+            "distance_residual": scalar(diag.distance_residual),
+            "weingarten_residual": scalar(diag.weingarten_residual),
+            "pde_residual": scalar(diag.pde_residual),
+            "regular": [[bool(v) for v in row] for row in diag.regular],
+        },
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+WRITERS = (
+    (cli.write_obj, reference_obj),
+    (cli.write_ply, reference_ply),
+    (cli.write_mesh_json, reference_mesh_json),
+)
+
+
+def assert_writers_match(mesh, tmp_path):
+    for write, reference in WRITERS:
+        path = tmp_path / f"mesh.{write.__name__}"
+        write(mesh, str(path))
+        assert path.read_bytes() == reference(mesh).encode("utf-8"), write.__name__
+
+
+def _spec_mesh(f, g, ell, method="closed_form", n=24):
+    spec = SurfaceSpec.from_strings(f, g, ell, u1_range=(-1.0, 1.0),
+                                    u2_range=(-math.pi, math.pi),
+                                    nu1=n, nu2=n + 3, method=method)
+    return surface.sample_mesh(spec)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "direct"])
+def test_fig1_matches_reference(tmp_path, method):
+    assert_writers_match(_spec_mesh("z", "z", "t^2+t+1", method), tmp_path)
+
+
+def test_masked_mesh_matches_reference(tmp_path):
+    mesh = _spec_mesh("z", "z", "log(t+0.5)")
+    assert not mesh.valid.all() and mesh.valid.any()
+    assert np.isnan(mesh.diagnostics.psi).any()
+    assert_writers_match(mesh, tmp_path)
+
+
+def _hand_built_mesh(faces):
+    nu1, nu2 = 2, 3
+    rng = np.random.default_rng(7)
+    specials = np.array([math.inf, -math.inf, -0.0, math.nan, 0.0, 1e-300])
+
+    def field():
+        scale = 10.0 ** rng.integers(-20, 20, (nu1, nu2))
+        values = rng.standard_normal((nu1, nu2)) * scale
+        values.flat[:len(specials)] = rng.permutation(specials)
+        return values
+
+    valid = np.array([[True, False, True], [True, True, True]])
+    vertices = rng.standard_normal((nu1, nu2, 3))
+    vertices[0, 0] = (-0.0, math.inf, 1e-7)
+    vertices[1, 2] = (math.nan, -math.inf, 123456789.0)
+    vertices[~valid] = math.nan
+    index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
+    diag = MeshDiagnostics(*(field() for _ in range(10)), regular=valid.copy())
+    return SurfaceMesh(u1=np.array([-0.0, 1.0]), u2=np.array([0.1, 0.2, 1e22]),
+                       vertices=vertices, normals=-vertices, valid=valid,
+                       vertex_index=index, faces=faces, diagnostics=diag)
+
+
+def test_non_finite_values_match_reference(tmp_path):
+    assert_writers_match(_hand_built_mesh([(0, 2, 4, 3)]), tmp_path)
+
+
+def test_mesh_without_faces_matches_reference(tmp_path):
+    mesh = _hand_built_mesh([])
+    assert_writers_match(mesh, tmp_path)
+    cli.write_ply(mesh, str(tmp_path / "empty.ply"))
+    assert "element face 0\n" in (tmp_path / "empty.ply").read_text()
+    cli.write_mesh_json(mesh, str(tmp_path / "empty.json"))
+    assert '"faces": [],' in (tmp_path / "empty.json").read_text()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0)], ids=["no-rows", "empty-rows"])
+def test_empty_grid_matches_reference(tmp_path, shape):
+    empty = np.zeros(shape)
+    diag = MeshDiagnostics(*(empty for _ in range(10)), regular=empty.astype(bool))
+    mesh = SurfaceMesh(u1=np.zeros(shape[0]), u2=np.zeros(shape[1]),
+                       vertices=np.zeros(shape + (3,)), normals=np.zeros(shape + (3,)),
+                       valid=empty.astype(bool), vertex_index=empty.astype(int),
+                       faces=[], diagnostics=diag)
+    assert_writers_match(mesh, tmp_path)
