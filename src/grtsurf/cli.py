@@ -224,11 +224,15 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 class _StrictParser(argparse.ArgumentParser):
-    """Subcommand parser without prefix abbreviation (--f must not hit --format)."""
+    """Parser without prefix abbreviation (--f must not hit --format) whose
+    errors print one line and exit 2."""
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"error: {message}\n")
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -242,11 +246,10 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _StrictParser(
         prog="grtsurf",
         description="Construct and verify generalized Ribaucour-type surfaces "
                     "from two holomorphic functions and a real profile.",
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_StrictParser)
@@ -286,10 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--method", choices=("closed_form", "direct"),
                      default="closed_form")
     ver.add_argument("--fd-step", type=float, default=verify.DEFAULT_FD_STEP)
-    ver.add_argument("--tol-algebraic", type=float, default=None,
-                     help="tolerance for exact identities (default 1e-9)")
-    ver.add_argument("--tol-fd", type=float, default=None,
-                     help="tolerance for finite-difference checks (default 1e-4)")
+    for cls, tol in verify.CLASS_TOLERANCES.items():
+        ver.add_argument(f"--tol-{cls}", type=float, default=None,
+                         help=f"tolerance of the {cls} checks (default {tol:g})")
     ver.add_argument("--out", default=None,
                      help="report path (default: JSON to stdout)")
     add_domain(ver, default_n=64)
@@ -312,12 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("--samples", type=int, default=101)
     info.add_argument("--json", dest="as_json", action="store_true")
     return parser
-
-
-def _pick_format(out: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return next((fmt for fmt in _WRITERS if out.endswith("." + fmt)), "obj")
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +417,9 @@ def _cmd_rotate(config: RunConfig) -> int:
             nu1=min(config.nu1, 33), nu2=min(config.nu2, 33),
             regularity_eps=config.regularity_eps,
         )
-        report = verify.run_checks(spec, checks=("rotation_match",),
+        report = verify.run_checks(spec, checks=(verify.ROTATION_MATCH,),
                                    rotation=(config.a, config.b))
-        check = report.check("rotation_match")
+        check = report.check(verify.ROTATION_MATCH)
         print(f"cross-check rotation vs closed form: {check.status} "
               f"(max_rel={check.max_rel:.3e})")
         if not report.passed:
@@ -506,7 +502,7 @@ def _config_from_args(args) -> RunConfig:
         missing = [name for name, val in
                    (("--f", f_src), ("--g", g_src), ("--ell", ell)) if not val]
         if missing:
-            raise _UsageError(f"{args.subcommand} requires {', '.join(missing)}")
+            raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
         config.f, config.g, config.ell = f_src, g_src, ell
         config.method = args.method
     if args.subcommand == "rotate":
@@ -519,7 +515,7 @@ def _config_from_args(args) -> RunConfig:
         missing = [name for name, val in
                    (("--a", a), ("--b", b), ("--ell", ell)) if val is None]
         if missing:
-            raise _UsageError(f"rotate requires {', '.join(missing)}")
+            raise ValueError(f"rotate requires {', '.join(missing)}")
         config.a, config.b, config.ell = float(a), float(b), ell
         config.cross_check = args.cross_check
     if args.subcommand == "info":
@@ -535,26 +531,22 @@ def _config_from_args(args) -> RunConfig:
     config.regularity_eps = args.eps
     if args.subcommand == "verify":
         config.fd_step = args.fd_step
-        if args.tol_algebraic is not None:
-            config.tolerances.update(dict.fromkeys(verify.ALGEBRAIC_CHECKS,
-                                                   args.tol_algebraic))
-        if args.tol_fd is not None:
-            config.tolerances.update(dict.fromkeys(verify.FD_CHECKS, args.tol_fd))
+        for cls, names in verify.CLASS_CHECKS.items():
+            tol = getattr(args, f"tol_{cls}")
+            if tol is not None:
+                config.tolerances.update(dict.fromkeys(names, tol))
         config.out = args.out
     else:
         out = args.out
         if out is None and getattr(args, "preset", None):
             out = f"{args.preset}.obj"
         if out is None:
-            raise _UsageError(f"{args.subcommand} requires --out")
+            raise ValueError(f"{args.subcommand} requires --out")
         config.out = out
-        config.format = _pick_format(out, args.format)
+        config.format = args.format or next(  # else from the extension
+            (fmt for fmt in _WRITERS if out.endswith("." + fmt)), "obj")
     config.validate()
     return config
-
-
-class _UsageError(Exception):
-    pass
 
 
 _DISPATCH = {
@@ -575,7 +567,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return _DISPATCH[args.subcommand](config)
-    except (_UsageError, ParseError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         error, code = exc, EXIT_PARSE
     except EmptyMeshError as exc:
         error, code = exc, EXIT_EMPTY

@@ -91,15 +91,11 @@ class PointFrame:
     t: float
     l11: float
     normal: np.ndarray
-    christoffel: tuple[float, float, float, float]
-    xi: complex
     v: np.ndarray
     trace_v: float
     det_v: float
     w: Optional[np.ndarray]
     psi: float
-    h1: float
-    h2: float
     grad_sq: float
     lam: float
     c: Optional[float]
@@ -164,7 +160,7 @@ def _xi(f_jet, g_jet, t):
 
 
 def _v_entries(ell_jet, f_jet, g_jet, gp2, t) -> tuple:
-    """xi and the entries V11, V12 = V21, V22."""
+    """The entries V11, V12 = V21, V22."""
     k = t * t / (4.0 * gp2)
     x = _xi(f_jet, g_jet, t)
     f1 = f_jet.d1
@@ -174,7 +170,7 @@ def _v_entries(ell_jet, f_jet, g_jet, gp2, t) -> tuple:
     v11 = k * (l2 * re_f1 * re_f1 - l1 * inner(1.0, x)) + l
     v12 = k * (l2 * inner(1.0, 0.5j * f1 * f1) + l1 * inner(1j, x))
     v22 = k * (l2 * re_if1 * re_if1 + l1 * inner(1.0, x)) + l
-    return x, v11, v12, v22
+    return v11, v12, v22
 
 
 def _trace_det(v11, v12, v21, v22) -> tuple:
@@ -223,14 +219,6 @@ def _checked_sphere(g_jet: Jet2, eps: float) -> tuple[float, float, float]:
     return gp2, t, l11
 
 
-def _gauss_frame(g_jet: Jet2, gp2: float, t: float, l11: float) -> GaussFrame:
-    g, g1, g2 = g_jet.value, g_jet.d1, g_jet.d2
-    c111 = (t * inner(g1, g2) - 2.0 * gp2 * inner(g, g1)) / (t * gp2)
-    c222 = (t * inner(g1, 1j * g2) - 2.0 * gp2 * inner(g, 1j * g1)) / (t * gp2)
-    return GaussFrame(normal=np.array(_unit_normal(g, t)), l11=l11, t=t,
-                      christoffel=(c111, c222, -c222, -c111))
-
-
 def gauss_map(g_jet: Jet2, eps: float = REGULARITY_EPS) -> GaussFrame:
     """Unit normal N = (2g, 1-|g|^2)/(1+|g|^2) with metric and symbols.
 
@@ -238,7 +226,12 @@ def gauss_map(g_jet: Jet2, eps: float = REGULARITY_EPS) -> GaussFrame:
     l11 = 4|g'|^2/T^2 with T = 1+|g|^2; the metric is conformal (L12 = 0,
     L22 = L11).
     """
-    return _gauss_frame(g_jet, *_checked_sphere(g_jet, eps))
+    gp2, t, l11 = _checked_sphere(g_jet, eps)
+    g, g1, g2 = g_jet.value, g_jet.d1, g_jet.d2
+    c111 = (t * inner(g1, g2) - 2.0 * gp2 * inner(g, g1)) / (t * gp2)
+    c222 = (t * inner(g1, 1j * g2) - 2.0 * gp2 * inner(g, 1j * g1)) / (t * gp2)
+    return GaussFrame(normal=np.array(_unit_normal(g, t)), l11=l11, t=t,
+                      christoffel=(c111, c222, -c222, -c111))
 
 
 def xi(f_jet: Jet2, g_jet: Jet2, t: float, eps: float = REGULARITY_EPS) -> complex:
@@ -255,7 +248,7 @@ def v_matrix(ell_jet: Jet2, f_jet: Jet2, g_jet: Jet2,
     up to roundoff; V12 = V21 exactly by construction.
     """
     gp2, t, _ = _checked_sphere(g_jet, eps)
-    _, v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
+    v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
     return np.array([[v11, v12], [v12, v22]]), v11 + v22
 
 
@@ -314,12 +307,11 @@ def point_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
     and None fields instead.
     """
     gp2, t, l11 = _checked_sphere(g_jet, eps)
-    frame = _gauss_frame(g_jet, gp2, t, l11)
-    x, v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
+    v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
     v = np.array([[v11, v12], [v12, v22]])
     trace, det = _trace_det(v11, v12, v12, v22)
     l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
-    h1, h2, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
+    _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
     c = _profile_ratio(l, l1, l2)
     regular = is_regular(det, trace, eps)
     h_over_k = -0.5 * trace
@@ -329,9 +321,9 @@ def point_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
         mean, gauss = _curvatures(h_over_k, det)
     return PointFrame(
         mu=inner(1.0, f_jet.value), t=t, l11=l11,
-        normal=frame.normal, christoffel=frame.christoffel, xi=x,
+        normal=np.array(_unit_normal(g_jet.value, t)),
         v=v, trace_v=trace, det_v=det, w=w,
-        psi=l, h1=h1, h2=h2, grad_sq=grad_sq, lam=lam, c=c,
+        psi=l, grad_sq=grad_sq, lam=lam, c=c,
         h_over_k=h_over_k, mean=mean, gauss=gauss,
         forms=fundamental_forms(v, l11),
         regular=regular, degenerate_profile=c is None,
@@ -345,7 +337,7 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
     with np.errstate(all="ignore"):
         gp2, t, l11 = _sphere(g_jet)
         exists = _frame_exists(gp2, l11, eps)
-        _, v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
+        v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
         trace, det = _trace_det(v11, v12, v12, v22)
         l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
         _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)

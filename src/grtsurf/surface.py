@@ -125,8 +125,7 @@ def _point_closed_form(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
 
 def point_closed_form(spec: SurfaceSpec, z: complex) -> np.ndarray:
     """Surface point from the closed-form parameterization."""
-    f_jet, g_jet, ell_jet = jets_at(spec, z)
-    return _point_closed_form(f_jet, g_jet, ell_jet, spec.regularity_eps)
+    return _point_closed_form(*jets_at(spec, z), spec.regularity_eps)
 
 
 def _direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2, gp2, t, l11) -> tuple:
@@ -153,8 +152,7 @@ def _point_direct(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
 
 def point_direct(spec: SurfaceSpec, z: complex) -> np.ndarray:
     """Surface point as gradient-plus-support combination of the normal jets."""
-    f_jet, g_jet, ell_jet = jets_at(spec, z)
-    return _point_direct(f_jet, g_jet, ell_jet, spec.regularity_eps)
+    return _point_direct(*jets_at(spec, z), spec.regularity_eps)
 
 
 def _rotation_xyz(a: float, jet: Jet2, u1, u2) -> tuple:
@@ -237,22 +235,45 @@ class SurfaceMesh:
         return self.vertices[mask], self.normals[mask]
 
 
-def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
-    """Support, distance, Weingarten and PDE residuals of the points ``x``.
+# The residuals of the identities that every surface point X meets, at one
+# point (verify) or over arrays (the mesh diagnostics): the absolute error,
+# the relative error (denominator 1 + |reference|) and whether the identity
+# is left unchecked there.  C is NaN where the profile ratio is undefined.
 
-    Relative with denominator 1 + |reference|; the last two are NaN where
-    C is undefined, the Weingarten one also where |psi| <= PSI_EPS.
-    """
-    psi, lam, c, h_over_k = frame.psi, frame.lam, frame.c, frame.h_over_k
-    lap_term = psi * (frame.trace_v - 2.0 * psi)
-    rhs = c * (-lam / (2.0 * psi) + psi / 2.0) - psi
-    weingarten = abs(h_over_k - rhs) / (1.0 + abs(h_over_k))
-    return {
-        "support_residual": abs(np.vecdot(x, frame.normal) - psi) / (1.0 + abs(psi)),
-        "distance_residual": abs(np.vecdot(x, x) - lam) / (1.0 + abs(lam)),
-        "weingarten_residual": np.where(abs(psi) > geometry.PSI_EPS, weingarten, np.nan),
-        "pde_residual": abs(lap_term - c * frame.grad_sq) / (1.0 + abs(lap_term)),
-    }
+def support_residual(x, normal, psi) -> tuple:
+    err = abs(np.vecdot(x, normal) - psi)  # <X, N> = psi
+    return err, err / (1.0 + abs(psi)), False
+
+
+def distance_residual(x, lam) -> tuple:
+    err = abs(np.vecdot(x, x) - lam)  # <X, X> = lam = |grad_L h|^2 + h^2
+    return err, err / (1.0 + abs(lam)), False
+
+
+def weingarten_residual(psi, lam, c, h_over_k) -> tuple:
+    """H/K = C (-lam/(2 psi) + psi/2) - psi where C is defined and |psi| >
+    PSI_EPS.  A float psi = 0 becomes a numpy one and divides to inf."""
+    psi = np.asarray(psi, dtype=float)
+    err = abs(h_over_k - (c * (-lam / (2.0 * psi) + psi / 2.0) - psi))
+    return (err, err / (1.0 + abs(h_over_k)),
+            np.isnan(c) | (abs(psi) <= geometry.PSI_EPS))
+
+
+def pde_residual(psi, trace_v, c, grad_sq) -> tuple:
+    lhs = psi * (trace_v - 2.0 * psi)  # psi Lap_L h = C |grad_L h|^2
+    err = abs(lhs - c * grad_sq)
+    return err, err / (1.0 + abs(lhs)), np.isnan(c)
+
+
+def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
+    """Relative residuals of the points ``x``, NaN where left unchecked."""
+    return {key: np.where(unchecked, np.nan, rel) for key, (_, rel, unchecked) in (
+        ("support_residual", support_residual(x, frame.normal, frame.psi)),
+        ("distance_residual", distance_residual(x, frame.lam)),
+        ("weingarten_residual", weingarten_residual(
+            frame.psi, frame.lam, frame.c, frame.h_over_k)),
+        ("pde_residual", pde_residual(
+            frame.psi, frame.trace_v, frame.c, frame.grad_sq)))}
 
 
 def _sample_rows(spec: SurfaceSpec, u1: np.ndarray, u2: np.ndarray,

@@ -2,11 +2,9 @@
 
 The oracle recomputes fundamental forms and curvatures from sampled surface
 points and normals alone (central differences in parameter space) and
-compares them against the closed-form path.  Algebraic identities --
-parameterization equivalence, support and quadratic-distance identities, the
-Weingarten relation, the profile PDE, W*V = I -- are checked at near machine
-precision; finite-difference comparisons carry an O(step^2) truncation floor
-and get the looser default tolerance.
+compares them against the closed-form path.  CHECKS lists every check:
+algebraic identities hold to near machine precision, finite-difference
+comparisons carry an O(step^2) truncation floor and a looser tolerance.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -19,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,28 +26,6 @@ from . import geometry, surface
 from .expr import EvalError, eval_jet2
 from .geometry import PointFrame, SingularPointError
 from .surface import SurfaceSpec
-
-ALL_CHECKS = (
-    "param_equivalence",
-    "support_identity",
-    "quadratic_distance",
-    "weingarten_relation",
-    "pde_lapla1",
-    "forms_vs_fd",
-    "curvature_vs_fd",
-    "harmonicity_mu",
-    "wv_identity",
-    "rotation_match",
-)
-# The two tolerance classes: identities exact up to rounding, and
-# comparisons against finite differences.
-ALGEBRAIC_CHECKS = ("param_equivalence", "support_identity",
-                    "quadratic_distance", "weingarten_relation", "pde_lapla1",
-                    "wv_identity", "rotation_match")
-FD_CHECKS = ("forms_vs_fd", "curvature_vs_fd", "harmonicity_mu")
-
-DEFAULT_TOLERANCES = {name: 1e-9 if name in ALGEBRAIC_CHECKS else 1e-4
-                      for name in ALL_CHECKS}
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
@@ -65,8 +43,6 @@ class FdOracleResult:
     g: float
     H_fd: float
     K_fd: float
-    psi_fd: float
-    step: float
 
 
 class StencilError(Exception):
@@ -85,22 +61,13 @@ class CheckResult:
     worst_point: tuple[float, float] | None = None
 
     def add(self, abs_err: float, rel_err: float, point: complex) -> None:
-        abs_err = float(abs_err)
-        rel_err = float(rel_err)
+        abs_err, rel_err = float(abs_err), float(rel_err)
         self.count += 1
         self.sum_rel += rel_err
         self.max_abs = max(self.max_abs, abs_err)
-        if rel_err >= self.max_rel:
+        if rel_err >= self.max_rel or math.isnan(rel_err):  # NaN fails the check
             self.max_rel = rel_err
             self.worst_point = (float(point.real), float(point.imag))
-
-    def add_worst(self, pairs, point: complex) -> None:
-        """Add the (reference, value) pair with the largest relative error."""
-        ref, got = max(pairs, key=lambda p: _rel(p[1] - p[0], p[0]))
-        self.add(abs(got - ref), _rel(got - ref, ref), point)
-
-    def exclude(self) -> None:
-        self.excluded += 1
 
     @property
     def mean_rel(self) -> float:
@@ -113,9 +80,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        if self.insufficient_coverage:
-            return False
-        return bool(self.max_rel <= self.tolerance)
+        return not self.insufficient_coverage and bool(self.max_rel <= self.tolerance)
 
     @property
     def status(self) -> str:
@@ -168,16 +133,10 @@ def _rel(err: float, ref: float) -> float:
     return abs(err) / (1.0 + abs(ref))
 
 
-def _frame_at(spec: SurfaceSpec, z: complex) -> PointFrame:
-    f_jet, g_jet, ell_jet = surface.jets_at(spec, z)
-    return geometry.point_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
-
-
-def _stencil_ok(spec: SurfaceSpec, z: complex, step: float) -> bool:
-    lo1, hi1 = spec.u1_range
-    lo2, hi2 = spec.u2_range
-    return (lo1 <= z.real - step and z.real + step <= hi1
-            and lo2 <= z.imag - step and z.imag + step <= hi2)
+def _frame_at(spec: SurfaceSpec, z: complex) -> tuple[tuple, PointFrame]:
+    """The jets of f, g and ell at z, and the frame they give."""
+    jets = surface.jets_at(spec, z)
+    return jets, geometry.point_frame(*jets, spec.regularity_eps)
 
 
 def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
@@ -188,26 +147,18 @@ def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
     the spec window and to be regular.  The mean curvature sign follows the
     closed-form convention (H = -trace(V)/(2 det V)).
     """
-    if not _stencil_ok(spec, z, step):
+    (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
+    if not (lo1 <= z.real - step and z.real + step <= hi1
+            and lo2 <= z.imag - step and z.imag + step <= hi2):
         raise StencilError(f"stencil of size {step:g} leaves the window at {z!r}")
-    offsets = (step, -step, 1j * step, -1j * step)
-    xs = []
-    ns = []
+    xs, ns = [], []
     try:
-        for off in offsets:
-            zz = z + off
-            f_jet, g_jet, ell_jet = surface.jets_at(spec, zz)
-            frame = geometry.point_frame(f_jet, g_jet, ell_jet,
-                                         spec.regularity_eps)
+        for off in (step, -step, 1j * step, -1j * step):
+            jets, frame = _frame_at(spec, z + off)
             if not frame.regular:
-                raise StencilError(f"irregular stencil point {zz!r}")
-            xs.append(surface._point_closed_form(f_jet, g_jet, ell_jet,
-                                                 spec.regularity_eps))
+                raise StencilError(f"irregular stencil point {z + off!r}")
+            xs.append(surface._point_closed_form(*jets, spec.regularity_eps))
             ns.append(frame.normal)
-        f_jet, g_jet, ell_jet = surface.jets_at(spec, z)
-        frame0 = geometry.point_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
-        x0 = surface._point_closed_form(f_jet, g_jet, ell_jet,
-                                        spec.regularity_eps)
     except (EvalError, SingularPointError) as exc:
         raise StencilError(str(exc)) from exc
     inv = 0.5 / step
@@ -226,25 +177,136 @@ def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
         raise StencilError(f"stencil of size {step:g} has no area at {z!r}")
     k_fd = (e * g - f * f) / det_i
     h_fd = -(e * G - 2.0 * f * F + g * E) / (2.0 * det_i)
-    psi_fd = float(np.dot(x0, frame0.normal))
     return FdOracleResult(E=E, F=F, G=G, e=e, f=f, g=g,
-                          H_fd=h_fd, K_fd=k_fd, psi_fd=psi_fd, step=step)
+                          H_fd=h_fd, K_fd=k_fd)
 
 
 def laplacian_mu_fd(spec: SurfaceSpec, z: complex,
                     step: float = DEFAULT_FD_STEP) -> float:
     """Flat 5-point Laplacian of mu = Re f; vanishes for holomorphic f."""
-    vals = []
-    for off in (step, -step, 1j * step, -1j * step, 0.0):
-        vals.append(eval_jet2(spec.f, z + off).value.real)
+    vals = [eval_jet2(spec.f, z + off).value.real
+            for off in (step, -step, 1j * step, -1j * step, 0.0)]
     return (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (step * step)
+
+
+# ---------------------------------------------------------------------------
+# The check table.  A kernel maps a regular grid point to (absolute error,
+# relative error, whether the point is excluded from the check).
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Point:
+    """A regular grid point as the kernels read it.  The closed-form point
+    and the FD oracle are computed on first use, once."""
+
+    spec: SurfaceSpec
+    z: complex
+    jets: tuple
+    frame: PointFrame
+    step: float
+    rotation: tuple[float, float] | None
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return surface._point_closed_form(*self.jets, self.spec.regularity_eps)
+
+    @cached_property
+    def fd(self) -> FdOracleResult | None:
+        """None where the stencil leaves the window or is irregular."""
+        try:
+            return fd_fundamental_forms(self.spec, self.z, self.step)
+        except StencilError:
+            return None
+
+    @property
+    def c(self) -> float:
+        """C, NaN where it is undefined, as the residuals of surface take it."""
+        return math.nan if self.frame.c is None else self.frame.c
+
+
+_EXCLUDED = (math.nan, math.nan, True)
+
+
+def _distance_to(p: _Point, y: np.ndarray) -> tuple:
+    err = float(np.linalg.norm(y - p.x))
+    return err, err / (1.0 + float(np.linalg.norm(p.x))), False
+
+
+def _form_pairs(frame: PointFrame, fd: FdOracleResult) -> tuple:
+    return tuple(zip(frame.forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)))
+
+
+def _curvature_pairs(frame: PointFrame, fd: FdOracleResult) -> tuple:
+    return (frame.mean, fd.H_fd), (frame.gauss, fd.K_fd)
+
+
+def _vs_fd(p: _Point, pairs) -> tuple:
+    """Errors of the (closed form, FD oracle) pair with the largest relative
+    error, or of one whose relative error is NaN."""
+    if p.fd is None:
+        return _EXCLUDED
+    errs = [(abs(got - ref), _rel(got - ref, ref)) for ref, got in pairs(p.frame, p.fd)]
+    return (*max(errs, key=lambda e: (math.isnan(e[1]), e[1])), False)
+
+
+def _harmonicity_mu(p: _Point) -> tuple:
+    try:
+        lap_mu = laplacian_mu_fd(p.spec, p.z, p.step)
+    except EvalError:
+        return _EXCLUDED
+    return abs(lap_mu), _rel(lap_mu, p.frame.mu), False
+
+
+def _wv_identity(p: _Point) -> tuple:
+    resid = np.abs(p.frame.w @ p.frame.v - np.eye(2))
+    return float(np.max(resid)), float(np.max(resid / (1.0 + np.eye(2)))), False
+
+
+class Check(NamedTuple):
+    """A row of the check table."""
+
+    name: str
+    tolerance_class: str
+    kernel: Callable[[_Point], tuple]
+
+
+# The tolerance classes and their defaults: identities exact up to rounding,
+# and comparisons against finite differences, which carry an O(step^2) floor.
+ALGEBRAIC, FD = "algebraic", "fd"
+CLASS_TOLERANCES = {ALGEBRAIC: 1e-9, FD: 1e-4}
+# The check of the rotation family against the closed form; it runs only
+# when run_checks is given rotation=(a, b).
+ROTATION_MATCH = "rotation_match"
+
+CHECKS = (
+    Check("param_equivalence", ALGEBRAIC, lambda p: _distance_to(
+        p, surface._point_direct(*p.jets, p.spec.regularity_eps))),
+    Check("support_identity", ALGEBRAIC, lambda p: surface.support_residual(
+        p.x, p.frame.normal, p.frame.psi)),
+    Check("quadratic_distance", ALGEBRAIC, lambda p: surface.distance_residual(
+        p.x, p.frame.lam)),
+    Check("weingarten_relation", ALGEBRAIC, lambda p: surface.weingarten_residual(
+        p.frame.psi, p.frame.lam, p.c, p.frame.h_over_k)),
+    Check("pde_lapla1", ALGEBRAIC, lambda p: surface.pde_residual(
+        p.frame.psi, p.frame.trace_v, p.c, p.frame.grad_sq)),
+    Check("forms_vs_fd", FD, lambda p: _vs_fd(p, _form_pairs)),
+    Check("curvature_vs_fd", FD, lambda p: _vs_fd(p, _curvature_pairs)),
+    Check("harmonicity_mu", FD, _harmonicity_mu),
+    Check("wv_identity", ALGEBRAIC, _wv_identity),
+    Check(ROTATION_MATCH, ALGEBRAIC, lambda p: _distance_to(
+        p, surface.rotation_point(*p.rotation, p.spec.ell, p.z.real, p.z.imag))),
+)
+ALL_CHECKS = tuple(c.name for c in CHECKS)
+CLASS_CHECKS = {cls: tuple(c.name for c in CHECKS if c.tolerance_class == cls)
+                for cls in CLASS_TOLERANCES}
+ALGEBRAIC_CHECKS, FD_CHECKS = CLASS_CHECKS[ALGEBRAIC], CLASS_CHECKS[FD]
+DEFAULT_TOLERANCES = {c.name: CLASS_TOLERANCES[c.tolerance_class] for c in CHECKS}
 
 
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
 def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None,
-               rotation: tuple[float, float] | None = None,
-               psi_min: float = geometry.PSI_EPS) -> ResidualReport:
+               rotation: tuple[float, float] | None = None) -> ResidualReport:
     """Evaluate the enabled residual checks over the spec grid.
 
     ``rotation=(a, b)`` enables the rotation_match check, comparing the
@@ -252,104 +314,39 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
     must then describe f = a*z + b, g = exp(z).  Evaluation errors at
     individual points are recorded as exclusions, not raised.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     if checks is None:
-        names = [c for c in ALL_CHECKS
-                 if c != "rotation_match" or rotation is not None]
-    else:
-        unknown = set(checks) - set(ALL_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-        names = [c for c in ALL_CHECKS if c in set(checks)]
-    acc = {name: CheckResult(name=name, tolerance=tol[name]) for name in names}
-
-    algebraic = [n for n in names if n in ALGEBRAIC_CHECKS]
-    fd_checks = [n for n in names if n in ("forms_vs_fd", "curvature_vs_fd")]
+        checks = [n for n in ALL_CHECKS if n != ROTATION_MATCH or rotation is not None]
+    unknown = set(checks) - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    rows = [c for c in CHECKS if c.name in set(checks)]
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    results = [CheckResult(name=c.name, tolerance=tol[c.name]) for c in rows]
 
     for u1 in spec.grid_u1():
         for u2 in spec.grid_u2():
             z = complex(u1, u2)
             try:
-                f_jet, g_jet, ell_jet = surface.jets_at(spec, z)
-                frame = geometry.point_frame(f_jet, g_jet, ell_jet,
-                                             spec.regularity_eps)
+                jets, frame = _frame_at(spec, z)
             except (EvalError, SingularPointError):
                 frame = None
             if frame is None or not frame.regular:
-                for name in names:
-                    acc[name].exclude()
+                for result in results:
+                    result.excluded += 1
                 continue
-
-            if algebraic:
-                x = surface._point_closed_form(f_jet, g_jet, ell_jet,
-                                               spec.regularity_eps)
-            if "param_equivalence" in acc:
-                x_direct = surface._point_direct(f_jet, g_jet, ell_jet,
-                                                 spec.regularity_eps)
-                err = float(np.linalg.norm(x_direct - x))
-                acc["param_equivalence"].add(err, err / (1.0 + float(np.linalg.norm(x))), z)
-            if "support_identity" in acc:
-                err = abs(float(np.dot(x, frame.normal)) - frame.psi)
-                acc["support_identity"].add(err, _rel(err, frame.psi), z)
-            if "quadratic_distance" in acc:
-                err = abs(float(np.dot(x, x)) - frame.lam)
-                acc["quadratic_distance"].add(err, _rel(err, frame.lam), z)
-            if "weingarten_relation" in acc:
-                if frame.degenerate_profile or abs(frame.psi) <= psi_min:
-                    acc["weingarten_relation"].exclude()
+            point = _Point(spec, z, jets, frame, step, rotation)
+            for row, result in zip(rows, results):
+                abs_err, rel_err, excluded = row.kernel(point)
+                if excluded:
+                    result.excluded += 1
                 else:
-                    rhs = frame.c * (-frame.lam / (2.0 * frame.psi)
-                                     + frame.psi / 2.0) - frame.psi
-                    err = abs(frame.h_over_k - rhs)
-                    acc["weingarten_relation"].add(err, _rel(err, frame.h_over_k), z)
-            if "pde_lapla1" in acc:
-                if frame.degenerate_profile:
-                    acc["pde_lapla1"].exclude()
-                else:
-                    lap = frame.trace_v - 2.0 * frame.psi
-                    lhs = frame.psi * lap
-                    err = abs(lhs - frame.c * frame.grad_sq)
-                    acc["pde_lapla1"].add(err, _rel(err, lhs), z)
-            if "wv_identity" in acc:
-                resid = frame.w @ frame.v - np.eye(2)
-                abs_err = float(np.max(np.abs(resid)))
-                rel_err = float(np.max(np.abs(resid) / (1.0 + np.eye(2))))
-                acc["wv_identity"].add(abs_err, rel_err, z)
-            if "rotation_match" in acc:
-                a, b = rotation
-                x_rot = surface.rotation_point(a, b, spec.ell, u1, u2)
-                err = float(np.linalg.norm(x_rot - x))
-                acc["rotation_match"].add(err, err / (1.0 + float(np.linalg.norm(x))), z)
-
-            if fd_checks:
-                try:
-                    fd = fd_fundamental_forms(spec, z, step)
-                except StencilError:
-                    for name in fd_checks:
-                        acc[name].exclude()
-                else:
-                    if "forms_vs_fd" in acc:
-                        acc["forms_vs_fd"].add_worst(
-                            zip(frame.forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)), z)
-                    if "curvature_vs_fd" in acc:
-                        acc["curvature_vs_fd"].add_worst(
-                            ((frame.mean, fd.H_fd), (frame.gauss, fd.K_fd)), z)
-            if "harmonicity_mu" in acc:
-                try:
-                    lap_mu = laplacian_mu_fd(spec, z, step)
-                except EvalError:
-                    acc["harmonicity_mu"].exclude()
-                else:
-                    acc["harmonicity_mu"].add(abs(lap_mu), _rel(lap_mu, frame.mu), z)
+                    result.add(abs_err, rel_err, z)
 
     summary = spec.summary()
     summary["fd_step"] = step
     if rotation is not None:
         summary["rotation"] = list(rotation)
-    return ResidualReport(spec_summary=summary,
-                          checks=[acc[n] for n in names])
+    return ResidualReport(spec_summary=summary, checks=results)
 
 
 def convergence_order(spec: SurfaceSpec,
@@ -375,17 +372,14 @@ def convergence_order(spec: SurfaceSpec,
             for v in vs:
                 z = complex(u, v)
                 try:
-                    frame = _frame_at(spec, z)
+                    _, frame = _frame_at(spec, z)
                     if not frame.regular:
                         continue
                     fd = fd_fundamental_forms(spec, z, step)
                 except (EvalError, SingularPointError, StencilError):
                     continue
-                forms = frame.forms
-                for ref, got in zip(forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)):
-                    rels.append(_rel(got - ref, ref))
-                rels.append(_rel(fd.H_fd - frame.mean, frame.mean))
-                rels.append(_rel(fd.K_fd - frame.gauss, frame.gauss))
+                rels += [_rel(got - ref, ref) for ref, got in
+                         _form_pairs(frame, fd) + _curvature_pairs(frame, fd)]
         if not rels:
             raise ValueError("no regular sample point for convergence study")
         residuals.append(float(np.mean(rels)))

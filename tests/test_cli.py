@@ -324,10 +324,14 @@ def test_info_parse_error(capsys):
     ("generate", "--preset", "fig1", "--eps", "-1e-5"),
     ("verify", "--fd-step", "-inf", "--n", "8"),
     ("verify", "--fd-step", "1e-300", "--n", "8"),
+    ("generate", "--preset", "fig1", "--n", "x"),
+    ("generate", "--preset", "fig1", "--bogus", "1"),
+    ("generate", "--preset", "fig1", "--n"),
 ], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
         "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
         "no-samples", "exponent-eps", "minus-inf-fd-step",
-        "fd-step-square-underflows"])
+        "fd-step-square-underflows", "non-integer-n", "unknown-flag",
+        "missing-value"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.obj"
     extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()

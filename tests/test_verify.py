@@ -2,10 +2,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from grtsurf import geometry
 from grtsurf.expr import parse_expr
-from grtsurf.surface import SurfaceSpec, rotation_spec
+from grtsurf.surface import SurfaceSpec, rotation_spec, sample_mesh
 from grtsurf.verify import (ALGEBRAIC_CHECKS, ALL_CHECKS, DEFAULT_TOLERANCES,
                             FD_CHECKS, StencilError, convergence_order,
                             fd_fundamental_forms, laplacian_mu_fd, run_checks)
@@ -27,7 +29,6 @@ def test_fd_forms_frozen_example():
     for got, want in zip((fd.E, fd.F, fd.G, fd.e, fd.f, fd.g),
                          (9.0, 0.0, 4.0, 6.0, 0.0, 4.0)):
         assert abs(got - want) <= 1e-4 * (1 + abs(want))
-    assert abs(fd.psi_fd - 1.0) <= 1e-12
 
 
 def test_fd_oracle_sphere_soundness():
@@ -168,6 +169,52 @@ def test_rotation_match_check():
     assert check.count == 72
     assert check.excluded == 0
     assert check.max_rel <= 1e-9
+
+
+def test_non_finite_residual_fails_its_check():
+    # <X, X> and lam overflow to inf at the outer points: inf - inf = NaN
+    spec = SurfaceSpec.from_strings("z^3", "z", "1e154*t", u1_range=(-1, 1),
+                                    u2_range=(-1, 1), nu1=6, nu2=6)
+    report = run_checks(spec, checks=("quadratic_distance",
+                                      "weingarten_relation"))
+    for check in report.checks:
+        assert check.count > 0
+        assert math.isnan(check.max_rel)
+        assert check.status == "fail"
+    assert not report.passed
+
+
+def test_point_frame_calls(monkeypatch):
+    # 8x8 grid: a frame at each of the 64 points and four for each of the 36
+    # interior FD stencils, none at the centre again
+    calls = []
+    point_frame = geometry.point_frame
+
+    def counted(*args):
+        calls.append(args)
+        return point_frame(*args)
+
+    monkeypatch.setattr(geometry, "point_frame", counted)
+    run_checks(spec_for("z", "z", "t^2+t+1", n=8))
+    assert len(calls) == 8 * 8 + 4 * 6 * 6
+
+
+# the checks that the mesh diagnostics repeat, with their diagnostic
+MESH_RESIDUALS = {"support_identity": "support_residual",
+                  "quadratic_distance": "distance_residual",
+                  "weingarten_relation": "weingarten_residual",
+                  "pde_lapla1": "pde_residual"}
+
+
+@pytest.mark.parametrize("ell", ["t^2+t+1", "log(t+0.5)", "cos(t)"])
+def test_checks_agree_with_mesh_diagnostics(ell):
+    spec = spec_for("z", "z", ell, n=9)
+    report = run_checks(spec, checks=tuple(MESH_RESIDUALS))
+    diagnostics = sample_mesh(spec).diagnostics
+    for name, key in MESH_RESIDUALS.items():
+        check, residual = report.check(name), getattr(diagnostics, key)
+        assert math.isclose(check.max_rel, np.nanmax(residual), rel_tol=1e-12)
+        assert check.excluded == np.isnan(residual).sum()
 
 
 def test_unknown_check_rejected():
