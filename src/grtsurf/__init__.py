@@ -12,10 +12,9 @@ independent finite-difference oracle.
 from .expr import (EvalError, ExprError, Jet2, ParseError,
                    UnknownIdentifierError, differentiate, eval_jet2, evaluate,
                    parse_expr, simplify, unparse)
-from .geometry import (DegenerateProfileError, FundamentalForms, GaussFrame,
-                       PointFrame, ScalarFields, SingularPointError,
-                       fundamental_forms, gauss_map, inner, point_frame,
-                       scalar_fields, v_matrix, xi)
+from .geometry import (FundamentalForms, GaussFrame, PointFrame,
+                       SingularPointError, fundamental_forms, gauss_map, inner,
+                       point_frame, v_matrix, xi)
 from .surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec,
                       point_closed_form, point_direct, rotation_point,
                       rotation_spec, sample_mesh, sample_rotation_mesh)
@@ -28,9 +27,8 @@ __all__ = [
     "EvalError", "ExprError", "Jet2", "ParseError", "UnknownIdentifierError",
     "differentiate", "eval_jet2", "evaluate", "parse_expr", "simplify",
     "unparse",
-    "DegenerateProfileError", "FundamentalForms", "GaussFrame", "PointFrame",
-    "ScalarFields", "SingularPointError", "fundamental_forms", "gauss_map",
-    "inner", "point_frame", "scalar_fields", "v_matrix", "xi",
+    "FundamentalForms", "GaussFrame", "PointFrame", "SingularPointError",
+    "fundamental_forms", "gauss_map", "inner", "point_frame", "v_matrix", "xi",
     "EmptyMeshError", "SurfaceMesh", "SurfaceSpec", "point_closed_form",
     "point_direct", "rotation_point", "rotation_spec", "sample_mesh",
     "sample_rotation_mesh",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import geometry, surface, verify
-from .expr import (EvalError, ParseError, differentiate, eval_jet2,
+from .expr import (ParseError, differentiate, eval_jet2, eval_jet2_array,
                    parse_expr, unparse)
 from .surface import EmptyMeshError, SurfaceMesh, SurfaceSpec
 
@@ -286,8 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--f", dest="f_src", default="z")
     ver.add_argument("--g", dest="g_src", default="z")
     ver.add_argument("--ell", default="t^2+t+1")
-    ver.add_argument("--method", choices=("closed_form", "direct"),
-                     default="closed_form")
     ver.add_argument("--fd-step", type=float, default=verify.DEFAULT_FD_STEP)
     for cls, tol in verify.CLASS_TOLERANCES.items():
         ver.add_argument(f"--tol-{cls}", type=float, default=None,
@@ -337,14 +335,16 @@ def _cmd_generate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _profile_c(jet) -> float | None:
-    """C = ell*ell''/ell'^2 from a jet of ell; None where ell'^2 is 0 (also
-    by underflow) or C is not finite."""
-    d1_sq = jet.d1 * jet.d1
-    if d1_sq == 0.0:
-        return None
-    c = jet.value * jet.d2 / d1_sq
-    return c if math.isfinite(c) else None
+def _profile_c(ell, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = ell*ell''/ell'^2 at each of ``mus``, and where ell evaluates.  C
+    is NaN where ell fails, ell'^2 is 0 (also by underflow) or C is not
+    finite."""
+    jet, ok = eval_jet2_array(ell, mus, variable="t")
+    with np.errstate(all="ignore"):
+        d1_sq = jet.d1 * jet.d1
+        c = jet.value * jet.d2 / d1_sq
+    c[~ok | (d1_sq == 0.0) | ~np.isfinite(c)] = np.nan
+    return c, ok
 
 
 def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
@@ -360,18 +360,14 @@ def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
 
 
 def _classify_profile(spec: SurfaceSpec) -> dict:
-    """C(mu) sampled over the window's mu values, with the special-case label."""
-    cs = []
-    for u1 in np.linspace(*spec.u1_range, 9):
-        for u2 in np.linspace(*spec.u2_range, 9):
-            try:
-                f_val = eval_jet2(spec.f, complex(u1, u2)).value
-                c = _profile_c(eval_jet2(spec.ell, f_val.real, variable="t"))
-            except EvalError:
-                continue
-            if c is not None:
-                cs.append(c)
-    constant, value, label = _label_c(cs)
+    """C(mu) sampled over the window's mu values on a 9x9 grid, where f and
+    ell evaluate, with the special-case label."""
+    z = np.empty((9, 9), dtype=complex)
+    z.real = np.linspace(*spec.u1_range, 9)[:, None]
+    z.imag = np.linspace(*spec.u2_range, 9)
+    f_jet, f_ok = eval_jet2_array(spec.f, z)
+    c, _ = _profile_c(spec.ell, f_jet.value.real)
+    constant, value, label = _label_c(c[f_ok & ~np.isnan(c)].tolist())
     return {"profile_c_constant": constant, "profile_c": value,
             "profile_label": label}
 
@@ -411,18 +407,15 @@ def _cmd_rotate(config: RunConfig) -> int:
         print(f"note: a = 0 degenerates to the sphere of radius {radius:.12g} "
               f"(|ell(b)| with b = {config.b:g})")
     if config.cross_check:
-        spec = surface.rotation_spec(
+        check = verify.rotation_match(
             config.a, config.b, ell,
             u1_range=config.u1, u2_range=config.u2,
             nu1=min(config.nu1, 33), nu2=min(config.nu2, 33),
             regularity_eps=config.regularity_eps,
         )
-        report = verify.run_checks(spec, checks=(verify.ROTATION_MATCH,),
-                                   rotation=(config.a, config.b))
-        check = report.check(verify.ROTATION_MATCH)
         print(f"cross-check rotation vs closed form: {check.status} "
               f"(max_rel={check.max_rel:.3e})")
-        if not report.passed:
+        if not check.passed:
             return EXIT_VERIFY
     return EXIT_OK
 
@@ -432,19 +425,10 @@ def _cmd_info(config: RunConfig) -> int:
     d1 = differentiate(ell)
     d2 = differentiate(d1)
     mus = np.linspace(config.mu_range[0], config.mu_range[1], config.mu_samples)
-    cs = []
-    degenerate = 0
-    errors = 0
-    for mu in mus:
-        try:
-            c = _profile_c(eval_jet2(ell, float(mu), variable="t"))
-        except EvalError:
-            errors += 1
-            continue
-        if c is None:
-            degenerate += 1
-        else:
-            cs.append(c)
+    c, ok = _profile_c(ell, mus)
+    cs = c[~np.isnan(c)].tolist()
+    degenerate = int(ok.sum()) - len(cs)
+    errors = int(ok.size - ok.sum())
     result = {
         "ell": unparse(ell, "t"),
         "ell_prime": unparse(d1, "t"),
@@ -504,7 +488,7 @@ def _config_from_args(args) -> RunConfig:
         if missing:
             raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
         config.f, config.g, config.ell = f_src, g_src, ell
-        config.method = args.method
+        config.method = getattr(args, "method", config.method)
     if args.subcommand == "rotate":
         a, b, ell = args.a, args.b, args.ell
         if args.preset:

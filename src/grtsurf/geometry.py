@@ -35,11 +35,6 @@ class SingularPointError(Exception):
     """g' vanishes (or det V is numerically zero) at the requested point."""
 
 
-class DegenerateProfileError(Exception):
-    """The profile ratio C = ell*ell''/ell'^2 is undefined: ell'(mu) = 0,
-    or |C| would exceed PROFILE_RATIO_MAX."""
-
-
 def inner(a, b) -> float:
     """Euclidean inner product of complex numbers viewed as plane vectors."""
     return a.real * b.real + a.imag * b.imag
@@ -66,17 +61,6 @@ class FundamentalForms(NamedTuple):
     e: float
     f: float
     g: float
-
-
-@dataclass(frozen=True)
-class ScalarFields:
-    psi: float
-    grad_sq: float
-    lam: float
-    c: float
-    h_over_k: float
-    mean: float
-    gauss: float
 
 
 @dataclass(frozen=True)
@@ -254,30 +238,6 @@ def v_matrix(ell_jet: Jet2, f_jet: Jet2, g_jet: Jet2,
 
 def is_regular(det_v, trace_v, eps: float = REGULARITY_EPS):
     return abs(det_v) > eps * (1.0 + trace_v * trace_v)
-
-
-def scalar_fields(ell_jet: Jet2, f_jet: Jet2, g_jet: Jet2, v: np.ndarray,
-                  eps: float = REGULARITY_EPS) -> ScalarFields:
-    """Support function, squared distance, profile ratio C and curvatures.
-
-    psi = ell(mu); lam = |grad_L h|^2 + psi^2; C = ell*ell''/ell'^2;
-    H/K = -trace(V)/2; K = 1/det V and H = -trace(V)/(2 det V), signs fixed
-    so that the sphere-map Laplacian relation holds as stated.
-    """
-    _, _, l11 = _checked_sphere(g_jet, eps)
-    l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
-    _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
-    trace, det = _trace_det(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
-    c = _profile_ratio(l, l1, l2)
-    if c is None:
-        raise DegenerateProfileError(
-            f"ell' = {l1!r}: C undefined or beyond {PROFILE_RATIO_MAX:g}")
-    if not is_regular(det, trace, eps):
-        raise SingularPointError(f"det V = {det:g} below regularity threshold")
-    h_over_k = -0.5 * trace
-    mean, gauss = _curvatures(h_over_k, det)
-    return ScalarFields(psi=l, grad_sq=grad_sq, lam=lam, c=c,
-                        h_over_k=h_over_k, mean=mean, gauss=gauss)
 
 
 def fundamental_forms(v: np.ndarray, l11: float) -> FundamentalForms:

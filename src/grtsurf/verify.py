@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError, eval_jet2
+from .expr import EvalError, ExprNode, eval_jet2
 from .geometry import PointFrame, SingularPointError
-from .surface import SurfaceSpec
+from .surface import EmptyMeshError, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
@@ -64,7 +64,8 @@ class CheckResult:
         abs_err, rel_err = float(abs_err), float(rel_err)
         self.count += 1
         self.sum_rel += rel_err
-        self.max_abs = max(self.max_abs, abs_err)
+        if abs_err > self.max_abs or math.isnan(abs_err):  # NaN wins, as below
+            self.max_abs = abs_err
         if rel_err >= self.max_rel or math.isnan(rel_err):  # NaN fails the check
             self.max_rel = rel_err
             self.worst_point = (float(point.real), float(point.imag))
@@ -89,18 +90,24 @@ class CheckResult:
         return "ok" if self.passed else "fail"
 
     def to_dict(self) -> dict:
+        """The result as JSON values; a float that is not finite is None,
+        and the status carries the failure."""
         return {
             "name": self.name,
             "count": self.count,
             "excluded": self.excluded,
-            "max_abs": self.max_abs,
-            "max_rel": self.max_rel if self.count else None,
-            "mean_rel": self.mean_rel if self.count else None,
+            "max_abs": _finite_or_none(self.max_abs),
+            "max_rel": _finite_or_none(self.max_rel) if self.count else None,
+            "mean_rel": _finite_or_none(self.mean_rel) if self.count else None,
             "worst_point": list(self.worst_point) if self.worst_point else None,
             "pass": self.passed,
             "status": self.status,
             "tolerance": self.tolerance,
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -126,7 +133,7 @@ class ResidualReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def _rel(err: float, ref: float) -> float:
@@ -181,12 +188,13 @@ def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
                           H_fd=h_fd, K_fd=k_fd)
 
 
-def laplacian_mu_fd(spec: SurfaceSpec, z: complex,
+def laplacian_mu_fd(spec: SurfaceSpec, z: complex, mu: float,
                     step: float = DEFAULT_FD_STEP) -> float:
-    """Flat 5-point Laplacian of mu = Re f; vanishes for holomorphic f."""
+    """Flat 5-point Laplacian of mu = Re f, given mu at z; vanishes for
+    holomorphic f."""
     vals = [eval_jet2(spec.f, z + off).value.real
-            for off in (step, -step, 1j * step, -1j * step, 0.0)]
-    return (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / (step * step)
+            for off in (step, -step, 1j * step, -1j * step)]
+    return (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * mu) / (step * step)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +212,6 @@ class _Point:
     jets: tuple
     frame: PointFrame
     step: float
-    rotation: tuple[float, float] | None
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -251,7 +258,7 @@ def _vs_fd(p: _Point, pairs) -> tuple:
 
 def _harmonicity_mu(p: _Point) -> tuple:
     try:
-        lap_mu = laplacian_mu_fd(p.spec, p.z, p.step)
+        lap_mu = laplacian_mu_fd(p.spec, p.z, p.frame.mu, p.step)
     except EvalError:
         return _EXCLUDED
     return abs(lap_mu), _rel(lap_mu, p.frame.mu), False
@@ -274,9 +281,6 @@ class Check(NamedTuple):
 # and comparisons against finite differences, which carry an O(step^2) floor.
 ALGEBRAIC, FD = "algebraic", "fd"
 CLASS_TOLERANCES = {ALGEBRAIC: 1e-9, FD: 1e-4}
-# The check of the rotation family against the closed form; it runs only
-# when run_checks is given rotation=(a, b).
-ROTATION_MATCH = "rotation_match"
 
 CHECKS = (
     Check("param_equivalence", ALGEBRAIC, lambda p: _distance_to(
@@ -293,8 +297,6 @@ CHECKS = (
     Check("curvature_vs_fd", FD, lambda p: _vs_fd(p, _curvature_pairs)),
     Check("harmonicity_mu", FD, _harmonicity_mu),
     Check("wv_identity", ALGEBRAIC, _wv_identity),
-    Check(ROTATION_MATCH, ALGEBRAIC, lambda p: _distance_to(
-        p, surface.rotation_point(*p.rotation, p.spec.ell, p.z.real, p.z.imag))),
 )
 ALL_CHECKS = tuple(c.name for c in CHECKS)
 CLASS_CHECKS = {cls: tuple(c.name for c in CHECKS if c.tolerance_class == cls)
@@ -305,17 +307,13 @@ DEFAULT_TOLERANCES = {c.name: CLASS_TOLERANCES[c.tolerance_class] for c in CHECK
 
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
 def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
-               tolerances: dict | None = None,
-               rotation: tuple[float, float] | None = None) -> ResidualReport:
-    """Evaluate the enabled residual checks over the spec grid.
+               tolerances: dict | None = None) -> ResidualReport:
+    """Evaluate the enabled residual checks (default: all) over the spec grid.
 
-    ``rotation=(a, b)`` enables the rotation_match check, comparing the
-    explicit surface-of-revolution formula against the closed form; the spec
-    must then describe f = a*z + b, g = exp(z).  Evaluation errors at
-    individual points are recorded as exclusions, not raised.
+    Evaluation errors at individual points are recorded as exclusions, not
+    raised.
     """
-    if checks is None:
-        checks = [n for n in ALL_CHECKS if n != ROTATION_MATCH or rotation is not None]
+    checks = ALL_CHECKS if checks is None else checks
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -334,7 +332,7 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
                 for result in results:
                     result.excluded += 1
                 continue
-            point = _Point(spec, z, jets, frame, step, rotation)
+            point = _Point(spec, z, jets, frame, step)
             for row, result in zip(rows, results):
                 abs_err, rel_err, excluded = row.kernel(point)
                 if excluded:
@@ -344,9 +342,37 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
 
     summary = spec.summary()
     summary["fd_step"] = step
-    if rotation is not None:
-        summary["rotation"] = list(rotation)
     return ResidualReport(spec_summary=summary, checks=results)
+
+
+def rotation_match(a: float, b: float, ell: ExprNode, **window) -> CheckResult:
+    """The rotation family X_ab against the closed form with f = a*z + b,
+    g = exp(z), over the window (u1_range, u2_range, nu1, nu2 and
+    regularity_eps, as for surface.rotation_spec).
+
+    Both vertex grids come from the array sampler; their distance, relative
+    to 1 + |closed form|, is counted in grid order at the valid vertices.
+    Without a valid vertex every point is excluded.
+    """
+    result = CheckResult("rotation_match", CLASS_TOLERANCES[ALGEBRAIC])
+    spec = surface.rotation_spec(a, b, ell, **window)
+    try:
+        closed = surface.sample_mesh(spec)
+    except EmptyMeshError:
+        result.excluded = spec.nu1 * spec.nu2
+        return result
+    rotated = surface.sample_rotation_mesh(
+        a, b, ell, u1_range=spec.u1_range, u2_range=spec.u2_range, nu1=spec.nu1,
+        nu2=spec.nu2, regularity_eps=spec.regularity_eps).vertices
+    valid = closed.valid
+    x = closed.vertices[valid]
+    with np.errstate(all="ignore"):  # an overflowed vertex gives inf or NaN
+        errs = np.linalg.norm(rotated[valid] - x, axis=-1)
+        rels = errs / (1.0 + np.linalg.norm(x, axis=-1))
+    result.excluded = int(valid.size - valid.sum())
+    for i, j, abs_err, rel_err in zip(*np.nonzero(valid), errs.tolist(), rels.tolist()):
+        result.add(abs_err, rel_err, complex(closed.u1[i], closed.u2[j]))
+    return result
 
 
 def convergence_order(spec: SurfaceSpec,

@@ -126,6 +126,21 @@ def test_verify_stdout_json_when_no_out(capsys):
     assert report["pass"] is True
 
 
+def test_verify_report_is_strict_json(tmp_path, capsys):
+    # <X, X> overflows at the outer points: NaN residuals are written as null
+    out = tmp_path / "r.json"
+    code, stdout, _ = run(capsys, "verify", "--f", "z^3", "--g", "z",
+                          "--ell", "1e154*t", "--n", "6", "--out", str(out))
+    assert code == 5 and "max_rel=nan" in stdout
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["pass"] is False
+    assert any(c["count"] and c["max_rel"] is None for c in report["checks"])
+
+
 def test_verify_appell_branch_noted(tmp_path, capsys):
     out = tmp_path / "r.json"
     code, _, _ = run(capsys, "verify", "--ell", "t", "--n", "12",
@@ -327,11 +342,12 @@ def test_info_parse_error(capsys):
     ("generate", "--preset", "fig1", "--n", "x"),
     ("generate", "--preset", "fig1", "--bogus", "1"),
     ("generate", "--preset", "fig1", "--n"),
+    ("verify", "--n", "8", "--method", "direct"),  # verify checks both
 ], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
         "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
         "no-samples", "exponent-eps", "minus-inf-fd-step",
         "fd-step-square-underflows", "non-integer-n", "unknown-flag",
-        "missing-value"])
+        "missing-value", "verify-method"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.obj"
     extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()

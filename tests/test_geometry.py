@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from grtsurf.expr import Jet2, eval_jet2, parse_expr
-from grtsurf.geometry import (DegenerateProfileError, SingularPointError,
-                              fundamental_forms, gauss_map, inner,
-                              point_frame, scalar_fields, v_matrix, xi)
+from grtsurf.geometry import (SingularPointError, fundamental_forms, gauss_map,
+                              inner, point_frame, v_matrix, xi)
 
 UNIT_JET = Jet2(0j, 1 + 0j, 0j)
 
@@ -239,9 +238,7 @@ def test_v_matrix_singular_when_g_prime_vanishes():
 # ---------------------------------------------------------------------------
 
 def test_scalar_fields_frozen_example():
-    ell_jet = Jet2(1.0, 1.0, 2.0)
-    v, _ = v_matrix(ell_jet, UNIT_JET, UNIT_JET)
-    s = scalar_fields(ell_jet, UNIT_JET, UNIT_JET, v)
+    s = point_frame(UNIT_JET, UNIT_JET, Jet2(1.0, 1.0, 2.0))
     assert s.psi == 1.0
     assert abs(s.grad_sq - 0.25) < 1e-15
     assert abs(s.lam - 1.25) < 1e-15
@@ -255,10 +252,8 @@ def test_linear_profile_gives_appell_relation():
     # C = 0, so H/K = -psi, i.e. H + psi*K = 0
     for (f_src, g_src) in [("z", "z"), ("z^2", "exp(z)")]:
         for z in SAMPLE_POINTS:
-            f_jet, g_jet, ell_jet = jets_for(f_src, g_src, "t", z)
-            v, _ = v_matrix(ell_jet, f_jet, g_jet)
-            s = scalar_fields(ell_jet, f_jet, g_jet, v)
-            assert s.c == 0.0
+            s = point_frame(*jets_for(f_src, g_src, "t", z))
+            assert s.regular and s.c == 0.0
             resid = abs(s.mean + s.psi * s.gauss) / (1 + abs(s.psi * s.gauss))
             assert resid <= 1e-9
 
@@ -274,10 +269,8 @@ def test_power_profile_constant_c():
 
 
 def test_degenerate_profile_raises():
-    ell_jet = Jet2(1.0, 0.0, 2.0)  # ell' = 0
-    v, _ = v_matrix(ell_jet, UNIT_JET, UNIT_JET)
-    with pytest.raises(DegenerateProfileError):
-        scalar_fields(ell_jet, UNIT_JET, UNIT_JET, v)
+    frame = point_frame(UNIT_JET, UNIT_JET, Jet2(1.0, 0.0, 2.0))  # ell' = 0
+    assert frame.c is None and frame.degenerate_profile
 
 
 def test_singular_det_v_raises():
@@ -285,9 +278,8 @@ def test_singular_det_v_raises():
     # a combination producing det V = 0
     ell_jet = Jet2(0.0, 1.0, 0.0)
     f_jet = Jet2(0j, 0j, 0j)  # f constant -> V = ell * I = 0
-    with pytest.raises(SingularPointError):
-        v, _ = v_matrix(ell_jet, f_jet, UNIT_JET)
-        scalar_fields(ell_jet, f_jet, UNIT_JET, v)
+    frame = point_frame(f_jet, UNIT_JET, ell_jet)
+    assert not frame.regular and frame.mean is None and frame.gauss is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from grtsurf import geometry
-from grtsurf.expr import parse_expr
+from grtsurf import geometry, surface, verify
+from grtsurf.expr import EvalError, parse_expr
 from grtsurf.surface import SurfaceSpec, rotation_spec, sample_mesh
 from grtsurf.verify import (ALGEBRAIC_CHECKS, ALL_CHECKS, DEFAULT_TOLERANCES,
-                            FD_CHECKS, StencilError, convergence_order,
-                            fd_fundamental_forms, laplacian_mu_fd, run_checks)
+                            FD_CHECKS, CheckResult, StencilError,
+                            convergence_order, fd_fundamental_forms,
+                            laplacian_mu_fd, rotation_match, run_checks)
 
 
 def spec_for(f, g, l, n=16, **kw):
@@ -71,7 +72,8 @@ def test_fd_stencil_hits_singular_point():
 
 def test_laplacian_mu_fd_vanishes():
     spec = spec_for("exp(z)", "z", "t")
-    assert abs(laplacian_mu_fd(spec, 0.3 + 0.4j)) <= 1e-6
+    mu = math.exp(0.3) * math.cos(0.4)  # Re exp(z) at z = 0.3 + 0.4i
+    assert abs(laplacian_mu_fd(spec, 0.3 + 0.4j, mu)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_primary_run_passes_all_defaults():
     report = run_checks(spec_for("z", "z", "t^2+t+1", n=24))
     assert report.passed
     names = [c.name for c in report.checks]
-    assert names == [c for c in ALL_CHECKS if c != "rotation_match"]
+    assert names == list(ALL_CHECKS)
     for check in report.checks:
         assert check.count > 0
         assert check.status == "ok"
@@ -162,13 +164,52 @@ def test_rotation_match_check():
     # nu1 = 8 keeps u1 = 0 off the grid; det V vanishes exactly there for
     # ell = cos and the whole row would be excluded as irregular
     ell = parse_expr("cos(t)", "t", real=True)
-    spec = rotation_spec(1.0, 0.0, ell, u1_range=(-1, 1),
-                         u2_range=(-math.pi, math.pi), nu1=8, nu2=9)
-    report = run_checks(spec, checks=("rotation_match",), rotation=(1.0, 0.0))
-    check = report.check("rotation_match")
+    check = rotation_match(1.0, 0.0, ell, u1_range=(-1, 1),
+                           u2_range=(-math.pi, math.pi), nu1=8, nu2=9)
     assert check.count == 72
     assert check.excluded == 0
     assert check.max_rel <= 1e-9
+    assert check.status == "ok"
+
+
+@pytest.mark.parametrize("a, b, ell, u1_range", [
+    (1.0, 0.0, "sinh(t)", (-1.0, 1.0)),        # u1 = 0 is irregular
+    (0.5, 0.3, "log(t+0.5)", (-2.0, 1.0)),     # log cut at u1 < -1.6
+    (1.0, 0.0, "cos(t)", (-1.0, 1.0)),
+])
+def test_rotation_match_against_pointwise_reference(a, b, ell, u1_range):
+    # the distance of rotation_point to point_closed_form, point by point
+    ell = parse_expr(ell, "t", real=True)
+    window = dict(u1_range=u1_range, u2_range=(-2.0, 3.0), nu1=11, nu2=7)
+    spec = rotation_spec(a, b, ell, **window)
+    rels, excluded = [], 0
+    for u1 in spec.grid_u1():
+        for u2 in spec.grid_u2():
+            z = complex(u1, u2)
+            try:
+                frame = geometry.point_frame(*surface.jets_at(spec, z))
+            except (EvalError, geometry.SingularPointError):
+                frame = None
+            if frame is None or not frame.regular:
+                excluded += 1
+                continue
+            x = surface.point_closed_form(spec, z)
+            y = surface.rotation_point(a, b, ell, u1, u2)
+            rels.append(np.linalg.norm(y - x) / (1.0 + np.linalg.norm(x)))
+    check = rotation_match(a, b, ell, **window)
+    assert (check.count, check.excluded) == (len(rels), excluded)
+    assert abs(check.max_rel - max(rels)) <= 1e-15
+    assert abs(check.mean_rel - np.mean(rels)) <= 1e-15
+    assert check.passed
+
+
+def test_rotation_match_empty_mesh():
+    # mu = u1 - 5 < -0.5 everywhere: the log cut leaves no vertex
+    ell = parse_expr("log(t+0.5)", "t", real=True)
+    check = rotation_match(1.0, -5.0, ell, u1_range=(-1, 1), u2_range=(0, 1),
+                           nu1=5, nu2=4)
+    assert (check.count, check.excluded) == (0, 20)
+    assert check.status == "insufficient_coverage" and not check.passed
 
 
 def test_non_finite_residual_fails_its_check():
@@ -180,8 +221,33 @@ def test_non_finite_residual_fails_its_check():
     for check in report.checks:
         assert check.count > 0
         assert math.isnan(check.max_rel)
+        assert math.isnan(check.max_abs)  # not the largest finite error
         assert check.status == "fail"
     assert not report.passed
+
+
+def test_nan_abs_error_wins():
+    check = CheckResult("c", 1e-9)
+    for abs_err in (1.0, math.nan, 2.0):
+        check.add(abs_err, 0.0, 0j)
+    assert math.isnan(check.max_abs)
+
+
+def test_eval_jet2_calls(monkeypatch):
+    # 8x8 grid: f, g and ell at each of the 64 points and at four points of
+    # each of the 36 interior FD stencils, and f at the four outer points of
+    # each point's Laplacian stencil, none at its centre again
+    calls = []
+    eval_jet2 = surface.eval_jet2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_jet2(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "eval_jet2", counted)
+    monkeypatch.setattr(verify, "eval_jet2", counted)
+    run_checks(spec_for("z", "z", "t^2+t+1", n=8))
+    assert len(calls) == 3 * 8 * 8 + 3 * 4 * 6 * 6 + 4 * 8 * 8
 
 
 def test_point_frame_calls(monkeypatch):
