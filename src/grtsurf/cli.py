@@ -138,10 +138,11 @@ def _json_list(items: list[str], level: int) -> str:
     return "".join(_json_pieces(items, level))
 
 
-def _json_floats(template: str, values, nan: str) -> str:
-    """``template`` filled in with floats as json writes them: repr if finite,
-    ``nan`` for NaN, else Infinity or -Infinity; no other text holds 'nan'/'inf'."""
-    return _fill(template, values).replace("nan", nan).replace("inf", "Infinity")
+def _json_floats(template: str, values) -> str:
+    """``template`` filled in with floats, null where not finite (no other text
+    holds 'nan' or 'inf')."""
+    text = _fill(template, values)
+    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
 
 
 # JSON keys of the MeshDiagnostics fields that are not named as in the file
@@ -149,25 +150,25 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 
 
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
-    """Mesh JSON, byte for byte the text of json.dump(..., indent=1)."""
+    """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
     cell = _json_list(["%r"] * 3, 3)
     quads = np.reshape(mesh.faces, (-1, 4))
 
     def vector_rows(grid):  # null at invalid vertices
         for row, ok in zip(grid, mesh.valid):
             template = _json_list([cell if v else "null" for v in ok.tolist()], 2)
-            yield _json_floats(template, row[ok], "NaN")
+            yield _json_floats(template, row[ok])
 
-    def diagnostic_rows(grid):  # null where a float is NaN
+    def diagnostic_rows(grid):
         if grid.dtype == bool:
             return (_json_list(np.where(row, "true", "false").tolist(), 3)
                     for row in grid)
         template = _json_list(["%r"] * grid.shape[1], 3)
-        return (_json_floats(template, row, "null") for row in grid)
+        return (_json_floats(template, row) for row in grid)
 
     with open(path, "w", encoding="utf-8") as fh:
         for key, u in (('{\n "u1": ', mesh.u1), (',\n "u2": ', mesh.u2)):
-            fh.write(key + _json_floats(_json_list(["%r"] * len(u), 1), u, "NaN"))
+            fh.write(key + _json_floats(_json_list(["%r"] * len(u), 1), u))
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
             fh.write(f',\n "{key}": ')
             fh.writelines(_json_pieces(vector_rows(grid), 1))

@@ -276,16 +276,28 @@ def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
             frame.psi, frame.trace_v, frame.c, frame.grad_sq)))}
 
 
-def _sample_rows(spec: SurfaceSpec, u1: np.ndarray, u2: np.ndarray,
-                 rotation_a: float | None) -> dict:
-    """Every per-vertex array of the mesh over the grid rows ``u1``.
+def sample_blocks(spec: SurfaceSpec, sample) -> dict:
+    """The arrays of ``sample(z)`` over the spec grid, sampled in blocks z
+    of whole rows, about BLOCK_POINTS points each."""
+    u1, u2 = spec.grid_u1(), spec.grid_u2()
+    step = max(1, BLOCK_POINTS // spec.nu2)
+    grid = {}
+    for i in range(0, spec.nu1, step):
+        z = np.empty((len(u1[i:i + step]), spec.nu2), dtype=complex)
+        z.real, z.imag = u1[i:i + step, None], u2
+        for key, rows in sample(z).items():
+            if key not in grid:
+                grid[key] = np.empty((spec.nu1,) + rows.shape[1:], rows.dtype)
+            grid[key][i:i + step] = rows
+    return grid
+
+
+def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> dict:
+    """Every per-vertex array of the mesh over the grid rows ``z``.
 
     A vertex is computed where f, g and ell evaluate and a frame exists, and
     valid where its frame is also regular; diagnostics are NaN elsewhere.
     """
-    z = np.empty((len(u1), len(u2)), dtype=complex)
-    z.real = u1[:, None]
-    z.imag = u2
     f_jet, f_ok = eval_jet2_array(spec.f, z)
     g_jet, g_ok = eval_jet2_array(spec.g, z)
     ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
@@ -314,15 +326,7 @@ def _sample_rows(spec: SurfaceSpec, u1: np.ndarray, u2: np.ndarray,
 
 
 def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceMesh:
-    u1 = spec.grid_u1()
-    u2 = spec.grid_u2()
-    step = max(1, BLOCK_POINTS // spec.nu2)
-    grid = {}
-    for i in range(0, spec.nu1, step):
-        for key, rows in _sample_rows(spec, u1[i:i + step], u2, rotation_a).items():
-            if key not in grid:
-                grid[key] = np.empty((spec.nu1,) + rows.shape[1:], rows.dtype)
-            grid[key][i:i + step] = rows
+    grid = sample_blocks(spec, lambda z: _sample_rows(spec, z, rotation_a))
     valid = grid.pop("valid")
     if not valid.any():
         raise EmptyMeshError("no regular vertex in the sampled window")
@@ -332,7 +336,8 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceM
     corners = np.stack((vertex_index[:-1, :-1], vertex_index[1:, :-1],
                         vertex_index[1:, 1:], vertex_index[:-1, 1:]), axis=-1)
     quads = corners[(corners >= 0).all(axis=-1)]
-    return SurfaceMesh(u1=u1, u2=u2, vertices=grid.pop("vertices"),
+    return SurfaceMesh(u1=spec.grid_u1(), u2=spec.grid_u2(),
+                       vertices=grid.pop("vertices"),
                        normals=grid.pop("normals"), valid=valid,
                        vertex_index=vertex_index,
                        faces=list(map(tuple, quads.tolist())),

@@ -1,10 +1,11 @@
 """Independent finite-difference oracle and aggregated residual checks.
 
 The oracle recomputes fundamental forms and curvatures from sampled surface
-points and normals alone (central differences in parameter space) and
-compares them against the closed-form path.  CHECKS lists every check:
-algebraic identities hold to near machine precision, finite-difference
-comparisons carry an O(step^2) truncation floor and a looser tolerance.
+points and normals alone (central differences in parameter space), over the
+whole grid in four shifted array passes, and compares them against the
+closed-form path, which run_checks evaluates point by point.  CHECKS lists
+every check: algebraic identities hold to near machine precision,
+finite-difference comparisons carry an O(step^2) floor and a looser tolerance.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError, ExprNode, eval_jet2
+from .expr import EvalError, ExprNode, eval_jet2_array, unparse
 from .geometry import PointFrame, SingularPointError
 from .surface import EmptyMeshError, SurfaceSpec
 
@@ -31,8 +32,7 @@ DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class FdOracleResult:
+class FdOracleResult(NamedTuple):
     """Fundamental forms and curvatures from central differences of X and N."""
 
     E: float
@@ -140,61 +140,84 @@ def _rel(err: float, ref: float) -> float:
     return abs(err) / (1.0 + abs(ref))
 
 
-def _frame_at(spec: SurfaceSpec, z: complex) -> tuple[tuple, PointFrame]:
-    """The jets of f, g and ell at z, and the frame they give."""
-    jets = surface.jets_at(spec, z)
-    return jets, geometry.point_frame(*jets, spec.regularity_eps)
+def _frame_at(spec: SurfaceSpec, z: complex) -> tuple[tuple, PointFrame] | None:
+    """The jets of f, g and ell at z and their frame; None without a regular frame."""
+    try:
+        jets = surface.jets_at(spec, z)
+        frame = geometry.point_frame(*jets, spec.regularity_eps)
+    except (EvalError, SingularPointError):
+        return None
+    return (jets, frame) if frame.regular else None
+
+
+def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
+              step: float = DEFAULT_FD_STEP) -> dict:
+    """The FD oracle at every point of the array z, by four passes at
+    z + step, z - step, z + i*step and z - i*step.  Returns arrays shaped
+    like z: ``forms``, the fields of FdOracleResult along a last axis, and
+    ``ok``, False exactly where the stencil leaves the window, a stencil
+    point fails or is irregular, or E G - F^2 = 0; ``f_values``, Re f at the
+    four points along a last axis, and ``f_ok``, False where f fails there.
+    H follows the closed-form sign (H = -trace(V)/(2 det V))."""
+    (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
+    ok = ((lo1 <= z.real - step) & (z.real + step <= hi1)
+          & (lo2 <= z.imag - step) & (z.imag + step <= hi2))
+    f_ok = np.ones(z.shape, dtype=bool)
+    xs, ns, f_values = [], [], []
+    with np.errstate(all="ignore"):
+        for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
+            f_jet, f_ok_w = eval_jet2_array(spec.f, w)
+            g_jet, g_ok = eval_jet2_array(spec.g, w)
+            ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
+            frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
+            ok &= f_ok_w & g_ok & ell_ok & frame.regular
+            f_ok &= f_ok_w
+            xs.append(np.stack(surface._closed_form_xyz(
+                f_jet, g_jet, ell_jet, *geometry._sphere(g_jet)), axis=-1))
+            ns.append(frame.normal)
+            f_values.append(f_jet.value.real)
+        x_u1, x_u2 = ((xs[i] - xs[i + 1]) * (0.5 / step) for i in (0, 2))
+        n_u1, n_u2 = ((ns[i] - ns[i + 1]) * (0.5 / step) for i in (0, 2))
+        E, F, G = np.vecdot(x_u1, x_u1), np.vecdot(x_u1, x_u2), np.vecdot(x_u2, x_u2)
+        e, f, g = np.vecdot(x_u1, n_u1), np.vecdot(x_u1, n_u2), np.vecdot(x_u2, n_u2)
+        det_i = E * G - F * F
+        ok &= det_i != 0.0  # else the step is below the resolution of the window
+        k_fd = (e * g - f * f) / det_i
+        h_fd = -(e * G - 2.0 * f * F + g * E) / (2.0 * det_i)
+    return {"forms": np.stack((E, F, G, e, f, g, h_fd, k_fd), axis=-1), "ok": ok,
+            "f_values": np.stack(f_values, axis=-1), "f_ok": f_ok}
+
+
+def _per_point(values: np.ndarray, ok: np.ndarray, make):
+    """``make(*values)`` at each point in row-major order, None where not ok."""
+    return (make(*v.tolist()) if k else None for v, k in
+            zip(values.reshape(ok.size, -1), ok.ravel().tolist()))
 
 
 def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
                          step: float = DEFAULT_FD_STEP) -> FdOracleResult:
-    """Fundamental forms at z by central differences of X and N.
+    """Fundamental forms at z by central differences of X and N: fd_oracle at
+    one point.  Raises StencilError where its mask is False."""
+    oracle = fd_oracle(spec, np.array([z]), step)
+    if not oracle["ok"][0]:
+        raise StencilError(f"stencil of size {step:g} at {z!r} leaves the "
+                           "window, is irregular or has no area")
+    return FdOracleResult(*oracle["forms"][0].tolist())
 
-    Requires the four stencil points z +- step, z +- i*step to lie inside
-    the spec window and to be regular.  The mean curvature sign follows the
-    closed-form convention (H = -trace(V)/(2 det V)).
-    """
-    (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
-    if not (lo1 <= z.real - step and z.real + step <= hi1
-            and lo2 <= z.imag - step and z.imag + step <= hi2):
-        raise StencilError(f"stencil of size {step:g} leaves the window at {z!r}")
-    xs, ns = [], []
-    try:
-        for off in (step, -step, 1j * step, -1j * step):
-            jets, frame = _frame_at(spec, z + off)
-            if not frame.regular:
-                raise StencilError(f"irregular stencil point {z + off!r}")
-            xs.append(surface._point_closed_form(*jets, spec.regularity_eps))
-            ns.append(frame.normal)
-    except (EvalError, SingularPointError) as exc:
-        raise StencilError(str(exc)) from exc
-    inv = 0.5 / step
-    x_u1 = (xs[0] - xs[1]) * inv
-    x_u2 = (xs[2] - xs[3]) * inv
-    n_u1 = (ns[0] - ns[1]) * inv
-    n_u2 = (ns[2] - ns[3]) * inv
-    E = float(np.dot(x_u1, x_u1))
-    F = float(np.dot(x_u1, x_u2))
-    G = float(np.dot(x_u2, x_u2))
-    e = float(np.dot(x_u1, n_u1))
-    f = float(np.dot(x_u1, n_u2))
-    g = float(np.dot(x_u2, n_u2))
-    det_i = E * G - F * F
-    if det_i == 0.0:  # the step is below the resolution of the window
-        raise StencilError(f"stencil of size {step:g} has no area at {z!r}")
-    k_fd = (e * g - f * f) / det_i
-    h_fd = -(e * G - 2.0 * f * F + g * E) / (2.0 * det_i)
-    return FdOracleResult(E=E, F=F, G=G, e=e, f=f, g=g,
-                          H_fd=h_fd, K_fd=k_fd)
+
+def _laplacian(f_values, mu: float, step: float) -> float:
+    return (f_values[0] + f_values[1] + f_values[2] + f_values[3]
+            - 4.0 * mu) / (step * step)
 
 
 def laplacian_mu_fd(spec: SurfaceSpec, z: complex, mu: float,
                     step: float = DEFAULT_FD_STEP) -> float:
     """Flat 5-point Laplacian of mu = Re f, given mu at z; vanishes for
-    holomorphic f."""
-    vals = [eval_jet2(spec.f, z + off).value.real
-            for off in (step, -step, 1j * step, -1j * step)]
-    return (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * mu) / (step * step)
+    holomorphic f.  Raises EvalError where f fails on the stencil."""
+    oracle = fd_oracle(spec, np.array([z]), step)
+    if not oracle["f_ok"][0]:
+        raise EvalError(unparse(spec.f, "z"), z, "fails on the Laplacian stencil")
+    return _laplacian(oracle["f_values"][0].tolist(), mu, step)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +227,20 @@ def laplacian_mu_fd(spec: SurfaceSpec, z: complex, mu: float,
 
 @dataclass
 class _Point:
-    """A regular grid point as the kernels read it.  The closed-form point
-    and the FD oracle are computed on first use, once."""
+    """A regular grid point as the kernels read it, with its fd_oracle values
+    (None where masked).  The closed-form point is computed on first use."""
 
     spec: SurfaceSpec
     z: complex
     jets: tuple
     frame: PointFrame
     step: float
+    fd: FdOracleResult | None
+    f_values: tuple | None
 
     @cached_property
     def x(self) -> np.ndarray:
         return surface._point_closed_form(*self.jets, self.spec.regularity_eps)
-
-    @cached_property
-    def fd(self) -> FdOracleResult | None:
-        """None where the stencil leaves the window or is irregular."""
-        try:
-            return fd_fundamental_forms(self.spec, self.z, self.step)
-        except StencilError:
-            return None
 
     @property
     def c(self) -> float:
@@ -257,10 +274,9 @@ def _vs_fd(p: _Point, pairs) -> tuple:
 
 
 def _harmonicity_mu(p: _Point) -> tuple:
-    try:
-        lap_mu = laplacian_mu_fd(p.spec, p.z, p.frame.mu, p.step)
-    except EvalError:
+    if p.f_values is None:
         return _EXCLUDED
+    lap_mu = _laplacian(p.f_values, p.frame.mu, p.step)
     return abs(lap_mu), _rel(lap_mu, p.frame.mu), False
 
 
@@ -321,24 +337,25 @@ def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     results = [CheckResult(name=c.name, tolerance=tol[c.name]) for c in rows]
 
-    for u1 in spec.grid_u1():
-        for u2 in spec.grid_u2():
-            z = complex(u1, u2)
-            try:
-                jets, frame = _frame_at(spec, z)
-            except (EvalError, SingularPointError):
-                frame = None
-            if frame is None or not frame.regular:
-                for result in results:
-                    result.excluded += 1
-                continue
-            point = _Point(spec, z, jets, frame, step)
-            for row, result in zip(rows, results):
-                abs_err, rel_err, excluded = row.kernel(point)
-                if excluded:
-                    result.excluded += 1
-                else:
-                    result.add(abs_err, rel_err, z)
+    fd = f_values = [None] * (spec.nu1 * spec.nu2)
+    if any(row.tolerance_class == FD for row in rows):
+        oracle = surface.sample_blocks(spec, lambda z: fd_oracle(spec, z, step))
+        fd = _per_point(oracle["forms"], oracle["ok"], FdOracleResult)
+        f_values = _per_point(oracle["f_values"], oracle["f_ok"], lambda *v: v)
+    points = (complex(u1, u2) for u1 in spec.grid_u1() for u2 in spec.grid_u2())
+    for z, fd_z, f_values_z in zip(points, fd, f_values):
+        jets_frame = _frame_at(spec, z)
+        if jets_frame is None:
+            for result in results:
+                result.excluded += 1
+            continue
+        point = _Point(spec, z, *jets_frame, step, fd_z, f_values_z)
+        for row, result in zip(rows, results):
+            abs_err, rel_err, excluded = row.kernel(point)
+            if excluded:
+                result.excluded += 1
+            else:
+                result.add(abs_err, rel_err, z)
 
     summary = spec.summary()
     summary["fd_step"] = step
@@ -391,21 +408,17 @@ def convergence_order(spec: SurfaceSpec,
                      hi1 - margin - 0.05 * (hi1 - lo1), n_sample)
     vs = np.linspace(lo2 + margin + 0.05 * (hi2 - lo2),
                      hi2 - margin - 0.05 * (hi2 - lo2), n_sample)
+    z = us[:, None] + 1j * vs
+    centres = [_frame_at(spec, point) for point in z.ravel().tolist()]
     residuals = []
     for step in steps:
+        oracle = fd_oracle(spec, z, step)
         rels = []
-        for u in us:
-            for v in vs:
-                z = complex(u, v)
-                try:
-                    _, frame = _frame_at(spec, z)
-                    if not frame.regular:
-                        continue
-                    fd = fd_fundamental_forms(spec, z, step)
-                except (EvalError, SingularPointError, StencilError):
-                    continue
-                rels += [_rel(got - ref, ref) for ref, got in
-                         _form_pairs(frame, fd) + _curvature_pairs(frame, fd)]
+        for centre, fd in zip(centres, _per_point(oracle["forms"], oracle["ok"],
+                                                  FdOracleResult)):
+            if centre is not None and fd is not None:
+                rels += [_rel(got - ref, ref) for pairs in (_form_pairs, _curvature_pairs)
+                         for ref, got in pairs(centre[1], fd)]
         if not rels:
             raise ValueError("no regular sample point for convergence study")
         residuals.append(float(np.mean(rels)))

@@ -1,12 +1,15 @@
 """Verify module: FD oracle soundness, residual checks, report output."""
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import gen_source
 from grtsurf import geometry, surface, verify
-from grtsurf.expr import EvalError, parse_expr
+from grtsurf.expr import EvalError, ExprError, eval_jet2, eval_jet2_array, parse_expr
 from grtsurf.surface import SurfaceSpec, rotation_spec, sample_mesh
 from grtsurf.verify import (ALGEBRAIC_CHECKS, ALL_CHECKS, DEFAULT_TOLERANCES,
                             FD_CHECKS, CheckResult, StencilError,
@@ -74,6 +77,146 @@ def test_laplacian_mu_fd_vanishes():
     spec = spec_for("exp(z)", "z", "t")
     mu = math.exp(0.3) * math.cos(0.4)  # Re exp(z) at z = 0.3 + 0.4i
     assert abs(laplacian_mu_fd(spec, 0.3 + 0.4j, mu)) <= 1e-6
+
+
+def array_jets_equal(spec, w, jets):
+    """Whether the array evaluator gives the scalar ``jets`` of f, g and ell
+    at the point w bit for bit."""
+    f_jet, _ = eval_jet2_array(spec.f, np.array([w]))
+    g_jet, _ = eval_jet2_array(spec.g, np.array([w]))
+    ell_jet, _ = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
+    return all((a.value[0], a.d1[0], a.d2[0]) == (b.value, b.d1, b.d2)
+               for a, b in zip((f_jet, g_jet, ell_jet), jets))
+
+
+def reference_oracle(spec, step):
+    """The FD oracle point by point over the grid, from the scalar path.
+
+    Returns per grid point, in row-major order: the stencil mask, the forms
+    (E, F, G, e, f, g, H_fd, K_fd), the mask and values of Re f at the four
+    stencil points, and whether the array evaluator gives the same jets at
+    all four stencil points.
+    """
+    (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
+    ok, forms, f_ok, f_values, same_jets = [], [], [], [], []
+    for u1 in spec.grid_u1():
+        for u2 in spec.grid_u2():
+            z = complex(u1, u2)
+            xs, ns, fs, same = [], [], [], True
+            for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
+                try:
+                    fs.append(eval_jet2(spec.f, w).value.real)
+                    jets = surface.jets_at(spec, w)
+                    frame = geometry.point_frame(*jets, spec.regularity_eps)
+                except (EvalError, geometry.SingularPointError):
+                    same = False
+                    continue
+                same = same and array_jets_equal(spec, w, jets)
+                if frame.regular:
+                    xs.append(surface.point_closed_form(spec, w))
+                    ns.append(frame.normal)
+            f_ok.append(len(fs) == 4)
+            f_values.append(fs if len(fs) == 4 else [math.nan] * 4)
+            same_jets.append(same)
+            inside = (lo1 <= z.real - step and z.real + step <= hi1
+                      and lo2 <= z.imag - step and z.imag + step <= hi2)
+            forms.append([math.nan] * 8)
+            ok.append(inside and len(xs) == 4)
+            if not ok[-1]:
+                continue
+            x_u1, x_u2 = (xs[0] - xs[1]) * (0.5 / step), (xs[2] - xs[3]) * (0.5 / step)
+            n_u1, n_u2 = (ns[0] - ns[1]) * (0.5 / step), (ns[2] - ns[3]) * (0.5 / step)
+            E, F, G = (float(np.dot(a, b)) for a, b in
+                       ((x_u1, x_u1), (x_u1, x_u2), (x_u2, x_u2)))
+            e, f, g = (float(np.dot(a, b)) for a, b in
+                       ((x_u1, n_u1), (x_u1, n_u2), (x_u2, n_u2)))
+            det = E * G - F * F
+            ok[-1] = det != 0.0
+            if ok[-1]:
+                forms[-1] = [E, F, G, e, f, g,
+                             -(e * G - 2.0 * f * F + g * E) / (2.0 * det),
+                             (e * g - f * f) / det]
+    return (np.array(ok), np.array(forms), np.array(f_ok), np.array(f_values),
+            np.array(same_jets))
+
+
+def assert_close(got, ref):
+    """Within 1e-9 (1 + |ref|), or equal, or both NaN."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref))
+    assert (close | (got == ref) | (np.isnan(got) & np.isnan(ref))).all()
+
+
+def compare_with_reference(spec, step, monkeypatch):
+    """The array oracle, assembled one grid row per block as run_checks
+    assembles it, and the pointwise reference, both flattened."""
+    monkeypatch.setattr(surface, "BLOCK_POINTS", 1)
+    oracle = surface.sample_blocks(spec, lambda z: verify.fd_oracle(spec, z, step))
+    n = spec.nu1 * spec.nu2
+    got = (oracle["ok"].ravel(), oracle["forms"].reshape(n, 8),
+           oracle["f_ok"].ravel(), oracle["f_values"].reshape(n, 4))
+    with np.errstate(all="ignore"):  # forms of huge stencil points overflow
+        return got, reference_oracle(spec, step)
+
+
+@pytest.mark.parametrize("f, g, ell, window, n, step", [
+    ("z", "z", "t^2+t+1", {}, 9, 1e-4),
+    ("z^2", "exp(z)", "t^2+1", {}, 9, 1e-4),
+    # the step is the grid spacing: stencils next to z = 0 hit g' = 0
+    ("z", "z^2", "t^2+t+1", {}, 9, 0.25),
+    # the step is the grid spacing: stencils next to z = 0 hit its frame,
+    # which exists but is irregular (psi = sinh(0) = 0 makes det V 0)
+    ("z", "z", "sinh(t)", {}, 9, 0.25),
+    # mu + 0.5 <= 0 for u1 <= -0.5: ell fails across the log cut
+    ("z", "z", "log(t+0.5)", {}, 9, 1e-4),
+    # the step is the grid spacing: stencils end on the window's edge, and
+    # rounding keeps some (0.2 - 0.1 >= 0.1) and drops others (-0.2 - 0.1)
+    ("z", "z", "cos(t)", {"u1_range": (0.1, 0.7), "u2_range": (-0.3, 0.3)},
+     7, 0.1),
+    # u1 +- 1e-17 == u1: E G - F^2 = 0
+    ("z", "z", "t^2+t+1", {"u1_range": (1.0, 2.0), "u2_range": (1.0, 2.0)},
+     6, 1e-17),
+    # exp(400 z) overflows T^2 and, for u1 > 1.77, g itself
+    ("z", "exp(400*z)", "t^2+1", {"u1_range": (-1.0, 2.0)}, 9, 1e-4),
+], ids=["fig1", "exp", "g-prime-zero", "irregular", "log-cut", "window-edge",
+        "no-area", "overflow"])
+def test_fd_oracle_matches_pointwise_reference(f, g, ell, window, n, step,
+                                               monkeypatch):
+    spec = spec_for(f, g, ell, n=n, **window)
+    (ok, forms, f_ok, f_values), ref = compare_with_reference(spec, step, monkeypatch)
+    ref_ok, ref_forms, ref_f_ok, ref_f_values, _ = ref
+    assert ok.tolist() == ref_ok.tolist() and not ok.all()
+    assert f_ok.tolist() == ref_f_ok.tolist()
+    assert_close(forms[ok], ref_forms[ok])
+    assert_close(f_values[f_ok], ref_f_values[f_ok])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**48), n=st.integers(2, 8),
+       step=st.sampled_from([1e-4, 1e-2, 0.25]))
+def test_fd_oracle_matches_pointwise_reference_generated(seed, n, step,
+                                                         monkeypatch):
+    rng = random.Random(seed)
+    try:
+        spec = spec_for(gen_source(rng, rng.randint(1, 3)),
+                        gen_source(rng, rng.randint(1, 3)),
+                        gen_source(rng, rng.randint(1, 3), real=True), n=n)
+    except ExprError:
+        return
+    (ok, forms, f_ok, f_values), ref = compare_with_reference(spec, step, monkeypatch)
+    ref_ok, ref_forms, ref_f_ok, ref_f_values, same_jets = ref
+    assert f_ok.tolist() == ref_f_ok.tolist()
+    assert_close(f_values[f_ok], ref_f_values[f_ok])
+    # ell is evaluated at Re f: where numpy's f differs from cmath's in the
+    # last bit, an ell that fails at exactly one of the two points (t/t at
+    # t = 0, say) fails on one side only
+    same_f = (f_values == ref_f_values).all(axis=1)
+    assert ok[same_f].tolist() == ref_ok[same_f].tolist()
+    # where the jets differ in the last bits, the central differences divide
+    # that difference by the step, and values can differ by more than 1e-9
+    same = ok & same_jets
+    assert_close(forms[same], ref_forms[same])
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +377,8 @@ def test_nan_abs_error_wins():
 
 
 def test_eval_jet2_calls(monkeypatch):
-    # 8x8 grid: f, g and ell at each of the 64 points and at four points of
-    # each of the 36 interior FD stencils, and f at the four outer points of
-    # each point's Laplacian stencil, none at its centre again
+    # 8x8 grid: f, g and ell at each of the 64 points; the FD stencils and
+    # the Laplacian go through the array oracle
     calls = []
     eval_jet2 = surface.eval_jet2
 
@@ -245,14 +387,12 @@ def test_eval_jet2_calls(monkeypatch):
         return eval_jet2(*args, **kwargs)
 
     monkeypatch.setattr(surface, "eval_jet2", counted)
-    monkeypatch.setattr(verify, "eval_jet2", counted)
     run_checks(spec_for("z", "z", "t^2+t+1", n=8))
-    assert len(calls) == 3 * 8 * 8 + 3 * 4 * 6 * 6 + 4 * 8 * 8
+    assert len(calls) == 3 * 8 * 8
 
 
 def test_point_frame_calls(monkeypatch):
-    # 8x8 grid: a frame at each of the 64 points and four for each of the 36
-    # interior FD stencils, none at the centre again
+    # 8x8 grid: a frame at each of the 64 points, none for the FD stencils
     calls = []
     point_frame = geometry.point_frame
 
@@ -262,7 +402,7 @@ def test_point_frame_calls(monkeypatch):
 
     monkeypatch.setattr(geometry, "point_frame", counted)
     run_checks(spec_for("z", "z", "t^2+t+1", n=8))
-    assert len(calls) == 8 * 8 + 4 * 6 * 6
+    assert len(calls) == 8 * 8
 
 
 # the checks that the mesh diagnostics repeat, with their diagnostic
@@ -281,6 +421,44 @@ def test_checks_agree_with_mesh_diagnostics(ell):
         check, residual = report.check(name), getattr(diagnostics, key)
         assert math.isclose(check.max_rel, np.nanmax(residual), rel_tol=1e-12)
         assert check.excluded == np.isnan(residual).sum()
+
+
+MIXED = ("exp(z)*sin(z)+z^3", "cosh(z)/(z^2+3)", "exp(t)*cos(t)+2")
+
+# (f, g, ell, n) -> the rows whose (count, excluded, status) differ from full
+# coverage and "ok"; every other row counts all n^2 points and passes.
+PINNED_OUTCOMES = [
+    (("z", "z", "t^2+t+1", 64), {"forms_vs_fd": (3844, 252, "ok"),
+                                 "curvature_vs_fd": (3844, 252, "ok")}),
+    (("z", "z", "cos(t)", 64), {"forms_vs_fd": (3844, 252, "ok"),
+                                "curvature_vs_fd": (3844, 252, "ok")}),
+    (("z^2", "exp(z)", "t^2+1", 64), {"weingarten_relation": (3968, 128, "ok"),
+                                      "pde_lapla1": (3968, 128, "ok"),
+                                      "forms_vs_fd": (3844, 252, "ok"),
+                                      "curvature_vs_fd": (3844, 252, "ok")}),
+    ((*MIXED, 32), {"forms_vs_fd": (900, 124, "fail"),
+                    "curvature_vs_fd": (900, 124, "ok")}),
+    (("z", "z", "1", 33), {
+        "weingarten_relation": (0, 1089, "insufficient_coverage"),
+        "pde_lapla1": (0, 1089, "insufficient_coverage"),
+        "forms_vs_fd": (961, 128, "ok"), "curvature_vs_fd": (961, 128, "ok")}),
+    # z = 0 is irregular; mu = 0 on the whole row u1 = 0
+    (("z", "z", "sinh(t)", 33), {
+        **{name: (1088, 1, "ok") for name in ALL_CHECKS},
+        "weingarten_relation": (1056, 33, "ok"),
+        "forms_vs_fd": (960, 129, "ok"), "curvature_vs_fd": (960, 129, "ok")}),
+]
+
+
+@pytest.mark.parametrize("case, rows", PINNED_OUTCOMES,
+                         ids=["fig1", "fig2", "exp", "mixed", "ell-1", "sinh"])
+def test_pinned_outcomes(case, rows):
+    *fgl, n = case
+    report = run_checks(spec_for(*fgl, n=n))
+    got = {c.name: (c.count, c.excluded, c.status) for c in report.checks}
+    assert got == {name: rows.get(name, (n * n, 0, "ok")) for name in ALL_CHECKS}
+    for check in report.checks:
+        assert check.passed == (check.status == "ok")
 
 
 def test_unknown_check_rejected():

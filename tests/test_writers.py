@@ -57,19 +57,22 @@ def reference_ply(mesh):
 
 
 def reference_mesh_json(mesh):
+    def num(v):  # every float that is not finite is null
+        return float(v) if math.isfinite(v) else None
+
     def grid(arr):
-        return [[None if not mesh.valid[i, j] else list(map(float, arr[i, j]))
+        return [[None if not mesh.valid[i, j] else list(map(num, arr[i, j]))
                  for j in range(arr.shape[1])] for i in range(arr.shape[0])]
 
     diag = mesh.diagnostics
 
     def scalar(arr):
-        return [[None if math.isnan(arr[i, j]) else float(arr[i, j])
-                 for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+        return [[num(arr[i, j]) for j in range(arr.shape[1])]
+                for i in range(arr.shape[0])]
 
     doc = {
-        "u1": [float(v) for v in mesh.u1],
-        "u2": [float(v) for v in mesh.u2],
+        "u1": [num(v) for v in mesh.u1],
+        "u2": [num(v) for v in mesh.u2],
         "vertices": grid(mesh.vertices),
         "normals": grid(mesh.normals),
         "faces": [list(f) for f in mesh.faces],
@@ -87,7 +90,7 @@ def reference_mesh_json(mesh):
             "regular": [[bool(v) for v in row] for row in diag.regular],
         },
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
 WRITERS = (
@@ -168,3 +171,19 @@ def test_empty_grid_matches_reference(tmp_path, shape):
                        valid=empty.astype(bool), vertex_index=empty.astype(int),
                        faces=[], diagnostics=diag)
     assert_writers_match(mesh, tmp_path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_mesh_json_is_strict_json(tmp_path, capsys):
+    # det_v overflows to inf at every vertex and lam at most of them
+    out = tmp_path / "m.json"
+    code = cli.main(["generate", "--f", "z^3", "--g", "z", "--ell", "1e154*t",
+                     "--n", "6", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    data = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert data["diagnostics"]["det_v"] == [[None] * 6] * 6
+    assert "Infinity" not in out.read_text()
