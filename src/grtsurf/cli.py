@@ -1,10 +1,13 @@
 """Command-line front end: generate, verify, rotate, info.
 
-Exit codes: 0 ok, 2 expression/usage parse error or invalid numeric input
-(RunConfig.validate, SurfaceSpec), 3 empty mesh, 4 I/O failure, 5
-verification failure or insufficient coverage.  Mesh and report outputs
-are byte-identical for identical configs; OBJ and PLY numbers carry 17
-significant digits and mesh JSON floats are shortest repr, so all round-trip.
+Each subcommand reads the parsed flags.  Each numeric check sits in the
+argparse type of its flag, so a bad value exits 2 before any evaluation with
+'error: argument --flag: ...'; a value may start with '-' (--ell -t).
+Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
+3 empty mesh, 4 I/O failure, 5 verification failure or insufficient
+coverage.  Mesh and report outputs are byte-identical for identical inputs;
+OBJ and PLY numbers carry 17 significant digits and mesh JSON floats are
+shortest repr, so all round-trip.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,50 +43,6 @@ ROTATE_PRESETS = {
     "fig5": {"a": 1.0, "b": 0.0, "ell": "sinh(t)"},
 }
 DEFAULT_U2 = (-math.pi, math.pi)
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: subcommand plus everything it needs."""
-
-    subcommand: str
-    f: str | None = None
-    g: str | None = None
-    ell: str | None = None
-    u1: tuple[float, float] = (-1.0, 1.0)
-    u2: tuple[float, float] = DEFAULT_U2
-    nu1: int = 128
-    nu2: int = 128
-    a: float | None = None
-    b: float | None = None
-    out: str | None = None
-    format: str = "obj"
-    method: str = "closed_form"
-    fd_step: float = verify.DEFAULT_FD_STEP
-    tolerances: dict = field(default_factory=dict)
-    regularity_eps: float = geometry.REGULARITY_EPS
-    cross_check: bool = False
-    mu_range: tuple[float, float] = (-1.0, 1.0)
-    mu_samples: int = 101
-    as_json: bool = False
-
-    def validate(self) -> None:
-        """Reject values the numerics would only trip over later.  The mesh
-        window, resolution and eps are checked by SurfaceSpec."""
-        if not (0.0 < self.fd_step < math.inf):
-            raise ValueError(f"--fd-step must be finite and > 0, got {self.fd_step!r}")
-        if not 0.0 < self.fd_step * self.fd_step < math.inf:
-            raise ValueError(f"--fd-step {self.fd_step!r} squares to 0 or inf")
-        for name, tol in self.tolerances.items():
-            if not (0.0 <= tol < math.inf):
-                raise ValueError(f"tolerance of {name} must be finite and >= 0, "
-                                 f"got {tol!r}")
-        for name, value in (("--a", self.a), ("--b", self.b)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        surface.check_range("mu", *self.mu_range)
-        if self.mu_samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {self.mu_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +145,22 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
 _WRITERS = {"obj": write_obj, "ply": write_ply, "json": write_mesh_json}
 
 
-def _mesh_summary(mesh: SurfaceMesh, out: str) -> str:
-    return (f"wrote {out}: {mesh.vertex_count} vertices, "
-            f"{2 * mesh.face_count} triangles "
-            f"({mesh.face_count} quads), "
-            f"regular {100.0 * mesh.regular_fraction():.2f}%, "
-            f"min|detV| {mesh.min_abs_det_v():.6g}")
-
-
 # ---------------------------------------------------------------------------
-# Argument handling
+# Argument handling: each numeric check sits in the type of its flag
 # ---------------------------------------------------------------------------
 
-_RANGE_FLAGS = ("--u1", "--u2", "--mu-range")
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+_SWITCHES = ("--help", "--cross-check", "--json")  # long flags without a value
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join '--u1 -1:1' into '--u1=-1:1' and '--eps -1e-5' into '--eps=-1e-5':
-    argparse takes a token starting with '-' as a value only when it is a
-    plain negative decimal."""
+    """Join '--f -z' into '--f=-z': after a flag that takes a value, a token
+    that starts with a single '-' is that value.  argparse on its own takes
+    such a token as a value only when it is a plain negative decimal."""
     out = []
     for tok in argv:
         prev = out[-1] if out else ""
-        if (tok.startswith("-") and prev.startswith("--") and "=" not in prev
-                and (prev in _RANGE_FLAGS and ":" in tok or _is_number(tok))):
+        if (prev.startswith("--") and "=" not in prev and prev not in _SWITCHES
+                and tok.startswith("-") and not tok.startswith("--")):
             out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
@@ -236,14 +179,40 @@ class _StrictParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message}\n")
 
 
+def _checked(convert, rule: str, holds):
+    """An argparse type: the text through ``convert``, rejected unless
+    ``holds`` of the value; the exit-2 message names the flag and ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+    return parse
+
+
+_finite = _checked(float, "finite", math.isfinite)
+_non_negative = _checked(float, "finite and >= 0", lambda x: 0.0 <= x < math.inf)
+_fd_step = _checked(float, "finite and > 0, with a square neither 0 nor inf",
+                    lambda h: 0.0 < h < math.inf and 0.0 < h * h < math.inf)
+_resolution = _checked(int, ">= 2", lambda n: n >= 2)
+_samples = _checked(int, ">= 1", lambda n: n >= 1)
+
+
 def _parse_range(text: str) -> tuple[float, float]:
+    """'lo:hi' as two floats that pass surface.check_range."""
     lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
     try:
-        return float(lo), float(hi)
+        if not sep:
+            raise ValueError(f"expected lo:hi, got {text!r}")
+        bounds = float(lo), float(hi)
+        surface.check_range("lo:hi", *bounds)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return bounds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,52 +224,51 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_StrictParser)
 
-    def add_domain(p, default_n=128):
+    def add_domain(p, default_n=128, default_u2=DEFAULT_U2):
+        u2_text = "-pi:pi" if default_u2 == DEFAULT_U2 else "%g:%g" % default_u2
         p.add_argument("--u1", type=_parse_range, default=(-1.0, 1.0),
                        help="u1 range as lo:hi (default -1:1)")
-        p.add_argument("--u2", type=_parse_range, default=DEFAULT_U2,
-                       help="u2 range as lo:hi (default -pi:pi)")
-        p.add_argument("--n", type=int, default=default_n,
+        p.add_argument("--u2", type=_parse_range, default=default_u2,
+                       help=f"u2 range as lo:hi (default {u2_text})")
+        p.add_argument("--n", type=_resolution, default=default_n,
                        help=f"grid resolution per axis (default {default_n})")
-        p.add_argument("--nu1", type=int, default=None, help="override u1 resolution")
-        p.add_argument("--nu2", type=int, default=None, help="override u2 resolution")
-        p.add_argument("--eps", type=float, default=geometry.REGULARITY_EPS,
+        p.add_argument("--nu1", type=_resolution, help="override u1 resolution")
+        p.add_argument("--nu2", type=_resolution, help="override u2 resolution")
+        p.add_argument("--eps", type=_non_negative, default=geometry.REGULARITY_EPS,
                        help="regularity threshold")
 
     def add_output(p):
-        p.add_argument("--out", default=None, help="output file")
-        p.add_argument("--format", choices=tuple(_WRITERS), default=None,
+        p.add_argument("--out", help="output file")
+        p.add_argument("--format", choices=tuple(_WRITERS),
                        help="output format (default from extension, else obj)")
 
     gen = sub.add_parser("generate", help="sample a surface mesh and export it")
-    gen.add_argument("--f", dest="f_src", default=None, help="holomorphic f(z)")
-    gen.add_argument("--g", dest="g_src", default=None, help="holomorphic g(z)")
-    gen.add_argument("--ell", default=None, help="real profile ell(t)")
+    gen.add_argument("--f", help="holomorphic f(z)")
+    gen.add_argument("--g", help="holomorphic g(z)")
+    gen.add_argument("--ell", help="real profile ell(t)")
     gen.add_argument("--method", choices=("closed_form", "direct"),
                      default="closed_form")
-    gen.add_argument("--preset", choices=sorted(GENERATE_PRESETS), default=None,
+    gen.add_argument("--preset", choices=sorted(GENERATE_PRESETS),
                      help="figure-reproduction parameter set")
     add_domain(gen)
     add_output(gen)
 
     ver = sub.add_parser("verify", help="run residual checks and write a JSON report")
-    ver.add_argument("--f", dest="f_src", default="z")
-    ver.add_argument("--g", dest="g_src", default="z")
+    ver.add_argument("--f", default="z")
+    ver.add_argument("--g", default="z")
     ver.add_argument("--ell", default="t^2+t+1")
-    ver.add_argument("--fd-step", type=float, default=verify.DEFAULT_FD_STEP)
+    ver.add_argument("--fd-step", type=_fd_step, default=verify.DEFAULT_FD_STEP)
     for cls, tol in verify.CLASS_TOLERANCES.items():
-        ver.add_argument(f"--tol-{cls}", type=float, default=None,
+        ver.add_argument(f"--tol-{cls}", type=_non_negative,
                          help=f"tolerance of the {cls} checks (default {tol:g})")
-    ver.add_argument("--out", default=None,
-                     help="report path (default: JSON to stdout)")
-    add_domain(ver, default_n=64)
-    ver.set_defaults(u2=(-1.0, 1.0))
+    ver.add_argument("--out", help="report path (default: JSON to stdout)")
+    add_domain(ver, default_n=64, default_u2=(-1.0, 1.0))
 
     rot = sub.add_parser("rotate", help="mesh the rotation family X_ab")
-    rot.add_argument("--a", type=float, default=None)
-    rot.add_argument("--b", type=float, default=None)
-    rot.add_argument("--ell", default=None)
-    rot.add_argument("--preset", choices=sorted(ROTATE_PRESETS), default=None)
+    rot.add_argument("--a", type=_finite)
+    rot.add_argument("--b", type=_finite)
+    rot.add_argument("--ell")
+    rot.add_argument("--preset", choices=sorted(ROTATE_PRESETS))
     rot.add_argument("--cross-check", action="store_true",
                      help="verify agreement with the closed form (f=a*z+b, g=exp(z))")
     add_domain(rot)
@@ -310,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("--ell", required=True)
     info.add_argument("--mu-range", type=_parse_range, default=(-1.0, 1.0),
                       help="sampled mu range (default -1:1)")
-    info.add_argument("--samples", type=int, default=101)
+    info.add_argument("--samples", type=_samples, default=101)
     info.add_argument("--json", dest="as_json", action="store_true")
     return parser
 
@@ -319,20 +287,44 @@ def _build_parser() -> argparse.ArgumentParser:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _generate_spec(config: RunConfig) -> SurfaceSpec:
-    return SurfaceSpec.from_strings(
-        config.f, config.g, config.ell,
-        u1_range=config.u1, u2_range=config.u2,
-        nu1=config.nu1, nu2=config.nu2,
-        regularity_eps=config.regularity_eps, method=config.method,
-    )
+def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
+    """Fill each flag of ``names`` left unset (None, or an empty expression)
+    from --preset, and --out with '<preset>.obj'; raise ValueError naming
+    every input still missing."""
+    if args.preset:
+        for name in names:
+            if getattr(args, name) in (None, ""):
+                setattr(args, name, presets[args.preset][name])
+        if args.out is None:
+            args.out = f"{args.preset}.obj"
+    missing = [f"--{name}" for name in (*names, "out") if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
 
 
-def _cmd_generate(config: RunConfig) -> int:
-    spec = _generate_spec(config)
-    mesh = surface.sample_mesh(spec)
-    _WRITERS[config.format](mesh, config.out)
-    print(_mesh_summary(mesh, config.out))
+def _window(args) -> dict:
+    """Window, resolution and eps of the sampled grid, as SurfaceSpec names them."""
+    return dict(u1_range=args.u1, u2_range=args.u2, nu1=args.nu1 or args.n,
+                nu2=args.nu2 or args.n, regularity_eps=args.eps)
+
+
+def _write_mesh(mesh: SurfaceMesh, args) -> None:
+    """Write in --format, else in the format of the --out extension, else OBJ."""
+    fmt = args.format or next(
+        (fmt for fmt in _WRITERS if args.out.endswith("." + fmt)), "obj")
+    _WRITERS[fmt](mesh, args.out)
+    print(f"wrote {args.out}: {mesh.vertex_count} vertices, "
+          f"{2 * mesh.face_count} triangles "
+          f"({mesh.face_count} quads), "
+          f"regular {100.0 * mesh.regular_fraction():.2f}%, "
+          f"min|detV| {mesh.min_abs_det_v():.6g}")
+
+
+def _cmd_generate(args) -> int:
+    _fill_inputs(args, GENERATE_PRESETS, ("f", "g", "ell"))
+    spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, method=args.method,
+                                    **_window(args))
+    _write_mesh(surface.sample_mesh(spec), args)
     return EXIT_OK
 
 
@@ -373,47 +365,40 @@ def _classify_profile(spec: SurfaceSpec) -> dict:
             "profile_label": label}
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    spec = _generate_spec(config)
-    report = verify.run_checks(spec, step=config.fd_step,
-                               tolerances=config.tolerances)
+def _cmd_verify(args) -> int:
+    spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, **_window(args))
+    tolerances = {name: getattr(args, f"tol_{cls}")
+                  for cls, names in verify.CLASS_CHECKS.items() for name in names
+                  if getattr(args, f"tol_{cls}") is not None}
+    report = verify.run_checks(spec, step=args.fd_step, tolerances=tolerances)
     report.spec_summary.update(_classify_profile(spec))
     text = report.to_json() + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         for check in report.checks:
             print(f"{check.name}: {check.status} "
                   f"(count={check.count}, excluded={check.excluded}, "
                   f"max_rel={check.max_rel:.3e})")
-        print(f"report written to {config.out}: "
+        print(f"report written to {args.out}: "
               f"{'PASS' if report.passed else 'FAIL'}")
     else:
         sys.stdout.write(text)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _cmd_rotate(config: RunConfig) -> int:
-    ell = parse_expr(config.ell, "t", real=True)
-    mesh = surface.sample_rotation_mesh(
-        config.a, config.b, ell,
-        u1_range=config.u1, u2_range=config.u2,
-        nu1=config.nu1, nu2=config.nu2,
-        regularity_eps=config.regularity_eps,
-    )
-    _WRITERS[config.format](mesh, config.out)
-    print(_mesh_summary(mesh, config.out))
-    if config.a == 0.0:
-        radius = abs(eval_jet2(ell, float(config.b), variable="t").value)
+def _cmd_rotate(args) -> int:
+    _fill_inputs(args, ROTATE_PRESETS, ("a", "b", "ell"))
+    ell = parse_expr(args.ell, "t", real=True)
+    window = _window(args)
+    _write_mesh(surface.sample_rotation_mesh(args.a, args.b, ell, **window), args)
+    if args.a == 0.0:
+        radius = abs(eval_jet2(ell, args.b, variable="t").value)
         print(f"note: a = 0 degenerates to the sphere of radius {radius:.12g} "
-              f"(|ell(b)| with b = {config.b:g})")
-    if config.cross_check:
-        check = verify.rotation_match(
-            config.a, config.b, ell,
-            u1_range=config.u1, u2_range=config.u2,
-            nu1=min(config.nu1, 33), nu2=min(config.nu2, 33),
-            regularity_eps=config.regularity_eps,
-        )
+              f"(|ell(b)| with b = {args.b:g})")
+    if args.cross_check:
+        window.update(nu1=min(window["nu1"], 33), nu2=min(window["nu2"], 33))
+        check = verify.rotation_match(args.a, args.b, ell, **window)
         print(f"cross-check rotation vs closed form: {check.status} "
               f"(max_rel={check.max_rel:.3e})")
         if not check.passed:
@@ -421,11 +406,11 @@ def _cmd_rotate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_info(config: RunConfig) -> int:
-    ell = parse_expr(config.ell, "t", real=True)
+def _cmd_info(args) -> int:
+    ell = parse_expr(args.ell, "t", real=True)
     d1 = differentiate(ell)
     d2 = differentiate(d1)
-    mus = np.linspace(config.mu_range[0], config.mu_range[1], config.mu_samples)
+    mus = np.linspace(args.mu_range[0], args.mu_range[1], args.samples)
     c, ok = _profile_c(ell, mus)
     cs = c[~np.isnan(c)].tolist()
     degenerate = int(ok.sum()) - len(cs)
@@ -434,8 +419,8 @@ def _cmd_info(config: RunConfig) -> int:
         "ell": unparse(ell, "t"),
         "ell_prime": unparse(d1, "t"),
         "ell_second": unparse(d2, "t"),
-        "mu_range": list(config.mu_range),
-        "samples": int(config.mu_samples),
+        "mu_range": list(args.mu_range),
+        "samples": int(args.samples),
         "degenerate_points": degenerate,
         "evaluation_errors": errors,
     }
@@ -446,7 +431,7 @@ def _cmd_info(config: RunConfig) -> int:
     if not cs:
         result["note"] = ("C undefined on the sampled range (ell' = 0 "
                           "or evaluation failed everywhere)")
-    if config.as_json:
+    if args.as_json:
         print(json.dumps(result, indent=2))
         return EXIT_OK
     print(f"ell(t)   = {result['ell']}")
@@ -473,67 +458,6 @@ def _cmd_info(config: RunConfig) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(subcommand=args.subcommand)
-    if args.subcommand in ("generate", "verify"):
-        f_src = getattr(args, "f_src", None)
-        g_src = getattr(args, "g_src", None)
-        ell = args.ell
-        if args.subcommand == "generate" and args.preset:
-            preset = GENERATE_PRESETS[args.preset]
-            f_src = f_src or preset["f"]
-            g_src = g_src or preset["g"]
-            ell = ell or preset["ell"]
-        missing = [name for name, val in
-                   (("--f", f_src), ("--g", g_src), ("--ell", ell)) if not val]
-        if missing:
-            raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
-        config.f, config.g, config.ell = f_src, g_src, ell
-        config.method = getattr(args, "method", config.method)
-    if args.subcommand == "rotate":
-        a, b, ell = args.a, args.b, args.ell
-        if args.preset:
-            preset = ROTATE_PRESETS[args.preset]
-            a = a if a is not None else preset["a"]
-            b = b if b is not None else preset["b"]
-            ell = ell or preset["ell"]
-        missing = [name for name, val in
-                   (("--a", a), ("--b", b), ("--ell", ell)) if val is None]
-        if missing:
-            raise ValueError(f"rotate requires {', '.join(missing)}")
-        config.a, config.b, config.ell = float(a), float(b), ell
-        config.cross_check = args.cross_check
-    if args.subcommand == "info":
-        config.ell = args.ell
-        config.mu_range = args.mu_range
-        config.mu_samples = args.samples
-        config.as_json = args.as_json
-        config.validate()
-        return config
-    config.u1 = args.u1
-    config.u2 = args.u2
-    config.nu1, config.nu2 = args.nu1 or args.n, args.nu2 or args.n
-    config.regularity_eps = args.eps
-    if args.subcommand == "verify":
-        config.fd_step = args.fd_step
-        for cls, names in verify.CLASS_CHECKS.items():
-            tol = getattr(args, f"tol_{cls}")
-            if tol is not None:
-                config.tolerances.update(dict.fromkeys(names, tol))
-        config.out = args.out
-    else:
-        out = args.out
-        if out is None and getattr(args, "preset", None):
-            out = f"{args.preset}.obj"
-        if out is None:
-            raise ValueError(f"{args.subcommand} requires --out")
-        config.out = out
-        config.format = args.format or next(  # else from the extension
-            (fmt for fmt in _WRITERS if out.endswith("." + fmt)), "obj")
-    config.validate()
-    return config
-
-
 _DISPATCH = {
     "generate": _cmd_generate,
     "verify": _cmd_verify,
@@ -550,8 +474,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[args.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except (ParseError, ValueError) as exc:
         error, code = exc, EXIT_PARSE
     except EmptyMeshError as exc:

@@ -367,8 +367,9 @@ def rotation_match(a: float, b: float, ell: ExprNode, **window) -> CheckResult:
     g = exp(z), over the window (u1_range, u2_range, nu1, nu2 and
     regularity_eps, as for surface.rotation_spec).
 
-    Both vertex grids come from the array sampler; their distance, relative
-    to 1 + |closed form|, is counted in grid order at the valid vertices.
+    One array pass samples the closed form; the rotation formula then takes
+    ell at mu = a*u1 + b at its valid vertices.  Their distance, relative to
+    1 + |closed form|, is counted in grid order at the valid vertices.
     Without a valid vertex every point is excluded.
     """
     result = CheckResult("rotation_match", CLASS_TOLERANCES[ALGEBRAIC])
@@ -378,17 +379,19 @@ def rotation_match(a: float, b: float, ell: ExprNode, **window) -> CheckResult:
     except EmptyMeshError:
         result.excluded = spec.nu1 * spec.nu2
         return result
-    rotated = surface.sample_rotation_mesh(
-        a, b, ell, u1_range=spec.u1_range, u2_range=spec.u2_range, nu1=spec.nu1,
-        nu2=spec.nu2, regularity_eps=spec.regularity_eps).vertices
     valid = closed.valid
+    i, j = np.nonzero(valid)
+    u1, u2 = closed.u1[i], closed.u2[j]
     x = closed.vertices[valid]
     with np.errstate(all="ignore"):  # an overflowed vertex gives inf or NaN
-        errs = np.linalg.norm(rotated[valid] - x, axis=-1)
+        jet, _ = eval_jet2_array(ell, a * u1 + b, variable="t")
+        rotated = np.stack(surface._rotation_xyz(a, jet, u1, u2), axis=-1)
+        errs = np.linalg.norm(rotated - x, axis=-1)
         rels = errs / (1.0 + np.linalg.norm(x, axis=-1))
     result.excluded = int(valid.size - valid.sum())
-    for i, j, abs_err, rel_err in zip(*np.nonzero(valid), errs.tolist(), rels.tolist()):
-        result.add(abs_err, rel_err, complex(closed.u1[i], closed.u2[j]))
+    for point, abs_err, rel_err in zip(map(complex, u1.tolist(), u2.tolist()),
+                                       errs.tolist(), rels.tolist()):
+        result.add(abs_err, rel_err, point)
     return result
 
 

@@ -102,6 +102,46 @@ def test_generate_presets(tmp_path, capsys):
         assert out.exists()
 
 
+def test_flag_overrides_preset(tmp_path, capsys):
+    over, fig2 = tmp_path / "over.obj", tmp_path / "fig2.obj"
+    assert run(capsys, "generate", "--preset", "fig1", "--ell", "cos(t)",
+               "--n", "8", "--out", str(over))[0] == 0
+    assert run(capsys, "generate", "--preset", "fig2",
+               "--n", "8", "--out", str(fig2))[0] == 0
+    assert over.read_bytes() == fig2.read_bytes()
+    code, stdout, _ = run(capsys, "rotate", "--preset", "fig4", "--b", "2",
+                          "--n", "8", "--out", str(tmp_path / "rot.obj"))
+    assert code == 0
+    assert "sphere of radius 7 " in stdout  # |ell(2)| for ell = t^2+t+1
+
+
+def test_preset_without_out_writes_preset_obj(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("generate", "--preset", "fig1"), ("rotate", "--preset", "fig3")):
+        code, stdout, _ = run(capsys, *argv, "--n", "6")
+        assert code == 0
+        assert stdout.startswith(f"wrote {argv[-1]}.obj: 36 vertices")
+        assert (tmp_path / f"{argv[-1]}.obj").read_text().startswith("# generated")
+
+
+def test_format_flag_beats_extension(tmp_path, capsys):
+    out = tmp_path / "surf.obj"
+    code, _, _ = run(capsys, "generate", "--preset", "fig1", "--n", "6",
+                     "--format", "ply", "--out", str(out))
+    assert code == 0
+    assert out.read_text().startswith("ply\n")
+
+
+def test_values_may_start_with_minus(tmp_path, capsys):
+    code, _, stderr = run(capsys, "generate", "--f", "-z", "--g", "z",
+                          "--ell", "-t^2+2", "--n", "4",
+                          "--out", str(tmp_path / "x.obj"))
+    assert (code, stderr) == (0, "")
+    code, stdout, _ = run(capsys, "info", "--ell", "-t")
+    assert code == 0
+    assert "Appell" in stdout
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -117,6 +157,14 @@ def test_verify_defaults_pass(tmp_path, capsys):
     names = {c["name"] for c in report["checks"]}
     assert "weingarten_relation" in names and "forms_vs_fd" in names
     assert "PASS" in stdout
+
+
+def test_verify_help_shows_its_u2_default(capsys):
+    code, stdout, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    (line,) = [line for line in stdout.splitlines() if "--u2 U2 " in line]
+    assert line.endswith("(default -1:1)")
+    assert "[--f F] [--g G]" in stdout and "F_SRC" not in stdout
 
 
 def test_verify_stdout_json_when_no_out(capsys):
@@ -325,35 +373,36 @@ def test_info_parse_error(capsys):
 # invalid input ends in exit 2 with a one-line message
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ("generate", "--preset", "fig1", "--u1", "1:-1"),
-    ("generate", "--preset", "fig1", "--n", "1"),
-    ("generate", "--preset", "fig1", "--u1", "nan:1"),
-    ("generate", "--preset", "fig1", "--eps", "-1"),
-    ("rotate", "--preset", "fig3", "--u2", "0:inf"),
-    ("verify", "--fd-step", "0", "--n", "8"),
-    ("verify", "--tol-fd", "nan", "--n", "8"),
-    ("rotate", "--preset", "fig3", "--a", "inf"),
-    ("info", "--ell", "t", "--mu-range", "nan:1"),
-    ("info", "--ell", "t", "--samples", "0"),
-    ("generate", "--preset", "fig1", "--eps", "-1e-5"),
-    ("verify", "--fd-step", "-inf", "--n", "8"),
-    ("verify", "--fd-step", "1e-300", "--n", "8"),
-    ("generate", "--preset", "fig1", "--n", "x"),
-    ("generate", "--preset", "fig1", "--bogus", "1"),
-    ("generate", "--preset", "fig1", "--n"),
-    ("verify", "--n", "8", "--method", "direct"),  # verify checks both
+@pytest.mark.parametrize("argv, flag", [
+    (("generate", "--preset", "fig1", "--u1", "1:-1"), "--u1"),
+    (("generate", "--preset", "fig1", "--n", "1"), "--n"),
+    (("generate", "--preset", "fig1", "--u1", "nan:1"), "--u1"),
+    (("generate", "--preset", "fig1", "--eps", "-1"), "--eps"),
+    (("rotate", "--preset", "fig3", "--u2", "0:inf"), "--u2"),
+    (("verify", "--fd-step", "0", "--n", "8"), "--fd-step"),
+    (("verify", "--tol-fd", "nan", "--n", "8"), "--tol-fd"),
+    (("rotate", "--preset", "fig3", "--a", "inf"), "--a"),
+    (("info", "--ell", "t", "--mu-range", "nan:1"), "--mu-range"),
+    (("info", "--ell", "t", "--samples", "0"), "--samples"),
+    (("generate", "--preset", "fig1", "--eps", "-1e-5"), "--eps"),
+    (("verify", "--fd-step", "-inf", "--n", "8"), "--fd-step"),
+    (("verify", "--fd-step", "1e-300", "--n", "8"), "--fd-step"),
+    (("generate", "--preset", "fig1", "--n", "x"), "--n"),
+    (("generate", "--preset", "fig1", "--bogus", "1"), "--bogus"),
+    (("generate", "--preset", "fig1", "--n"), "--n"),
+    (("verify", "--n", "8", "--method", "direct"), "--method"),  # verify checks both
 ], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
         "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
         "no-samples", "exponent-eps", "minus-inf-fd-step",
         "fd-step-square-underflows", "non-integer-n", "unknown-flag",
         "missing-value", "verify-method"])
-def test_bad_numeric_input_exits_2(tmp_path, capsys, argv):
+def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "out.obj"
     extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()
     code, stdout, stderr = run(capsys, *argv, *extra)
     assert code == 2
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert flag in stderr
     assert not out.exists() and stdout == ""
 
 

@@ -355,6 +355,22 @@ def test_rotation_match_empty_mesh():
     assert check.status == "insufficient_coverage" and not check.passed
 
 
+def test_rotation_match_samples_once(monkeypatch):
+    # the closed form is sampled; the rotation formula reuses its grid
+    calls = []
+    sample_grid = surface._sample_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_grid(*args, **kwargs)
+
+    monkeypatch.setattr(surface, "_sample_grid", counted)
+    ell = parse_expr("t^2+t+1", "t", real=True)
+    check = rotation_match(1.0, 0.0, ell, u1_range=(-1, 1), u2_range=(-1, 1),
+                           nu1=9, nu2=9)
+    assert check.passed and len(calls) == 1
+
+
 def test_non_finite_residual_fails_its_check():
     # <X, X> and lam overflow to inf at the outer points: inf - inf = NaN
     spec = SurfaceSpec.from_strings("z^3", "z", "1e154*t", u1_range=(-1, 1),
