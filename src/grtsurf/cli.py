@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 
@@ -47,7 +48,7 @@ DEFAULT_U2 = (-math.pi, math.pi)
 
 # ---------------------------------------------------------------------------
 # Mesh writers (single writer, after computation completes).  One ``%`` fills
-# each section, or each grid row of mesh JSON, which is written at once.
+# each float section, or each grid row of mesh JSON, which is written at once.
 # '%.17g' % x is format(x, '.17g'); '%r' % x is json's float.__repr__(x).
 # ---------------------------------------------------------------------------
 
@@ -56,31 +57,45 @@ def _fill(template: str, values) -> str:
     return template % tuple(np.ravel(values).tolist())
 
 
+def _index_text(template: str, indices: np.ndarray) -> str:
+    """``template`` once per row of ``indices``, each '{k}' as the digits of
+    column k, gathered from a table whose row i holds i in right-aligned ASCII,
+    NUL-padded on the left; the NULs are dropped from the result."""
+    n = int(indices.max(initial=0)) + 1
+    powers, values = 10 ** np.arange(len(str(n - 1)))[::-1], np.arange(n)[:, None]
+    digits = np.where((values >= powers) | (powers == 1),
+                      values // powers % 10 + ord("0"), 0).astype(np.uint8)[indices]
+    pieces = re.split(r"\{(\d)\}", template)
+    text = np.concatenate(
+        [digits[:, int(piece)] if i % 2 else np.broadcast_to(
+            np.frombuffer(piece.encode(), np.uint8), (len(indices), len(piece)))
+         for i, piece in enumerate(pieces) if piece], axis=1)
+    return text.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    # triangles (a, b, c) and (a, c, d) of each quad, each index twice: i//i
-    tris = np.repeat(np.reshape(mesh.faces, (-1, 4))[:, [0, 1, 2, 0, 2, 3]] + 1,
-                     2, axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# generated by grtsurf\n")
         fh.write(_fill("v %.17g %.17g %.17g\n" * len(verts), verts))
         fh.write(_fill("vn %.17g %.17g %.17g\n" * len(normals), normals))
-        fh.write(_fill("f %d//%d %d//%d %d//%d\n" * (2 * len(tris)), tris))
+        # triangles (a, b, c) and (a, c, d) of each quad, 1-based, as i//i
+        fh.write(_index_text("f {0}//{0} {1}//{1} {2}//{2}\n"
+                             "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces + 1))
 
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    tris = np.reshape(mesh.faces, (-1, 4))[:, [0, 1, 2, 0, 2, 3]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n"
                  f"element vertex {len(verts)}\n"
                  "property float x\nproperty float y\nproperty float z\n"
                  "property float nx\nproperty float ny\nproperty float nz\n"
-                 f"element face {2 * len(tris)}\n"
+                 f"element face {2 * mesh.face_count}\n"
                  "property list uchar int vertex_indices\nend_header\n")
         fh.write(_fill("%.17g %.17g %.17g %.17g %.17g %.17g\n" * len(verts),
                        np.hstack([verts, normals])))
-        fh.write(_fill("3 %d %d %d\n" * (2 * len(tris)), tris))
+        fh.write(_index_text("3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces))
 
 
 def _json_pieces(items, level: int):
@@ -111,7 +126,7 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
     """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
     cell = _json_list(["%r"] * 3, 3)
-    quads = np.reshape(mesh.faces, (-1, 4))
+    quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)  # first ',' -> '['
 
     def vector_rows(grid):  # null at invalid vertices
         for row, ok in zip(grid, mesh.valid):
@@ -131,8 +146,8 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
             fh.write(f',\n "{key}": ')
             fh.writelines(_json_pieces(vector_rows(grid), 1))
-        fh.write(',\n "faces": ' + _fill(
-            _json_list([_json_list(["%d"] * 4, 2)] * len(quads), 1), quads))
+        faces = _index_text(quad, mesh.faces)
+        fh.write(',\n "faces": ' + ("[" + faces[1:] + "\n ]" if faces else "[]"))
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):
             fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": ')

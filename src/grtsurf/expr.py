@@ -188,6 +188,11 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
 # Parser (recursive descent; same source always yields the same tree)
 # ---------------------------------------------------------------------------
 
+def _shown(kind: str, value) -> str:
+    """A found token as a parse error names it."""
+    return "end of input" if kind == "end" else repr(value)
+
+
 class _Parser:
     """Each production returns ``(node, depth)``, the depth of its tree."""
 
@@ -266,11 +271,8 @@ class _Parser:
             _, _, op_pos = self.advance()
             kind, value, pos = self.peek()
             if kind != "num" or not value.isdigit():
-                self.error(
-                    f"exponent must be an integer literal, got {value!r}",
-                    pos,
-                    ("integer",),
-                )
+                self.error(f"exponent must be an integer literal, got "
+                           f"{_shown(kind, value)}", pos, ("integer",))
             self.advance()
             node, depth = Pow(node, int(value)), self.limit(depth + 1, op_pos)
         return node, depth
@@ -285,7 +287,8 @@ class _Parser:
             node, depth = self.nested(self.expr, pos)
             kind, value, pos = self.peek()
             if kind != ")":
-                self.error(f"unclosed parenthesis, got {value!r}", pos, ("')'",))
+                self.error(f"unclosed parenthesis, got {_shown(kind, value)}",
+                           pos, ("')'",))
             self.advance()
             return node, depth
         if kind == "ident":
@@ -301,9 +304,8 @@ class _Parser:
                 arg, depth = self.nested(self.expr, pos)
                 kind2, value2, pos2 = self.peek()
                 if kind2 != ")":
-                    self.error(
-                        f"unclosed function call, got {value2!r}", pos2, ("')'",)
-                    )
+                    self.error(f"unclosed function call, got "
+                               f"{_shown(kind2, value2)}", pos2, ("')'",))
                 self.advance()
                 return Fn(value, arg), self.limit(depth + 1, pos)
             if value == self.variable:
@@ -323,7 +325,7 @@ class _Parser:
                 f"unknown identifier {value!r}",
                 _byte_offset(self.source, pos),
             )
-        self.error(f"unexpected {value!r}", pos, _ATOM_EXPECTED)
+        self.error(f"unexpected {_shown(kind, value)}", pos, _ATOM_EXPECTED)
 
 
 def parse_expr(source: str, variable_name: str, real: bool = False) -> ExprNode:

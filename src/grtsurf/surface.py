@@ -18,7 +18,7 @@ same formulas that the pointwise functions apply to one point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,8 +211,11 @@ class SurfaceMesh:
     normals: np.ndarray             # (nu1, nu2, 3)
     valid: np.ndarray               # (nu1, nu2) bool
     vertex_index: np.ndarray        # (nu1, nu2) compact index or -1
-    faces: list[tuple[int, int, int, int]] = field(default_factory=list)
+    faces: np.ndarray = ()          # (n_quads, 4) int compact indices of quad corners
     diagnostics: MeshDiagnostics | None = None
+
+    def __post_init__(self):
+        self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 4)
 
     @property
     def vertex_count(self) -> int:
@@ -340,7 +343,7 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceM
                        vertices=grid.pop("vertices"),
                        normals=grid.pop("normals"), valid=valid,
                        vertex_index=vertex_index,
-                       faces=list(map(tuple, quads.tolist())),
+                       faces=quads,
                        diagnostics=MeshDiagnostics(**grid))
 
 

@@ -1,4 +1,5 @@
 """CLI: subcommands, exit codes, file outputs, determinism."""
+import hashlib
 import json
 import math
 import random
@@ -59,6 +60,28 @@ def test_generate_byte_identical(tmp_path, capsys):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `generate --preset fig1 --n 32` as written before the face
+# indices came from a digit table.  fig1 calls no transcendental function,
+# so its digits do not depend on the platform's libm.
+FIG1_N32_SHA256 = {
+    ("closed_form", "obj"): "a59b98324e3c5123468ddfcabe4323605e29bf57d1a808d272f08326342af6fa",
+    ("closed_form", "ply"): "8ad9d189aeb4f4b6596e83122138279fc384687964798b6348fedc19a2cf39c0",
+    ("closed_form", "json"): "55495e814f3ff69ea05de672326cfffb15570ec6237f095c4ea2dc6a7bed7f40",
+    ("direct", "obj"): "c51abeb612d3896957f9e6b4148f96584e45c97d25eab9aefd24e65bf2c428b5",
+    ("direct", "ply"): "9238f3409eeb40f47e2688923deeef369b0716eea76f1c1ca40b83b63850a510",
+    ("direct", "json"): "6a6efd74d8f861b9e6ec15e6d48711e6b49fd8884937f90ace4029811f3a45af",
+}
+
+
+@pytest.mark.parametrize("method, fmt", sorted(FIG1_N32_SHA256))
+def test_fig1_outputs_match_recorded_digests(tmp_path, capsys, method, fmt):
+    out = tmp_path / f"fig1.{fmt}"
+    assert run(capsys, "generate", "--preset", "fig1", "--n", "32",
+               "--method", method, "--out", str(out))[0] == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FIG1_N32_SHA256[method, fmt]
 
 
 def test_generate_isolated_singular_vertex(tmp_path, capsys):
@@ -367,6 +390,15 @@ def test_info_degenerate_profile(capsys):
 def test_info_parse_error(capsys):
     code, _, stderr = run(capsys, "info", "--ell", "t+")
     assert code == 2
+
+
+@pytest.mark.parametrize("ell", ["t+", "2^", "(t", "sin(t", ""],
+                         ids=["operand", "exponent", "parenthesis", "call", "empty"])
+def test_parse_error_at_end_names_end_of_input(capsys, ell):
+    code, _, stderr = run(capsys, "info", "--ell", ell)
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "end of input" in stderr and "None" not in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,18 @@ def test_mesh_minimal_grid():
     assert mesh.face_count <= 1
 
 
+def test_mesh_faces_are_an_int_array():
+    mesh = sample_mesh(spec_for("z", "z", "t^2+t+1", nu1=4, nu2=6))
+    # on [0,1]^2 at 2x2, g = z^2 has g'(0) = 0 at a corner of the one quad
+    lone = sample_mesh(spec_for("z", "z^2", "t^2+t+1", nu1=2, nu2=2,
+                                u1_range=(0.0, 1.0), u2_range=(0.0, 1.0)))
+    assert lone.vertex_count == 3
+    for m, quads in ((mesh, 3 * 5), (lone, 0)):
+        assert isinstance(m.faces, np.ndarray)
+        assert np.issubdtype(m.faces.dtype, np.integer)
+        assert m.faces.shape == (quads, 4)
+
+
 def test_mesh_empty_when_g_constant():
     spec = spec_for("z", "1", "t^2+t+1", nu1=4, nu2=4)
     with pytest.raises(EmptyMeshError):
@@ -262,7 +274,7 @@ def test_mesh_deterministic():
     m2 = sample_mesh(spec)
     assert np.array_equal(m1.vertices, m2.vertices, equal_nan=True)
     assert np.array_equal(m1.normals, m2.normals, equal_nan=True)
-    assert m1.faces == m2.faces
+    assert np.array_equal(m1.faces, m2.faces)
 
 
 def test_mesh_direct_method_agrees():
@@ -376,7 +388,7 @@ def assert_matches_reference(mesh, reference):
     valid, vertices, normals, diag, faces = reference
     assert np.array_equal(mesh.valid, valid)
     assert np.array_equal(mesh.diagnostics.regular, valid)
-    assert mesh.faces == faces
+    assert np.array_equal(mesh.faces, np.array(faces, dtype=int).reshape(-1, 4))
     pairs = [("vertices", mesh.vertices, vertices), ("normals", mesh.normals, normals)]
     pairs += [(name, getattr(mesh.diagnostics, name), diag[name]) for name in DIAGNOSTICS]
     for name, got, want in pairs:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grtsurf import cli, surface
 from grtsurf.surface import MeshDiagnostics, SurfaceMesh, SurfaceSpec
@@ -75,7 +76,7 @@ def reference_mesh_json(mesh):
         "u2": [num(v) for v in mesh.u2],
         "vertices": grid(mesh.vertices),
         "normals": grid(mesh.normals),
-        "faces": [list(f) for f in mesh.faces],
+        "faces": mesh.faces.tolist(),
         "diagnostics": {
             "psi": scalar(diag.psi),
             "lam": scalar(diag.lam),
@@ -171,6 +172,62 @@ def test_empty_grid_matches_reference(tmp_path, shape):
                        valid=empty.astype(bool), vertex_index=empty.astype(int),
                        faces=[], diagnostics=diag)
     assert_writers_match(mesh, tmp_path)
+
+
+def _masked_mesh(valid, seed=0):
+    """A mesh over the grid of ``valid`` with random finite values, whose
+    faces are listed quad by quad as the grid sampler defines them."""
+    rng = np.random.default_rng(seed)
+    nu1, nu2 = valid.shape
+    vertices = np.where(valid[..., None], rng.standard_normal((nu1, nu2, 3)), np.nan)
+    index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
+    faces = [tuple(int(index[c]) for c in corners)
+             for i in range(nu1 - 1) for j in range(nu2 - 1)
+             for corners in [((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
+             if all(valid[c] for c in corners)]
+    diag = MeshDiagnostics(*(rng.standard_normal(valid.shape) for _ in range(10)),
+                           regular=valid.copy())
+    return SurfaceMesh(u1=np.linspace(-1.0, 1.0, nu1), u2=np.linspace(0.0, 1.0, nu2),
+                       vertices=vertices, normals=-vertices, valid=valid,
+                       vertex_index=index, faces=faces, diagnostics=diag)
+
+
+# 0-based (PLY, JSON) and 1-based (OBJ) indices on either side of each power of 10
+@pytest.mark.parametrize("shape", [(2, 5), (2, 6), (2, 50), (2, 51), (2, 500),
+                                   (2, 501), (2, 5000), (2, 5001)])
+def test_face_indices_across_digit_counts(tmp_path, shape):
+    mesh = _masked_mesh(np.ones(shape, dtype=bool))
+    assert mesh.vertex_count == shape[0] * shape[1]
+    assert_writers_match(mesh, tmp_path)
+
+
+def test_ply_writes_index_zero(tmp_path):
+    mesh = _masked_mesh(np.ones((2, 2), dtype=bool))
+    assert mesh.faces.tolist() == [[0, 2, 3, 1]]
+    assert_writers_match(mesh, tmp_path)
+    cli.write_ply(mesh, str(tmp_path / "quad.ply"))
+    faces = (tmp_path / "quad.ply").read_text().splitlines()[-2:]
+    assert faces == ["3 0 2 3", "3 0 3 1"]
+
+
+@pytest.mark.parametrize("valid", [
+    [[True, False, True], [False, True, False], [True, False, True]],
+    [[True, True, True, True], [False, False, False, False]],
+    [[True], [True], [True]],
+], ids=["checkerboard", "one-row", "one-column"])
+def test_vertices_without_quads_match_reference(tmp_path, valid):
+    mesh = _masked_mesh(np.array(valid))
+    assert mesh.vertex_count > 0 and mesh.face_count == 0
+    assert_writers_match(mesh, tmp_path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), nu1=st.integers(1, 12), nu2=st.integers(1, 12))
+def test_random_masks_match_reference(tmp_path, data, nu1, nu2):
+    cells = data.draw(st.lists(st.booleans(), min_size=nu1 * nu2,
+                               max_size=nu1 * nu2))
+    assert_writers_match(_masked_mesh(np.reshape(cells, (nu1, nu2))), tmp_path)
 
 
 def _reject_constant(name):
