@@ -12,6 +12,7 @@ shortest repr, so all round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -47,9 +48,9 @@ DEFAULT_U2 = (-math.pi, math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Mesh writers (single writer, after computation completes).  One ``%`` fills
-# each float section, or each grid row of mesh JSON, which is written at once.
-# '%.17g' % x is format(x, '.17g'); '%r' % x is json's float.__repr__(x).
+# Mesh writers (single writer, after computation completes).  _index_text
+# gathers OBJ and PLY lines from NUL-padded ASCII tables of face indices and of
+# floats in '%.17g' (_g17_table).  Mesh JSON fills each grid row with one '%r' %.
 # ---------------------------------------------------------------------------
 
 def _fill(template: str, values) -> str:
@@ -57,31 +58,102 @@ def _fill(template: str, values) -> str:
     return template % tuple(np.ravel(values).tolist())
 
 
-def _index_text(template: str, indices: np.ndarray) -> str:
-    """``template`` once per row of ``indices``, each '{k}' as the digits of
-    column k, gathered from a table whose row i holds i in right-aligned ASCII,
-    NUL-padded on the left; the NULs are dropped from the result."""
-    n = int(indices.max(initial=0)) + 1
+def _index_table(n: int) -> np.ndarray:
+    """Row i holds i in right-aligned ASCII, NUL-padded on the left, i < n."""
     powers, values = 10 ** np.arange(len(str(n - 1)))[::-1], np.arange(n)[:, None]
-    digits = np.where((values >= powers) | (powers == 1),
-                      values // powers % 10 + ord("0"), 0).astype(np.uint8)[indices]
+    return np.where((values >= powers) | (powers == 1),
+                    values // powers % 10 + ord("0"), 0).astype(np.uint8)
+
+
+def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> str:
+    """``template`` once per row of ``indices``, each '{k}' as the row
+    indices[:, k] of ``table``, NUL-padded ASCII, with the NULs dropped."""
     pieces = re.split(r"\{(\d)\}", template)
     text = np.concatenate(
-        [digits[:, int(piece)] if i % 2 else np.broadcast_to(
+        [table[indices[:, int(piece)]] if i % 2 else np.broadcast_to(
             np.frombuffer(piece.encode(), np.uint8), (len(indices), len(piece)))
          for i, piece in enumerate(pieces) if piece], axis=1)
-    return text.tobytes().replace(b"\0", b"").decode("ascii")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+@functools.cache
+def _g17_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_g17_table's tables, built on first use: 10^q for q in 0..20 (exact),
+    per (sign, E + 4, kept digits - 1) the columns of the source row
+    b'\\0-0.000' + 17 digits that spell it, and 0..9999 as 4-byte digit words."""
+    layouts = np.zeros((2, 21, 17, 24), dtype=np.intp)
+    for neg, e, k in np.ndindex(2, 21, 17):
+        e, k = e - 4, k + 1
+        digits = list(range(7, 7 + max(k, e + 1)))
+        columns = [1] * neg + ([2, 3] + [4] * (-e - 1) + digits if e < 0 else
+                               digits[:e + 1] + [3] * (k > e + 1) + digits[e + 1:])
+        layouts[neg, e + 4, k - 1, :len(columns)] = columns
+    return (10.0 ** np.arange(21), layouts.reshape(-1, 24),
+            np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel())
+
+
+def _rint_product(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """x*c rounded half to even, exact where x*c >= 2**53 (and below 2**53
+    + 1 elsewhere): Dekker's product x*c = p + err is exact, and p is an even
+    integer there."""
+    p = x * c
+    # Veltkamp's split into halves of at most 26 significant bits
+    xh, ch = (v * 134217729.0 - (v * 134217729.0 - v) for v in (x, c))
+    xl, cl = x - xh, c - ch
+    err = ((xh * ch - p) + xh * cl + xl * ch) + xl * cl
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _g17_table(values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as '%.17g', a NUL-padded row of 24 ASCII bytes.  On
+    1e-4 <= |x| < 1e17 (fixed notation) the digits are N = x*10^(16-E) rounded
+    half to even, E = floor(log10|x|) moved by one where N is not in [1e16, 1e17)."""
+    powers, layouts, digits4 = _g17_lookup()
+    x = np.ravel(values)
+    fixed = (abs(x) >= 1e-4) & (abs(x) < 1e17)
+    size = abs(x[fixed])
+    e = np.clip(np.floor(np.log10(size)), -4, 16).astype(np.intp)
+    n = _rint_product(size, powers[16 - e])
+    redo = (n < 10**16) | (n >= 10**17)
+    e[redo] += np.where(n[redo] < 10**16, -1, 1)
+    n[redo] = _rint_product(size[redo], powers[16 - e[redo]])
+    source = np.empty((len(n), 24), dtype=np.uint8)
+    words = source.view(np.uint32)
+    words[:, 0] = np.frombuffer(b"\0-0.", np.uint32)
+    for column, unit in enumerate((10**16, 10**12, 10**8, 10**4, 1), 1):
+        words[:, column] = digits4[n // unit % 10**4]
+    kept = 17 - np.argmax(source[:, :6:-1] != ord("0"), axis=1)
+    key = (np.signbit(x[fixed]) * 21 + e + 4) * 17 + kept - 1
+    columns = np.take(layouts, key, axis=0)
+    columns += np.arange(0, source.size, 24)[:, None]
+    table = np.empty((len(x), 24), dtype=np.uint8)
+    table[fixed] = source.ravel()[columns]
+    others = ["%.17g" % v for v in x[~fixed].tolist()]
+    table[~fixed] = np.array(others, dtype="S24").view(np.uint8).reshape(-1, 24)
+    return table
+
+
+def _write_floats(fh, template: str, values: np.ndarray) -> None:
+    """_index_text of ``values`` in '%.17g', by surface.BLOCK_POINTS rows."""
+    for start in range(0, len(values), surface.BLOCK_POINTS):
+        block = values[start:start + surface.BLOCK_POINTS]
+        fh.write(_index_text(template, _g17_table(block),
+                             np.arange(block.size).reshape(block.shape)))
+
+
+def _face_text(template: str, faces: np.ndarray) -> str:
+    return _index_text(template, _index_table(int(faces.max(initial=0)) + 1), faces)
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# generated by grtsurf\n")
-        fh.write(_fill("v %.17g %.17g %.17g\n" * len(verts), verts))
-        fh.write(_fill("vn %.17g %.17g %.17g\n" * len(normals), normals))
+        _write_floats(fh, "v {0} {1} {2}\n", verts)
+        _write_floats(fh, "vn {0} {1} {2}\n", normals)
         # triangles (a, b, c) and (a, c, d) of each quad, 1-based, as i//i
-        fh.write(_index_text("f {0}//{0} {1}//{1} {2}//{2}\n"
-                             "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces + 1))
+        fh.write(_face_text("f {0}//{0} {1}//{1} {2}//{2}\n"
+                            "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces + 1))
 
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
@@ -93,9 +165,8 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
                  "property float nx\nproperty float ny\nproperty float nz\n"
                  f"element face {2 * mesh.face_count}\n"
                  "property list uchar int vertex_indices\nend_header\n")
-        fh.write(_fill("%.17g %.17g %.17g %.17g %.17g %.17g\n" * len(verts),
-                       np.hstack([verts, normals])))
-        fh.write(_index_text("3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces))
+        _write_floats(fh, "{0} {1} {2} {3} {4} {5}\n", np.hstack([verts, normals]))
+        fh.write(_face_text("3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces))
 
 
 def _json_pieces(items, level: int):
@@ -146,7 +217,7 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
             fh.write(f',\n "{key}": ')
             fh.writelines(_json_pieces(vector_rows(grid), 1))
-        faces = _index_text(quad, mesh.faces)
+        faces = _face_text(quad, mesh.faces)
         fh.write(',\n "faces": ' + ("[" + faces[1:] + "\n ]" if faces else "[]"))
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):

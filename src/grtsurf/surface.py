@@ -90,7 +90,6 @@ class SurfaceSpec:
             "nu1": self.nu1,
             "nu2": self.nu2,
             "regularity_eps": self.regularity_eps,
-            "method": self.method,
         }
 
 

@@ -79,19 +79,16 @@ def test_laplacian_mu_fd_vanishes():
     assert abs(laplacian_mu_fd(spec, 0.3 + 0.4j, mu)) <= 1e-6
 
 
-def array_point_equal(spec, w, jets, x, normal):
-    """Whether the array path gives the scalar ``jets`` of f, g and ell, the
-    closed-form point ``x`` and the ``normal`` at the point w bit for bit."""
+def array_point(spec, w):
+    """The jets of f, g and ell, the closed-form point and the normal at the
+    point w by the array path."""
     f_jet, _ = eval_jet2_array(spec.f, np.array([w]))
     g_jet, _ = eval_jet2_array(spec.g, np.array([w]))
     ell_jet, _ = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
     frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
     array_x = np.stack(surface._closed_form_xyz(
         f_jet, g_jet, ell_jet, *geometry._sphere(g_jet)), axis=-1)
-    return (all((a.value[0], a.d1[0], a.d2[0]) == (b.value, b.d1, b.d2)
-                for a, b in zip((f_jet, g_jet, ell_jet), jets))
-            and np.array_equal(array_x[0], x)
-            and np.array_equal(frame.normal[0], normal))
+    return (f_jet, g_jet, ell_jet), array_x[0], frame.normal[0]
 
 
 def reference_oracle(spec, step):
@@ -99,15 +96,19 @@ def reference_oracle(spec, step):
 
     Returns per grid point, in row-major order: the stencil mask, the forms
     (E, F, G, e, f, g, H_fd, K_fd), the mask and values of Re f at the four
-    stencil points, and whether the array path gives the same jets, points
-    and normals at all four stencil points.
+    stencil points, whether the array path gives the same jets, points and
+    normals at all four stencil points, and the bound on the forms E .. g
+    that a difference of delta between the two paths' stencil points and
+    normals allows: (|X_u| + |N_u| + 1) delta/step + (delta/step)^2, the
+    first- and second-order change of the central-difference dot products
+    (largest components, delta in any coordinate).
     """
     (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
-    ok, forms, f_ok, f_values, same_points = [], [], [], [], []
+    ok, forms, f_ok, f_values, same_points, slack = [], [], [], [], [], []
     for u1 in spec.grid_u1():
         for u2 in spec.grid_u2():
             z = complex(u1, u2)
-            xs, ns, fs, same = [], [], [], True
+            xs, ns, fs, same, delta = [], [], [], True, 0.0
             for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
                 try:
                     fs.append(eval_jet2(spec.f, w).value.real)
@@ -119,10 +120,16 @@ def reference_oracle(spec, step):
                 if frame.regular:
                     xs.append(surface.point_closed_form(spec, w))
                     ns.append(frame.normal)
-                    same = same and array_point_equal(spec, w, jets, xs[-1], ns[-1])
+                    array_jets, x, normal = array_point(spec, w)
+                    same = (same and np.array_equal(x, xs[-1])
+                            and np.array_equal(normal, ns[-1])
+                            and all((a.value[0], a.d1[0], a.d2[0]) == (b.value, b.d1, b.d2)
+                                    for a, b in zip(array_jets, jets)))
+                    delta = max(delta, *np.abs(x - xs[-1]), *np.abs(normal - ns[-1]))
             f_ok.append(len(fs) == 4)
             f_values.append(fs if len(fs) == 4 else [math.nan] * 4)
             same_points.append(same)
+            slack.append(math.nan)
             inside = (lo1 <= z.real - step and z.real + step <= hi1
                       and lo2 <= z.imag - step and z.imag + step <= hi2)
             forms.append([math.nan] * 8)
@@ -141,14 +148,17 @@ def reference_oracle(spec, step):
                 forms[-1] = [E, F, G, e, f, g,
                              -(e * G - 2.0 * f * F + g * E) / (2.0 * det),
                              (e * g - f * f) / det]
+                moved = delta / step
+                slack[-1] = (np.abs([x_u1, x_u2]).max() + np.abs([n_u1, n_u2]).max()
+                             + 1.0) * moved + moved * moved
     return (np.array(ok), np.array(forms), np.array(f_ok), np.array(f_values),
-            np.array(same_points))
+            np.array(same_points), np.array(slack))
 
 
-def assert_close(got, ref):
-    """Within 1e-9 (1 + |ref|), or equal, or both NaN."""
+def assert_close(got, ref, slack=0.0):
+    """Within 1e-9 (1 + |ref|) + slack, or equal, or both NaN."""
     with np.errstate(invalid="ignore"):  # inf - inf
-        close = np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref))
+        close = np.abs(got - ref) <= 1e-9 * (1.0 + np.abs(ref)) + slack
     assert (close | (got == ref) | (np.isnan(got) & np.isnan(ref))).all()
 
 
@@ -189,7 +199,7 @@ def test_fd_oracle_matches_pointwise_reference(f, g, ell, window, n, step,
                                                monkeypatch):
     spec = spec_for(f, g, ell, n=n, **window)
     (ok, forms, f_ok, f_values), ref = compare_with_reference(spec, step, monkeypatch)
-    ref_ok, ref_forms, ref_f_ok, ref_f_values, _ = ref
+    ref_ok, ref_forms, ref_f_ok, ref_f_values, _, _ = ref
     assert ok.tolist() == ref_ok.tolist() and not ok.all()
     assert f_ok.tolist() == ref_f_ok.tolist()
     assert_close(forms[ok], ref_forms[ok])
@@ -214,7 +224,7 @@ def test_fd_oracle_matches_pointwise_reference_generated(seed, n, step,
     except ExprError:
         return
     (ok, forms, f_ok, f_values), ref = compare_with_reference(spec, step, monkeypatch)
-    ref_ok, ref_forms, ref_f_ok, ref_f_values, same_points = ref
+    ref_ok, ref_forms, ref_f_ok, ref_f_values, same_points, slack = ref
     assert f_ok.tolist() == ref_f_ok.tolist()
     assert_close(f_values[f_ok], ref_f_values[f_ok])
     # ell is evaluated at Re f: where numpy's f differs from cmath's in the
@@ -223,8 +233,12 @@ def test_fd_oracle_matches_pointwise_reference_generated(seed, n, step,
     same_f = (f_values == ref_f_values).all(axis=1)
     assert ok[same_f].tolist() == ref_ok[same_f].tolist()
     # where the jets, points or normals differ in the last bits, the central
-    # differences divide that difference by the step, and the forms can
-    # differ by more than 1e-9
+    # differences divide that difference by the step: the forms E .. g are
+    # held to 16 times the bound it implies (the worst ratio over a scan of
+    # 3,000 generated examples was 1.56), H_fd and K_fd, whose division by
+    # E G - F^2 no such bound covered, to the same points only
+    both = ok & ref_ok
+    assert_close(forms[both, :6], ref_forms[both, :6], 16.0 * slack[both, None])
     same = ok & same_points
     assert_close(forms[same], ref_forms[same])
 
@@ -519,6 +533,9 @@ def test_report_json_schema():
     report = run_checks(spec_for("z", "z", "t^2+t+1", n=8))
     data = json.loads(report.to_json())
     assert set(data) == {"spec", "checks", "pass"}
+    # no "method": run_checks checks both parameterizations
+    assert set(data["spec"]) == {"f", "g", "ell", "u1", "u2", "nu1", "nu2",
+                                 "regularity_eps", "fd_step"}
     assert data["pass"] is True
     assert data["spec"]["f"] == "z"
     assert data["spec"]["ell"] == "t^2+t+1"

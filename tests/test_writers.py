@@ -4,15 +4,21 @@ The reference writers below format every number on its own: an f-string
 with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
 nested Python lists for mesh JSON.  The batch writers must produce the same
 bytes.  Both format the same mesh, so nothing here pins ulps across numpy
-versions.
+versions.  cli._g17_table, the numpy '%.17g' of OBJ and PLY, is checked
+against '%.17g' % x value by value.
 """
 import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import grtsurf
 from grtsurf import cli, surface
 from grtsurf.surface import MeshDiagnostics, SurfaceMesh, SurfaceSpec
 
@@ -142,6 +148,9 @@ def _hand_built_mesh(faces):
     vertices = rng.standard_normal((nu1, nu2, 3))
     vertices[0, 0] = (-0.0, math.inf, 1e-7)
     vertices[1, 2] = (math.nan, -math.inf, 123456789.0)
+    # each side of each bound of the fixed-notation range of '%.17g'
+    vertices[0, 2] = (1e-4, 9.99e-5, 1e16)
+    vertices[1, 0] = (1e17, 1e300, 5e-324)
     vertices[~valid] = math.nan
     index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
     diag = MeshDiagnostics(*(field() for _ in range(10)), regular=valid.copy())
@@ -174,12 +183,15 @@ def test_empty_grid_matches_reference(tmp_path, shape):
     assert_writers_match(mesh, tmp_path)
 
 
-def _masked_mesh(valid, seed=0):
-    """A mesh over the grid of ``valid`` with random finite values, whose
-    faces are listed quad by quad as the grid sampler defines them."""
+def _masked_mesh(valid, seed=0, vertices=None):
+    """A mesh over the grid of ``valid`` with ``vertices``, else random finite
+    values, whose faces are listed quad by quad as the grid sampler defines
+    them."""
     rng = np.random.default_rng(seed)
     nu1, nu2 = valid.shape
-    vertices = np.where(valid[..., None], rng.standard_normal((nu1, nu2, 3)), np.nan)
+    if vertices is None:
+        vertices = rng.standard_normal((nu1, nu2, 3))
+    vertices = np.where(valid[..., None], vertices, np.nan)
     index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
     faces = [tuple(int(index[c]) for c in corners)
              for i in range(nu1 - 1) for j in range(nu2 - 1)
@@ -221,13 +233,90 @@ def test_vertices_without_quads_match_reference(tmp_path, valid):
     assert_writers_match(mesh, tmp_path)
 
 
+@pytest.mark.parametrize("count", [surface.BLOCK_POINTS - 1, surface.BLOCK_POINTS,
+                                   surface.BLOCK_POINTS + 1])
+def test_float_blocks_match_reference(tmp_path, count):
+    valid = np.ones((2, surface.BLOCK_POINTS // 2 + 1), dtype=bool)
+    valid[1, count - valid.size:] = False
+    mesh = _masked_mesh(valid)
+    assert mesh.vertex_count == count
+    assert_writers_match(mesh, tmp_path)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), nu1=st.integers(1, 12), nu2=st.integers(1, 12))
-def test_random_masks_match_reference(tmp_path, data, nu1, nu2):
+@given(data=st.data(), nu1=st.integers(1, 12), nu2=st.integers(1, 12),
+       finite=st.booleans())
+def test_random_masks_match_reference(tmp_path, data, nu1, nu2, finite):
     cells = data.draw(st.lists(st.booleans(), min_size=nu1 * nu2,
                                max_size=nu1 * nu2))
-    assert_writers_match(_masked_mesh(np.reshape(cells, (nu1, nu2))), tmp_path)
+    values = None if finite else np.reshape(data.draw(st.lists(
+        st.floats(), min_size=nu1 * nu2 * 3, max_size=nu1 * nu2 * 3)), (nu1, nu2, 3))
+    assert_writers_match(_masked_mesh(np.reshape(cells, (nu1, nu2)), vertices=values),
+                         tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# The '%.17g' table of OBJ and PLY floats
+# ---------------------------------------------------------------------------
+
+def assert_g17_exact(values):
+    values = np.asarray(values, dtype=float)
+    table = cli._g17_table(values)
+    assert table.shape == (values.size, 24)
+    # NULs only after the text
+    got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in table]
+    assert got == ["%.17g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_g17_table_matches_percent_format(values):
+    # every double: +-0, NaN, +-inf and subnormals included
+    assert_g17_exact(values)
+
+
+def test_g17_table_powers_of_ten():
+    powers = 10.0 ** np.arange(-6, 19)
+    around = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    assert_g17_exact(np.concatenate(around + [-v for v in around]))
+
+
+def test_g17_table_trailing_zeros():
+    # each exponent of fixed notation with 17 - zeros significant digits
+    digits = "73205080756887719"
+    values = [float(f"{sign}{digits[0]}.{digits[1:17 - zeros]}{'0' * zeros}e{e}")
+              for sign in "+-" for e in range(-4, 17) for zeros in range(17)]
+    assert_g17_exact(values)
+
+
+def test_g17_table_ties_round_half_even():
+    # k * 2^-j whose exact decimal has 18 significant digits, the last a 5:
+    # halfway between two 17-digit values, to be rounded to the even one
+    ties = []
+    for j in range(2, 22):
+        k = int(1.2345e17 * 0.2 ** j) | 1
+        for x in (float(k + 2 * i) * 2.0 ** -j for i in range(12)):
+            exact = Decimal(x).as_tuple()
+            if len(exact.digits) == 18 and exact.digits[-1] == 5:
+                ties.append((x, exact.digits[-2] % 2))
+    assert {parity for _, parity in ties} == {0, 1}
+    assert_g17_exact([x for x, _ in ties])
+
+
+def test_g17_table_rounding_up_to_a_power_of_ten():
+    assert_g17_exact([99999999999999999.0, np.nextafter(1e-4, 0.0), 1e-4,
+                      9999999999999998.0, 0.099999999999999992])
+
+
+def test_import_grtsurf_leaves_the_writers_unloaded():
+    # the writers and their tables cost set-up time only when cli is used
+    code = ("import sys, grtsurf; print('grtsurf.cli' in sys.modules); "
+            "from grtsurf import cli; print(cli._g17_lookup.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(grtsurf.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout == "False\n0\n"
 
 
 def _reject_constant(name):
