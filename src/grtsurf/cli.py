@@ -60,9 +60,12 @@ def _fill(template: str, values) -> str:
 
 def _index_table(n: int) -> np.ndarray:
     """Row i holds i in right-aligned ASCII, NUL-padded on the left, i < n."""
-    powers, values = 10 ** np.arange(len(str(n - 1)))[::-1], np.arange(n)[:, None]
-    return np.where((values >= powers) | (powers == 1),
-                    values // powers % 10 + ord("0"), 0).astype(np.uint8)
+    powers, values = 10 ** np.arange(len(str(n - 1)))[::-1], np.arange(n)
+    table = np.empty((n, len(powers)), dtype=np.uint8)
+    for column, power in enumerate(powers.tolist()):  # one column at a time
+        table[:, column] = np.where((values >= power) | (power == 1),
+                                    values // power % 10 + ord("0"), 0)
+    return table
 
 
 def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> str:
@@ -133,27 +136,30 @@ def _g17_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _write_floats(fh, template: str, values: np.ndarray) -> None:
-    """_index_text of ``values`` in '%.17g', by surface.BLOCK_POINTS rows."""
-    for start in range(0, len(values), surface.BLOCK_POINTS):
-        block = values[start:start + surface.BLOCK_POINTS]
-        fh.write(_index_text(template, _g17_table(block),
+def _write_blocks(fh, template: str, rows: np.ndarray, table=None) -> None:
+    """_index_text of ``rows``, by surface.BLOCK_POINTS rows: indices into
+    ``table``, or without a table floats, in '%.17g'."""
+    for start in range(0, len(rows), surface.BLOCK_POINTS):
+        block = rows[start:start + surface.BLOCK_POINTS]
+        fh.write(_index_text(template, table, block) if table is not None else
+                 _index_text(template, _g17_table(block),
                              np.arange(block.size).reshape(block.shape)))
 
 
-def _face_text(template: str, faces: np.ndarray) -> str:
-    return _index_text(template, _index_table(int(faces.max(initial=0)) + 1), faces)
+def _write_faces(fh, template: str, faces: np.ndarray, base: int = 0) -> None:
+    table = _index_table(int(faces.max(initial=0)) + 1 + base)[base:]
+    _write_blocks(fh, template, faces, table)
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# generated by grtsurf\n")
-        _write_floats(fh, "v {0} {1} {2}\n", verts)
-        _write_floats(fh, "vn {0} {1} {2}\n", normals)
+        _write_blocks(fh, "v {0} {1} {2}\n", verts)
+        _write_blocks(fh, "vn {0} {1} {2}\n", normals)
         # triangles (a, b, c) and (a, c, d) of each quad, 1-based, as i//i
-        fh.write(_face_text("f {0}//{0} {1}//{1} {2}//{2}\n"
-                            "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces + 1))
+        _write_faces(fh, "f {0}//{0} {1}//{1} {2}//{2}\n"
+                     "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces, base=1)
 
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
@@ -165,8 +171,8 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
                  "property float nx\nproperty float ny\nproperty float nz\n"
                  f"element face {2 * mesh.face_count}\n"
                  "property list uchar int vertex_indices\nend_header\n")
-        _write_floats(fh, "{0} {1} {2} {3} {4} {5}\n", np.hstack([verts, normals]))
-        fh.write(_face_text("3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces))
+        _write_blocks(fh, "{0} {1} {2} {3} {4} {5}\n", np.hstack([verts, normals]))
+        _write_faces(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
 
 
 def _json_pieces(items, level: int):
@@ -197,7 +203,7 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
     """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
     cell = _json_list(["%r"] * 3, 3)
-    quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)  # first ',' -> '['
+    quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)
 
     def vector_rows(grid):  # null at invalid vertices
         for row, ok in zip(grid, mesh.valid):
@@ -217,8 +223,10 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
             fh.write(f',\n "{key}": ')
             fh.writelines(_json_pieces(vector_rows(grid), 1))
-        faces = _face_text(quad, mesh.faces)
-        fh.write(',\n "faces": ' + ("[" + faces[1:] + "\n ]" if faces else "[]"))
+        fh.write(',\n "faces": ' + ("[" if mesh.face_count else "[]"))
+        _write_faces(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
+        _write_faces(fh, quad, mesh.faces[1:])
+        fh.write("\n ]" if mesh.face_count else "")
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):
             fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": ')
@@ -345,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--ell", default="t^2+t+1")
     ver.add_argument("--fd-step", type=_fd_step, default=verify.DEFAULT_FD_STEP)
     for cls, tol in verify.CLASS_TOLERANCES.items():
-        ver.add_argument(f"--tol-{cls}", type=_non_negative,
+        ver.add_argument(f"--tol-{cls}", type=_non_negative, default=tol,
                          help=f"tolerance of the {cls} checks (default {tol:g})")
     ver.add_argument("--out", help="report path (default: JSON to stdout)")
     add_domain(ver, default_n=64, default_u2=(-1.0, 1.0))
@@ -441,9 +449,8 @@ def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
 def _classify_profile(spec: SurfaceSpec) -> dict:
     """C(mu) sampled over the window's mu values on a 9x9 grid, where f and
     ell evaluate, with the special-case label."""
-    z = np.empty((9, 9), dtype=complex)
-    z.real = np.linspace(*spec.u1_range, 9)[:, None]
-    z.imag = np.linspace(*spec.u2_range, 9)
+    z = surface.grid_points(np.linspace(*spec.u1_range, 9),
+                            np.linspace(*spec.u2_range, 9))
     f_jet, f_ok = eval_jet2_array(spec.f, z)
     c, _ = _profile_c(spec.ell, f_jet.value.real)
     constant, value, label = _label_c(c[f_ok & ~np.isnan(c)].tolist())
@@ -453,9 +460,7 @@ def _classify_profile(spec: SurfaceSpec) -> dict:
 
 def _cmd_verify(args) -> int:
     spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, **_window(args))
-    tolerances = {name: getattr(args, f"tol_{cls}")
-                  for cls, names in verify.CLASS_CHECKS.items() for name in names
-                  if getattr(args, f"tol_{cls}") is not None}
+    tolerances = {cls: getattr(args, f"tol_{cls}") for cls in verify.CLASS_TOLERANCES}
     report = verify.run_checks(spec, step=args.fd_step, tolerances=tolerances)
     report.spec_summary.update(_classify_profile(spec))
     text = report.to_json() + "\n"
@@ -476,15 +481,14 @@ def _cmd_verify(args) -> int:
 def _cmd_rotate(args) -> int:
     _fill_inputs(args, ROTATE_PRESETS, ("a", "b", "ell"))
     ell = parse_expr(args.ell, "t", real=True)
-    window = _window(args)
-    _write_mesh(surface.sample_rotation_mesh(args.a, args.b, ell, **window), args)
+    mesh = surface.sample_rotation_mesh(args.a, args.b, ell, **_window(args))
+    _write_mesh(mesh, args)
     if args.a == 0.0:
         radius = abs(eval_jet2(ell, args.b, variable="t").value)
         print(f"note: a = 0 degenerates to the sphere of radius {radius:.12g} "
               f"(|ell(b)| with b = {args.b:g})")
     if args.cross_check:
-        window.update(nu1=min(window["nu1"], 33), nu2=min(window["nu2"], 33))
-        check = verify.rotation_match(args.a, args.b, ell, **window)
+        check = verify.rotation_match(mesh)
         print(f"cross-check rotation vs closed form: {check.status} "
               f"(max_rel={check.max_rel:.3e})")
         if not check.passed:

@@ -409,6 +409,13 @@ def simplify(node: ExprNode) -> ExprNode:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# The derivative rules of the functions other than log: fn' is the function
+# named here, negated or not, and fn'' is fn itself, negated or not.
+_DERIVATIVES = {"exp": ("exp", False, False), "sin": ("cos", False, True),
+                "cos": ("sin", True, True), "sinh": ("cosh", False, False),
+                "cosh": ("sinh", False, False)}
+
+
 def _diff(node: ExprNode) -> ExprNode:
     if isinstance(node, Const):
         return Const(complex(0.0))
@@ -434,22 +441,11 @@ def _diff(node: ExprNode) -> ExprNode:
         )
     if isinstance(node, Fn):
         du = _diff(node.arg)
-        u = node.arg
-        if node.name == "exp":
-            outer = Fn("exp", u)
-        elif node.name == "log":
-            return Div(du, u)
-        elif node.name == "sin":
-            outer = Fn("cos", u)
-        elif node.name == "cos":
-            return Neg(Mul(Fn("sin", u), du))
-        elif node.name == "sinh":
-            outer = Fn("cosh", u)
-        elif node.name == "cosh":
-            outer = Fn("sinh", u)
-        else:
-            raise TypeError(f"no derivative rule for function {node.name!r}")
-        return Mul(outer, du)
+        if node.name == "log":
+            return Div(du, node.arg)
+        name, negate, _ = _DERIVATIVES[node.name]
+        d = Mul(Fn(name, node.arg), du)
+        return Neg(d) if negate else d
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -654,22 +650,13 @@ class _JetEvaluator:
             w1 = u[1] / v
             w2 = u[2] / v - w1 * w1
             return (fns["log"](v), w1, w2)
+        d_name, negate_d, negate_dd = _DERIVATIVES[name]
         try:
             fv = fns[name](v)
-            if name == "exp":
-                d, dd = fv, fv
-            elif name == "sin":
-                d, dd = fns["cos"](v), -fv
-            elif name == "cos":
-                d, dd = -fns["sin"](v), -fv
-            elif name == "sinh":
-                d, dd = fns["cosh"](v), fv
-            elif name == "cosh":
-                d, dd = fns["sinh"](v), fv
-            else:
-                raise TypeError(f"no evaluation rule for {name!r}")
+            d = fv if d_name == name else fns[d_name](v)
         except (OverflowError, ValueError):
             self.fail(node, f"{name} out of range")
+        d, dd = -d if negate_d else d, -fv if negate_dd else fv
         return (fv, d * u[1], dd * u[1] * u[1] + d * u[2])
 
 

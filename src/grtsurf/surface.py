@@ -93,6 +93,13 @@ class SurfaceSpec:
         }
 
 
+def grid_points(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """The complex points u1[i] + u2[j] i, shaped (len(u1), len(u2))."""
+    z = np.empty((len(u1), len(u2)), dtype=complex)
+    z.real, z.imag = u1[:, None], u2
+    return z
+
+
 def jets_at(spec: SurfaceSpec, z: complex) -> tuple[Jet2, Jet2, Jet2]:
     """Jets of f and g at z and of ell at mu = Re f(z)."""
     f_jet = eval_jet2(spec.f, z)
@@ -212,6 +219,7 @@ class SurfaceMesh:
     vertex_index: np.ndarray        # (nu1, nu2) compact index or -1
     faces: np.ndarray = ()          # (n_quads, 4) int compact indices of quad corners
     diagnostics: MeshDiagnostics | None = None
+    closed_form: np.ndarray | None = None  # (nu1, nu2, 3) closed form of a rotation mesh
 
     def __post_init__(self):
         self.faces = np.asarray(self.faces, dtype=int).reshape(-1, 4)
@@ -281,13 +289,11 @@ def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
 def sample_blocks(spec: SurfaceSpec, sample) -> dict:
     """The arrays of ``sample(z)`` over the spec grid, sampled in blocks z
     of whole rows, about BLOCK_POINTS points each."""
-    u1, u2 = spec.grid_u1(), spec.grid_u2()
+    z = grid_points(spec.grid_u1(), spec.grid_u2())
     step = max(1, BLOCK_POINTS // spec.nu2)
     grid = {}
     for i in range(0, spec.nu1, step):
-        z = np.empty((len(u1[i:i + step]), spec.nu2), dtype=complex)
-        z.real, z.imag = u1[i:i + step, None], u2
-        for key, rows in sample(z).items():
+        for key, rows in sample(z[i:i + step]).items():
             if key not in grid:
                 grid[key] = np.empty((spec.nu1,) + rows.shape[1:], rows.dtype)
             grid[key][i:i + step] = rows
@@ -299,6 +305,8 @@ def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> 
 
     A vertex is computed where f, g and ell evaluate and a frame exists, and
     valid where its frame is also regular; diagnostics are NaN elsewhere.
+    With ``rotation_a`` the vertices come from the rotation formula, and the
+    closed-form ones are kept as ``closed_form``.
     """
     f_jet, f_ok = eval_jet2_array(spec.f, z)
     g_jet, g_ok = eval_jet2_array(spec.g, z)
@@ -311,16 +319,18 @@ def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> 
         sphere = geometry._sphere(g_jet)
         x = np.stack(point_xyz(f_jet, g_jet, ell_jet, *sphere), axis=-1)
         residuals = _residuals(frame, x)
+        vertices = {"vertices": x}
         if rotation_a is not None:
-            x = np.stack(_rotation_xyz(rotation_a, ell_jet, z.real, z.imag), axis=-1)
+            vertices = {"closed_form": x, "vertices": np.stack(
+                _rotation_xyz(rotation_a, ell_jet, z.real, z.imag), axis=-1)}
 
     def where(mask, value):
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
         return np.where(mask, value, np.nan)
 
     rows = {key: where(valid, value) for key, value in dict(
-        residuals, mean=frame.mean, gauss=frame.gauss, vertices=x,
-        normals=frame.normal).items()}
+        residuals, mean=frame.mean, gauss=frame.gauss, normals=frame.normal,
+        **vertices).items()}
     rows.update({key: where(computed, getattr(frame, key))
                  for key in ("psi", "lam", "c", "det_v")})
     rows.update(valid=valid, regular=valid.copy())
@@ -342,7 +352,7 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceM
                        vertices=grid.pop("vertices"),
                        normals=grid.pop("normals"), valid=valid,
                        vertex_index=vertex_index,
-                       faces=quads,
+                       faces=quads, closed_form=grid.pop("closed_form", None),
                        diagnostics=MeshDiagnostics(**grid))
 
 
@@ -364,7 +374,8 @@ def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
 
     Vertices are evaluated by the rotation formula itself; normals and frame
     data come from the equivalent holomorphic pair, whose profile jets at
-    mu = Re f = a*u1 + b the rotation formula reuses.
+    mu = Re f = a*u1 + b the rotation formula reuses.  The pair's closed-form
+    vertices are kept as ``closed_form``, for verify.rotation_match.
     """
     spec = rotation_spec(a, b, ell, u1_range=u1_range, u2_range=u2_range,
                          nu1=nu1, nu2=nu2, regularity_eps=regularity_eps)

@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError, ExprNode, eval_jet2_array, unparse
+from .expr import EvalError, eval_jet2_array, unparse
 from .geometry import PointFrame, SingularPointError
-from .surface import EmptyMeshError, SurfaceSpec
+from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
@@ -60,15 +60,25 @@ class CheckResult:
     sum_rel: float = 0.0
     worst_point: tuple[float, float] | None = None
 
-    def add(self, abs_err: float, rel_err: float, point: complex) -> None:
-        abs_err, rel_err = float(abs_err), float(rel_err)
-        self.count += 1
-        self.sum_rel += rel_err
-        if abs_err > self.max_abs or math.isnan(abs_err):  # NaN wins, as below
-            self.max_abs = abs_err
-        if rel_err >= self.max_rel or math.isnan(rel_err):  # NaN fails the check
-            self.max_rel = rel_err
-            self.worst_point = (float(point.real), float(point.imag))
+    @classmethod
+    def reduce(cls, name: str, tolerance: float, points: np.ndarray,
+               abs_err: np.ndarray, rel_err: np.ndarray,
+               counted: np.ndarray) -> "CheckResult":
+        """The errors at the complex ``points`` where ``counted``, in grid
+        order, reduced as a running pass leaves them: NaN wins in max_abs and
+        max_rel (NaN fails the check), the worst point is the last largest
+        or last NaN relative error, and sum_rel is a running sum (np.cumsum;
+        np.sum adds pairwise).  The other points are excluded."""
+        rel = rel_err[counted]
+        result = cls(name, tolerance, count=rel.size, excluded=counted.size - rel.size,
+                     max_abs=float(np.max(abs_err[counted], initial=0.0)),  # NaN wins
+                     max_rel=float(np.max(rel, initial=0.0)))
+        if rel.size:
+            result.sum_rel = float(np.cumsum(rel)[-1])
+            worst = np.isnan(rel) if math.isnan(result.max_rel) else rel == result.max_rel
+            point = points[counted][worst][-1]
+            result.worst_point = (float(point.real), float(point.imag))
+        return result
 
     @property
     def mean_rel(self) -> float:
@@ -315,84 +325,51 @@ CHECKS = (
     Check("wv_identity", ALGEBRAIC, _wv_identity),
 )
 ALL_CHECKS = tuple(c.name for c in CHECKS)
-CLASS_CHECKS = {cls: tuple(c.name for c in CHECKS if c.tolerance_class == cls)
-                for cls in CLASS_TOLERANCES}
-ALGEBRAIC_CHECKS, FD_CHECKS = CLASS_CHECKS[ALGEBRAIC], CLASS_CHECKS[FD]
-DEFAULT_TOLERANCES = {c.name: CLASS_TOLERANCES[c.tolerance_class] for c in CHECKS}
+ALGEBRAIC_CHECKS, FD_CHECKS = (tuple(c.name for c in CHECKS if c.tolerance_class == cls)
+                               for cls in (ALGEBRAIC, FD))
 
 
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
-def run_checks(spec: SurfaceSpec, checks=None, step: float = DEFAULT_FD_STEP,
+def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None) -> ResidualReport:
-    """Evaluate the enabled residual checks (default: all) over the spec grid.
-
-    Evaluation errors at individual points are recorded as exclusions, not
-    raised.
-    """
-    checks = ALL_CHECKS if checks is None else checks
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-    rows = [c for c in CHECKS if c.name in set(checks)]
-    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    results = [CheckResult(name=c.name, tolerance=tol[c.name]) for c in rows]
-
-    fd = f_values = [None] * (spec.nu1 * spec.nu2)
-    if any(row.tolerance_class == FD for row in rows):
-        oracle = surface.sample_blocks(spec, lambda z: fd_oracle(spec, z, step))
-        fd = _per_point(oracle["forms"], oracle["ok"], FdOracleResult)
-        f_values = _per_point(oracle["f_values"], oracle["f_ok"], lambda *v: v)
-    points = (complex(u1, u2) for u1 in spec.grid_u1() for u2 in spec.grid_u2())
-    for z, fd_z, f_values_z in zip(points, fd, f_values):
+    """Evaluate every check over the spec grid, an evaluation error at a
+    point as an exclusion.  ``tolerances`` maps a tolerance class to its
+    value; a class left out keeps its default."""
+    tol = {**CLASS_TOLERANCES, **(tolerances or {})}
+    oracle = surface.sample_blocks(spec, lambda z: fd_oracle(spec, z, step))
+    fd = _per_point(oracle["forms"], oracle["ok"], FdOracleResult)
+    f_values = _per_point(oracle["f_values"], oracle["f_ok"], lambda *v: v)
+    points = surface.grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
+    # (absolute error, relative error, excluded) of each row at each point
+    errors = np.full((len(CHECKS), points.size, 3), (math.nan, math.nan, 1.0))
+    for k, (z, fd_z, f_values_z) in enumerate(zip(points.tolist(), fd, f_values)):
         jets_frame = _frame_at(spec, z)
-        if jets_frame is None:
-            for result in results:
-                result.excluded += 1
-            continue
-        point = _Point(spec, z, *jets_frame, step, fd_z, f_values_z)
-        for row, result in zip(rows, results):
-            abs_err, rel_err, excluded = row.kernel(point)
-            if excluded:
-                result.excluded += 1
-            else:
-                result.add(abs_err, rel_err, z)
+        if jets_frame is not None:
+            point = _Point(spec, z, *jets_frame, step, fd_z, f_values_z)
+            errors[:, k] = [row.kernel(point) for row in CHECKS]
+    results = [CheckResult.reduce(row.name, tol[row.tolerance_class], points,
+                                  abs_err, rel_err, excluded == 0.0)
+               for row, abs_err, rel_err, excluded
+               in zip(CHECKS, *np.moveaxis(errors, -1, 0))]
 
     summary = spec.summary()
     summary["fd_step"] = step
     return ResidualReport(spec_summary=summary, checks=results)
 
 
-def rotation_match(a: float, b: float, ell: ExprNode, **window) -> CheckResult:
-    """The rotation family X_ab against the closed form with f = a*z + b,
-    g = exp(z), over the window (u1_range, u2_range, nu1, nu2 and
-    regularity_eps, as for surface.rotation_spec).
-
-    One array pass samples the closed form; the rotation formula then takes
-    ell at mu = a*u1 + b at its valid vertices.  Their distance, relative to
-    1 + |closed form|, is counted in grid order at the valid vertices.
-    Without a valid vertex every point is excluded.
+def rotation_match(mesh: SurfaceMesh) -> CheckResult:
+    """The vertices of a surface.sample_rotation_mesh mesh, by the rotation
+    formula, against the closed form with f = a*z + b, g = exp(z) that the
+    same sampling kept.  Their distance, relative to 1 + |closed form|, is
+    counted in grid order at the valid vertices; the others are excluded.
     """
-    result = CheckResult("rotation_match", CLASS_TOLERANCES[ALGEBRAIC])
-    spec = surface.rotation_spec(a, b, ell, **window)
-    try:
-        closed = surface.sample_mesh(spec)
-    except EmptyMeshError:
-        result.excluded = spec.nu1 * spec.nu2
-        return result
-    valid = closed.valid
-    i, j = np.nonzero(valid)
-    u1, u2 = closed.u1[i], closed.u2[j]
-    x = closed.vertices[valid]
+    x = mesh.closed_form
     with np.errstate(all="ignore"):  # an overflowed vertex gives inf or NaN
-        jet, _ = eval_jet2_array(ell, a * u1 + b, variable="t")
-        rotated = np.stack(surface._rotation_xyz(a, jet, u1, u2), axis=-1)
-        errs = np.linalg.norm(rotated - x, axis=-1)
+        errs = np.linalg.norm(mesh.vertices - x, axis=-1)
         rels = errs / (1.0 + np.linalg.norm(x, axis=-1))
-    result.excluded = int(valid.size - valid.sum())
-    for point, abs_err, rel_err in zip(map(complex, u1.tolist(), u2.tolist()),
-                                       errs.tolist(), rels.tolist()):
-        result.add(abs_err, rel_err, point)
-    return result
+    return CheckResult.reduce("rotation_match", CLASS_TOLERANCES[ALGEBRAIC],
+                              surface.grid_points(mesh.u1, mesh.u2), errs, rels,
+                              mesh.valid)
 
 
 def convergence_order(spec: SurfaceSpec,

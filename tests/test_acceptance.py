@@ -22,10 +22,6 @@ SWEEPS = [
     ("z", "z", "cos(t)"),
     ("z^2", "exp(z)", "t^2+1"),
 ]
-ALGEBRAIC_CHECKS = ("param_equivalence", "support_identity",
-                    "quadratic_distance", "weingarten_relation",
-                    "pde_lapla1", "wv_identity")
-FD_CHECKS = ("forms_vs_fd", "curvature_vs_fd")
 
 
 def sweep_spec(f, g, l, n=64):
@@ -34,16 +30,8 @@ def sweep_spec(f, g, l, n=64):
 
 
 @pytest.fixture(scope="module")
-def algebraic_reports():
-    return {triple: run_checks(sweep_spec(*triple), checks=ALGEBRAIC_CHECKS)
-            for triple in SWEEPS}
-
-
-@pytest.fixture(scope="module")
-def fd_reports():
-    return {triple: run_checks(sweep_spec(*triple), checks=FD_CHECKS,
-                               step=1e-4)
-            for triple in SWEEPS}
+def sweep_reports():
+    return {triple: run_checks(sweep_spec(*triple), step=1e-4) for triple in SWEEPS}
 
 
 def report_line(name, ok, detail):
@@ -59,20 +47,20 @@ def grid_frames(spec):
             yield z, f_jet, g_jet, ell_jet, point_frame(f_jet, g_jet, ell_jet)
 
 
-def test_criterion_1_parameterization_equivalence(algebraic_reports):
+def test_criterion_1_parameterization_equivalence(sweep_reports):
     worst = 0.0
     for triple in SWEEPS:
-        check = algebraic_reports[triple].check("param_equivalence")
+        check = sweep_reports[triple].check("param_equivalence")
         assert check.count == 64 * 64
         worst = max(worst, check.max_rel)
     report_line("criterion 1 (parameterization equivalence)",
                 worst <= 1e-9, f"max_rel={worst:.3e} <= 1e-9 on 3 sweeps")
 
 
-def test_criterion_2_central_identity(algebraic_reports):
+def test_criterion_2_central_identity(sweep_reports):
     worst_w = worst_p = 0.0
     for triple in SWEEPS:
-        rep = algebraic_reports[triple]
+        rep = sweep_reports[triple]
         worst_w = max(worst_w, rep.check("weingarten_relation").max_rel)
         worst_p = max(worst_p, rep.check("pde_lapla1").max_rel)
         assert rep.check("weingarten_relation").count > 0.9 * 64 * 64
@@ -110,10 +98,10 @@ def test_criterion_3_special_cases():
                 f"TR residual={worst_tr:.3e}")
 
 
-def test_criterion_4_fd_oracle(fd_reports):
+def test_criterion_4_fd_oracle(sweep_reports):
     worst_forms = worst_curv = 0.0
     for triple in SWEEPS:
-        rep = fd_reports[triple]
+        rep = sweep_reports[triple]
         worst_forms = max(worst_forms, rep.check("forms_vs_fd").max_rel)
         worst_curv = max(worst_curv, rep.check("curvature_vs_fd").max_rel)
         assert rep.check("forms_vs_fd").count > 0.8 * 64 * 64
@@ -124,10 +112,10 @@ def test_criterion_4_fd_oracle(fd_reports):
                 f"max_rel={worst_curv:.3e}, order={order:.3f} in [1.8, 2.2]")
 
 
-def test_criterion_5_support_and_distance(algebraic_reports):
+def test_criterion_5_support_and_distance(sweep_reports):
     worst_s = worst_q = 0.0
     for triple in SWEEPS:
-        rep = algebraic_reports[triple]
+        rep = sweep_reports[triple]
         worst_s = max(worst_s, rep.check("support_identity").max_rel)
         worst_q = max(worst_q, rep.check("quadratic_distance").max_rel)
     ok = worst_s <= 1e-9 and worst_q <= 1e-9
@@ -190,11 +178,11 @@ def test_criterion_7_figure_presets(tmp_path, capsys):
                 f"byte-stable={stable}, regular fractions " + " ".join(details))
 
 
-def test_criterion_8_matrix_contracts(algebraic_reports):
+def test_criterion_8_matrix_contracts(sweep_reports):
     worst_wv = 0.0
     for triple in SWEEPS:
         worst_wv = max(worst_wv,
-                       algebraic_reports[triple].check("wv_identity").max_rel)
+                       sweep_reports[triple].check("wv_identity").max_rel)
     worst_trace = 0.0
     symmetric = True
     for triple in (SWEEPS[0], SWEEPS[2]):

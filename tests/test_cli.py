@@ -84,6 +84,38 @@ def test_fig1_outputs_match_recorded_digests(tmp_path, capsys, method, fmt):
     assert digest == FIG1_N32_SHA256[method, fmt]
 
 
+# sha256 of the `verify --n 64 --out` reports of the three acceptance sweeps,
+# and of `rotate --preset fig5 --n 32 --cross-check` with its stdout, as
+# written while the cross-check sampled its own window.  exp and fig5 call
+# exp and sinh, so these digests hold for the numpy 2.4 build on x86-64
+# Linux they were recorded with.
+SWEEP_N64_SHA256 = {
+    ("z", "z", "t^2+t+1"): "8b336c558aa23bc3b0d91b8ca741a5762beca39c66a2e0bc03d67f73082bc3f0",
+    ("z", "z", "cos(t)"): "108a4bd0048251a0aa955a093f33ac0770394a4fd395fd0ee0dd906e2bf04fc2",
+    ("z^2", "exp(z)", "t^2+1"): "db8e55c25612fe3ddc8447306f23c97a744b0ac62c6d62dd2929cea1a8a33646",
+}
+
+
+@pytest.mark.parametrize("fgl", sorted(SWEEP_N64_SHA256), ids=["exp", "fig1", "fig2"])
+def test_sweep_reports_match_recorded_digests(tmp_path, capsys, fgl):
+    out = tmp_path / "report.json"
+    assert run(capsys, "verify", "--f", fgl[0], "--g", fgl[1], "--ell", fgl[2],
+               "--n", "64", "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_N64_SHA256[fgl]
+
+
+def test_rotate_cross_check_matches_recorded_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, "rotate", "--preset", "fig5", "--n", "32",
+                          "--cross-check", "--out", "fig5.obj")
+    assert code == 0
+    assert stdout == ("wrote fig5.obj: 1024 vertices, 1922 triangles (961 quads), "
+                      "regular 100.00%, min|detV| 3.25295e-06\n"
+                      "cross-check rotation vs closed form: ok (max_rel=3.252e-16)\n")
+    assert hashlib.sha256((tmp_path / "fig5.obj").read_bytes()).hexdigest() == (
+        "c6ffdc36ecc47cf3ecd8a871247c0770cd1aa0b95b3c7dcd1be900d9b304a910")
+
+
 def test_generate_isolated_singular_vertex(tmp_path, capsys):
     out = tmp_path / "s.obj"
     code, stdout, _ = run(capsys, "generate", "--f", "z", "--g", "z^2",
@@ -102,11 +134,14 @@ def test_generate_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_generate_empty_mesh_exit_3(tmp_path, capsys):
-    code, _, stderr = run(capsys, "generate", "--f", "z", "--g", "1",
-                          "--ell", "t", "--n", "4",
-                          "--out", str(tmp_path / "x.obj"))
-    assert code == 3
-    assert "no regular vertex" in stderr
+    # rotate: mu = u1 - 5 < -0.5 puts every vertex past the log cut, so the
+    # mesh is empty before the cross-check runs
+    for argv in (("generate", "--f", "z", "--g", "1", "--ell", "t", "--n", "4"),
+                 ("rotate", "--a", "1", "--b", "-5", "--ell", "log(t+0.5)",
+                  "--u2", "0:1", "--n", "5", "--cross-check")):
+        code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "x.obj"))
+        assert code == 3
+        assert "no regular vertex" in stderr
 
 
 def test_generate_io_error_exit_4(tmp_path, capsys):

@@ -204,9 +204,13 @@ def _masked_mesh(valid, seed=0, vertices=None):
                        vertex_index=index, faces=faces, diagnostics=diag)
 
 
-# 0-based (PLY, JSON) and 1-based (OBJ) indices on either side of each power of 10
+# 0-based (PLY, JSON) and 1-based (OBJ) indices on either side of each power
+# of 10, and BLOCK_POINTS - 1, BLOCK_POINTS and BLOCK_POINTS + 1 quads: faces
+# go in blocks of BLOCK_POINTS quads, and mesh JSON opens its list in the first
 @pytest.mark.parametrize("shape", [(2, 5), (2, 6), (2, 50), (2, 51), (2, 500),
-                                   (2, 501), (2, 5000), (2, 5001)])
+                                   (2, 501), (2, 5000), (2, 5001),
+                                   (2, surface.BLOCK_POINTS), (2, surface.BLOCK_POINTS + 1),
+                                   (2, surface.BLOCK_POINTS + 2)])
 def test_face_indices_across_digit_counts(tmp_path, shape):
     mesh = _masked_mesh(np.ones(shape, dtype=bool))
     assert mesh.vertex_count == shape[0] * shape[1]
