@@ -18,8 +18,7 @@ from .geometry import (FundamentalForms, GaussFrame, PointFrame,
 from .surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec,
                       point_closed_form, point_direct, rotation_point,
                       rotation_spec, sample_mesh, sample_rotation_mesh)
-from .verify import (FdOracleResult, ResidualReport, convergence_order,
-                     fd_fundamental_forms, run_checks)
+from .verify import ResidualReport, convergence_order, run_checks
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,6 @@ __all__ = [
     "EmptyMeshError", "SurfaceMesh", "SurfaceSpec", "point_closed_form",
     "point_direct", "rotation_point", "rotation_spec", "sample_mesh",
     "sample_rotation_mesh",
-    "FdOracleResult", "ResidualReport", "convergence_order",
-    "fd_fundamental_forms", "run_checks",
+    "ResidualReport", "convergence_order", "run_checks",
     "__version__",
 ]

@@ -4,10 +4,10 @@ Each subcommand reads the parsed flags.  Each numeric check sits in the
 argparse type of its flag, so a bad value exits 2 before any evaluation with
 'error: argument --flag: ...'; a value may start with '-' (--ell -t).
 Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
-3 empty mesh, 4 I/O failure, 5 verification failure or insufficient
-coverage.  Mesh and report outputs are byte-identical for identical inputs;
-OBJ and PLY numbers carry 17 significant digits and mesh JSON floats are
-shortest repr, so all round-trip.
+or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
+failure or insufficient coverage.  Mesh and report outputs are byte-identical
+for identical inputs; OBJ and PLY numbers carry 17 significant digits and
+mesh JSON floats are shortest repr, so all round-trip.
 """
 from __future__ import annotations
 
@@ -136,11 +136,12 @@ def _g17_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-def _write_blocks(fh, template: str, rows: np.ndarray, table=None) -> None:
-    """_index_text of ``rows``, by surface.BLOCK_POINTS rows: indices into
-    ``table``, or without a table floats, in '%.17g'."""
-    for start in range(0, len(rows), surface.BLOCK_POINTS):
-        block = rows[start:start + surface.BLOCK_POINTS]
+def _write_blocks(fh, template: str, *columns: np.ndarray, table=None) -> None:
+    """_index_text of the rows of ``columns`` joined side by side, by
+    surface.BLOCK_POINTS rows: indices into ``table``, or without a table
+    floats, in '%.17g'."""
+    for start in range(0, len(columns[0]), surface.BLOCK_POINTS):
+        block = np.hstack([c[start:start + surface.BLOCK_POINTS] for c in columns])
         fh.write(_index_text(template, table, block) if table is not None else
                  _index_text(template, _g17_table(block),
                              np.arange(block.size).reshape(block.shape)))
@@ -148,7 +149,7 @@ def _write_blocks(fh, template: str, rows: np.ndarray, table=None) -> None:
 
 def _write_faces(fh, template: str, faces: np.ndarray, base: int = 0) -> None:
     table = _index_table(int(faces.max(initial=0)) + 1 + base)[base:]
-    _write_blocks(fh, template, faces, table)
+    _write_blocks(fh, template, faces, table=table)
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
@@ -171,7 +172,7 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
                  "property float nx\nproperty float ny\nproperty float nz\n"
                  f"element face {2 * mesh.face_count}\n"
                  "property list uchar int vertex_indices\nend_header\n")
-        _write_blocks(fh, "{0} {1} {2} {3} {4} {5}\n", np.hstack([verts, normals]))
+        _write_blocks(fh, "{0} {1} {2} {3} {4} {5}\n", verts, normals)
         _write_faces(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
 
 
@@ -567,6 +568,8 @@ def main(argv=None) -> int:
         return _DISPATCH[args.subcommand](args)
     except (ParseError, ValueError) as exc:
         error, code = exc, EXIT_PARSE
+    except MemoryError as exc:  # the grid does not fit: an input too large
+        error, code = f"out of memory: {exc}", EXIT_PARSE
     except EmptyMeshError as exc:
         error, code = exc, EXIT_EMPTY
     except OSError as exc:

@@ -92,7 +92,7 @@ class PointFrame:
 
 
 class GridFrame(NamedTuple):
-    """The frame quantities a mesh needs, over an array of points.
+    """The frame quantities a mesh and verify need, over an array of points.
 
     Masks replace the exceptions and None fields of :class:`PointFrame`:
     ``exists`` is False where point_frame raises SingularPointError,
@@ -113,6 +113,7 @@ class GridFrame(NamedTuple):
     h_over_k: np.ndarray
     mean: np.ndarray
     gauss: np.ndarray
+    forms: np.ndarray           # (..., 6): E, F, G, e, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +241,19 @@ def is_regular(det_v, trace_v, eps: float = REGULARITY_EPS):
     return abs(det_v) > eps * (1.0 + trace_v * trace_v)
 
 
+def _forms(v11, v12, v22, l11) -> tuple:
+    """E, F, G, e, f, g from the entries of V and the metric factor."""
+    return ((v11 * v11 + v12 * v12) * l11, (v11 + v22) * v12 * l11,
+            (v22 * v22 + v12 * v12) * l11, v11 * l11, v12 * l11, v22 * l11)
+
+
 def fundamental_forms(v: np.ndarray, l11: float) -> FundamentalForms:
     """First and second fundamental form coefficients from V and the metric.
 
     E = (V11^2+V12^2) l11, F = (V11+V22) V12 l11, G = (V22^2+V12^2) l11,
     (e, f, g) = (V11, V12, V22) l11.  Consequently EG - F^2 = (det V)^2 l11^2.
     """
-    v11, v12, v22 = v[0, 0], v[0, 1], v[1, 1]
-    return FundamentalForms(
-        E=(v11 * v11 + v12 * v12) * l11,
-        F=(v11 + v22) * v12 * l11,
-        G=(v22 * v22 + v12 * v12) * l11,
-        e=v11 * l11,
-        f=v12 * l11,
-        g=v22 * l11,
-    )
+    return FundamentalForms(*_forms(v[0, 0], v[0, 1], v[1, 1], l11))
 
 
 def point_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
@@ -292,8 +291,8 @@ def point_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
 
 def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
                eps: float = REGULARITY_EPS) -> GridFrame:
-    """The quantities of :func:`point_frame` that a mesh needs, elementwise
-    over jets whose components are arrays of one shape."""
+    """The quantities of :func:`point_frame` that a mesh and the FD checks
+    need, elementwise over jets whose components are arrays of one shape."""
     with np.errstate(all="ignore"):
         gp2, t, l11 = _sphere(g_jet)
         exists = _frame_exists(gp2, l11, eps)
@@ -310,4 +309,5 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
             normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
             psi=l, grad_sq=grad_sq, lam=lam, c=c, trace_v=trace, det_v=det,
             h_over_k=h_over_k, mean=mean, gauss=gauss,
+            forms=np.stack(_forms(v11, v12, v22, l11), axis=-1),
         )

@@ -108,6 +108,16 @@ def jets_at(spec: SurfaceSpec, z: complex) -> tuple[Jet2, Jet2, Jet2]:
     return f_jet, g_jet, ell_jet
 
 
+def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple:
+    """jets_at over the array z: the jets, the mask of the points where f, g
+    and ell all evaluate, and the mask where f alone does (the Laplacian of
+    Re f needs only f)."""
+    f_jet, f_ok = eval_jet2_array(spec.f, z)
+    g_jet, g_ok = eval_jet2_array(spec.g, z)
+    ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
+    return (f_jet, g_jet, ell_jet), f_ok & g_ok & ell_ok, f_ok
+
+
 # The point formulas return the three coordinates of X, at one point or
 # over arrays; both take the (|g'|^2, T, L11) of geometry._sphere.
 
@@ -308,11 +318,9 @@ def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> 
     With ``rotation_a`` the vertices come from the rotation formula, and the
     closed-form ones are kept as ``closed_form``.
     """
-    f_jet, f_ok = eval_jet2_array(spec.f, z)
-    g_jet, g_ok = eval_jet2_array(spec.g, z)
-    ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
+    (f_jet, g_jet, ell_jet), ok, _ = jets_array(spec, z)
     frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
-    computed = f_ok & g_ok & ell_ok & frame.exists
+    computed = ok & frame.exists
     valid = computed & frame.regular
     point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
     with np.errstate(all="ignore"):

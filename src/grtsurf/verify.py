@@ -1,11 +1,14 @@
 """Independent finite-difference oracle and aggregated residual checks.
 
-The oracle recomputes fundamental forms and curvatures from sampled surface
-points and normals alone (central differences in parameter space), over the
-whole grid in four shifted array passes, and compares them against the
-closed-form path, which run_checks evaluates point by point.  CHECKS lists
-every check: algebraic identities hold to near machine precision,
-finite-difference comparisons carry an O(step^2) floor and a looser tolerance.
+The oracle, fd_oracle, recomputes fundamental forms and curvatures from
+sampled surface points and normals alone (central differences in parameter
+space) in four shifted array passes, and returns them as arrays with a mask;
+it has no one-point form.  run_checks compares them against the closed-form
+path, which it evaluates point by point at the grid centres, and
+convergence_order against the closed-form frame of the same array pass that
+samples mesh rows.  CHECKS lists every check: algebraic identities hold to
+near machine precision, finite-difference comparisons carry an O(step^2)
+floor and a looser tolerance.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -24,29 +27,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError, eval_jet2_array, unparse
+from .expr import EvalError
 from .geometry import PointFrame, SingularPointError
 from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
-
-
-class FdOracleResult(NamedTuple):
-    """Fundamental forms and curvatures from central differences of X and N."""
-
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-    H_fd: float
-    K_fd: float
-
-
-class StencilError(Exception):
-    """FD stencil leaves the sampled window or touches an irregular point."""
+# The FD steps that convergence_order sweeps, and its centres per axis.
+CONVERGENCE_STEPS = (1e-3, 5e-4, 2.5e-4)
+CONVERGENCE_SAMPLES = 5
 
 
 @dataclass
@@ -164,7 +153,7 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
               step: float = DEFAULT_FD_STEP) -> dict:
     """The FD oracle at every point of the array z, by four passes at
     z + step, z - step, z + i*step and z - i*step.  Returns arrays shaped
-    like z: ``forms``, the fields of FdOracleResult along a last axis, and
+    like z: ``forms``, E, F, G, e, f, g, H_fd and K_fd along a last axis, and
     ``ok``, False exactly where the stencil leaves the window, a stencil
     point fails or is irregular, or E G - F^2 = 0; ``f_values``, Re f at the
     four points along a last axis, and ``f_ok``, False where f fails there.
@@ -176,16 +165,14 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
     xs, ns, f_values = [], [], []
     with np.errstate(all="ignore"):
         for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
-            f_jet, f_ok_w = eval_jet2_array(spec.f, w)
-            g_jet, g_ok = eval_jet2_array(spec.g, w)
-            ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
-            frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
-            ok &= f_ok_w & g_ok & ell_ok & frame.regular
+            jets, jets_ok, f_ok_w = surface.jets_array(spec, w)
+            frame = geometry.grid_frame(*jets, spec.regularity_eps)
+            ok &= jets_ok & frame.regular
             f_ok &= f_ok_w
             xs.append(np.stack(surface._closed_form_xyz(
-                f_jet, g_jet, ell_jet, *geometry._sphere(g_jet)), axis=-1))
+                *jets, *geometry._sphere(jets[1])), axis=-1))
             ns.append(frame.normal)
-            f_values.append(f_jet.value.real)
+            f_values.append(jets[0].value.real)
         x_u1, x_u2 = ((xs[i] - xs[i + 1]) * (0.5 / step) for i in (0, 2))
         n_u1, n_u2 = ((ns[i] - ns[i + 1]) * (0.5 / step) for i in (0, 2))
         E, F, G = np.vecdot(x_u1, x_u1), np.vecdot(x_u1, x_u2), np.vecdot(x_u2, x_u2)
@@ -198,36 +185,11 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
             "f_values": np.stack(f_values, axis=-1), "f_ok": f_ok}
 
 
-def _per_point(values: np.ndarray, ok: np.ndarray, make):
-    """``make(*values)`` at each point in row-major order, None where not ok."""
-    return (make(*v.tolist()) if k else None for v, k in
-            zip(values.reshape(ok.size, -1), ok.ravel().tolist()))
-
-
-def fd_fundamental_forms(spec: SurfaceSpec, z: complex,
-                         step: float = DEFAULT_FD_STEP) -> FdOracleResult:
-    """Fundamental forms at z by central differences of X and N: fd_oracle at
-    one point.  Raises StencilError where its mask is False."""
-    oracle = fd_oracle(spec, np.array([z]), step)
-    if not oracle["ok"][0]:
-        raise StencilError(f"stencil of size {step:g} at {z!r} leaves the "
-                           "window, is irregular or has no area")
-    return FdOracleResult(*oracle["forms"][0].tolist())
-
-
 def _laplacian(f_values, mu: float, step: float) -> float:
+    """Flat 5-point Laplacian of mu = Re f from fd_oracle's ``f_values`` and
+    mu at the centre; it vanishes for holomorphic f."""
     return (f_values[0] + f_values[1] + f_values[2] + f_values[3]
             - 4.0 * mu) / (step * step)
-
-
-def laplacian_mu_fd(spec: SurfaceSpec, z: complex, mu: float,
-                    step: float = DEFAULT_FD_STEP) -> float:
-    """Flat 5-point Laplacian of mu = Re f, given mu at z; vanishes for
-    holomorphic f.  Raises EvalError where f fails on the stencil."""
-    oracle = fd_oracle(spec, np.array([z]), step)
-    if not oracle["f_ok"][0]:
-        raise EvalError(unparse(spec.f, "z"), z, "fails on the Laplacian stencil")
-    return _laplacian(oracle["f_values"][0].tolist(), mu, step)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +199,17 @@ def laplacian_mu_fd(spec: SurfaceSpec, z: complex, mu: float,
 
 @dataclass
 class _Point:
-    """A regular grid point as the kernels read it, with its fd_oracle values
-    (None where masked).  The closed-form point is computed on first use."""
+    """A regular grid point as the kernels read it, with its fd_oracle
+    ``forms`` and ``f_values`` as lists (None where masked).  The closed-form
+    point is computed on first use."""
 
     spec: SurfaceSpec
     z: complex
     jets: tuple
     frame: PointFrame
     step: float
-    fd: FdOracleResult | None
-    f_values: tuple | None
+    fd: list | None
+    f_values: list | None
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -266,12 +229,12 @@ def _distance_to(p: _Point, y: np.ndarray) -> tuple:
     return err, err / (1.0 + float(np.linalg.norm(p.x))), False
 
 
-def _form_pairs(frame: PointFrame, fd: FdOracleResult) -> tuple:
-    return tuple(zip(frame.forms, (fd.E, fd.F, fd.G, fd.e, fd.f, fd.g)))
+def _form_pairs(frame: PointFrame, fd: list) -> tuple:
+    return tuple(zip(frame.forms, fd[:6]))
 
 
-def _curvature_pairs(frame: PointFrame, fd: FdOracleResult) -> tuple:
-    return (frame.mean, fd.H_fd), (frame.gauss, fd.K_fd)
+def _curvature_pairs(frame: PointFrame, fd: list) -> tuple:
+    return (frame.mean, fd[6]), (frame.gauss, fd[7])
 
 
 def _vs_fd(p: _Point, pairs) -> tuple:
@@ -337,15 +300,17 @@ def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
     value; a class left out keeps its default."""
     tol = {**CLASS_TOLERANCES, **(tolerances or {})}
     oracle = surface.sample_blocks(spec, lambda z: fd_oracle(spec, z, step))
-    fd = _per_point(oracle["forms"], oracle["ok"], FdOracleResult)
-    f_values = _per_point(oracle["f_values"], oracle["f_ok"], lambda *v: v)
     points = surface.grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
+    forms, f_values = (oracle[key].reshape(points.size, -1).tolist()
+                       for key in ("forms", "f_values"))
+    ok, f_ok = (oracle[key].ravel().tolist() for key in ("ok", "f_ok"))
     # (absolute error, relative error, excluded) of each row at each point
     errors = np.full((len(CHECKS), points.size, 3), (math.nan, math.nan, 1.0))
-    for k, (z, fd_z, f_values_z) in enumerate(zip(points.tolist(), fd, f_values)):
+    for k, z in enumerate(points.tolist()):
         jets_frame = _frame_at(spec, z)
         if jets_frame is not None:
-            point = _Point(spec, z, *jets_frame, step, fd_z, f_values_z)
+            point = _Point(spec, z, *jets_frame, step, forms[k] if ok[k] else None,
+                           f_values[k] if f_ok[k] else None)
             errors[:, k] = [row.kernel(point) for row in CHECKS]
     results = [CheckResult.reduce(row.name, tol[row.tolerance_class], points,
                                   abs_err, rel_err, excluded == 0.0)
@@ -372,35 +337,33 @@ def rotation_match(mesh: SurfaceMesh) -> CheckResult:
                               mesh.valid)
 
 
-def convergence_order(spec: SurfaceSpec,
-                      steps: tuple[float, ...] = (1e-3, 5e-4, 2.5e-4),
-                      n_sample: int = 5) -> tuple[float, list[float]]:
-    """Measured order of the FD truncation error over a step sweep.
+@np.errstate(all="ignore")  # a masked or overflowed centre gives inf or NaN
+def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
+    """Measured order of the FD truncation error over CONVERGENCE_STEPS.
 
     Averages the relative form/curvature residual over an interior subgrid
-    and fits the slope of log(residual) against log(step); a second-order
-    stencil should land near 2.
+    of CONVERGENCE_SAMPLES^2 centres, whose closed-form frame comes from one
+    array pass, and fits the slope of log(residual) against log(step); a
+    second-order stencil should land near 2.
     """
-    margin = max(steps) * 2.0
+    margin = max(CONVERGENCE_STEPS) * 2.0
     lo1, hi1 = spec.u1_range
     lo2, hi2 = spec.u2_range
     us = np.linspace(lo1 + margin + 0.05 * (hi1 - lo1),
-                     hi1 - margin - 0.05 * (hi1 - lo1), n_sample)
+                     hi1 - margin - 0.05 * (hi1 - lo1), CONVERGENCE_SAMPLES)
     vs = np.linspace(lo2 + margin + 0.05 * (hi2 - lo2),
-                     hi2 - margin - 0.05 * (hi2 - lo2), n_sample)
+                     hi2 - margin - 0.05 * (hi2 - lo2), CONVERGENCE_SAMPLES)
     z = us[:, None] + 1j * vs
-    centres = [_frame_at(spec, point) for point in z.ravel().tolist()]
+    jets, ok, _ = surface.jets_array(spec, z)
+    frame = geometry.grid_frame(*jets, spec.regularity_eps)
+    closed = np.concatenate((frame.forms, np.stack((frame.mean, frame.gauss), axis=-1)),
+                            axis=-1)
     residuals = []
-    for step in steps:
+    for step in CONVERGENCE_STEPS:
         oracle = fd_oracle(spec, z, step)
-        rels = []
-        for centre, fd in zip(centres, _per_point(oracle["forms"], oracle["ok"],
-                                                  FdOracleResult)):
-            if centre is not None and fd is not None:
-                rels += [_rel(got - ref, ref) for pairs in (_form_pairs, _curvature_pairs)
-                         for ref, got in pairs(centre[1], fd)]
-        if not rels:
+        counted = ok & frame.regular & oracle["ok"]
+        if not counted.any():
             raise ValueError("no regular sample point for convergence study")
-        residuals.append(float(np.mean(rels)))
-    slope = np.polyfit(np.log(steps), np.log(residuals), 1)[0]
+        residuals.append(float(np.mean(_rel(oracle["forms"] - closed, closed)[counted])))
+    slope = np.polyfit(np.log(CONVERGENCE_STEPS), np.log(residuals), 1)[0]
     return float(slope), residuals

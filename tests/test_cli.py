@@ -2,7 +2,11 @@
 import hashlib
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -149,6 +153,25 @@ def test_generate_io_error_exit_4(tmp_path, capsys):
                           "--ell", "t", "--n", "4",
                           "--out", str(tmp_path / "missing" / "x.obj"))
     assert code == 4
+
+
+def test_grid_too_large_for_memory_exit_2(tmp_path):
+    # the 20000^2 complex grid needs 6 GB; the child's address space is
+    # capped at 3 GB, so the allocation fails at once instead of growing
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grtsurf.cli", "generate", "--preset", "fig1",
+         "--n", "20000", "--out", str(tmp_path / "x.obj")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_generate_presets(tmp_path, capsys):
