@@ -108,6 +108,7 @@ class GridFrame(NamedTuple):
     grad_sq: np.ndarray
     lam: np.ndarray
     c: np.ndarray
+    v: np.ndarray               # (..., 3): V11, V12 = V21, V22
     trace_v: np.ndarray
     det_v: np.ndarray
     h_over_k: np.ndarray
@@ -291,8 +292,8 @@ def point_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
 
 def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
                eps: float = REGULARITY_EPS) -> GridFrame:
-    """The quantities of :func:`point_frame` that a mesh and the FD checks
-    need, elementwise over jets whose components are arrays of one shape."""
+    """The quantities of :func:`point_frame` that a mesh and verify need,
+    elementwise over jets whose components are arrays of one shape."""
     with np.errstate(all="ignore"):
         gp2, t, l11 = _sphere(g_jet)
         exists = _frame_exists(gp2, l11, eps)
@@ -307,7 +308,8 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
         return GridFrame(
             exists=exists, regular=exists & is_regular(det, trace, eps),
             normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
-            psi=l, grad_sq=grad_sq, lam=lam, c=c, trace_v=trace, det_v=det,
+            psi=l, grad_sq=grad_sq, lam=lam, c=c,
+            v=np.stack((v11, v12, v22), axis=-1), trace_v=trace, det_v=det,
             h_over_k=h_over_k, mean=mean, gauss=gauss,
             forms=np.stack(_forms(v11, v12, v22, l11), axis=-1),
         )

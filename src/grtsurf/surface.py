@@ -166,6 +166,12 @@ def _point_direct(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
     return np.array(_direct_xyz(f_jet, g_jet, ell_jet, *sphere))
 
 
+def xyz_array(point_xyz, jets: tuple) -> np.ndarray:
+    """The points of ``point_xyz`` (_closed_form_xyz or _direct_xyz) over
+    jet arrays, with x, y, z along a last axis."""
+    return np.stack(point_xyz(*jets, *geometry._sphere(jets[1])), axis=-1)
+
+
 def point_direct(spec: SurfaceSpec, z: complex) -> np.ndarray:
     """Surface point as gradient-plus-support combination of the normal jets."""
     return _point_direct(*jets_at(spec, z), spec.regularity_eps)
@@ -255,10 +261,11 @@ class SurfaceMesh:
         return self.vertices[mask], self.normals[mask]
 
 
-# The residuals of the identities that every surface point X meets, at one
-# point (verify) or over arrays (the mesh diagnostics): the absolute error,
-# the relative error (denominator 1 + |reference|) and whether the identity
-# is left unchecked there.  C is NaN where the profile ratio is undefined.
+# The residuals of the identities that every surface point X meets, over
+# arrays of points (verify's rows and the mesh diagnostics alike): the
+# absolute error, the relative error (denominator 1 + |reference|) and where
+# the identity is left unchecked.  C is NaN where the profile ratio is
+# undefined.
 
 def support_residual(x, normal, psi) -> tuple:
     err = abs(np.vecdot(x, normal) - psi)  # <X, N> = psi
@@ -272,8 +279,7 @@ def distance_residual(x, lam) -> tuple:
 
 def weingarten_residual(psi, lam, c, h_over_k) -> tuple:
     """H/K = C (-lam/(2 psi) + psi/2) - psi where C is defined and |psi| >
-    PSI_EPS.  A float psi = 0 becomes a numpy one and divides to inf."""
-    psi = np.asarray(psi, dtype=float)
+    PSI_EPS."""
     err = abs(h_over_k - (c * (-lam / (2.0 * psi) + psi / 2.0) - psi))
     return (err, err / (1.0 + abs(h_over_k)),
             np.isnan(c) | (abs(psi) <= geometry.PSI_EPS))
@@ -318,19 +324,18 @@ def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> 
     With ``rotation_a`` the vertices come from the rotation formula, and the
     closed-form ones are kept as ``closed_form``.
     """
-    (f_jet, g_jet, ell_jet), ok, _ = jets_array(spec, z)
-    frame = geometry.grid_frame(f_jet, g_jet, ell_jet, spec.regularity_eps)
+    jets, ok, _ = jets_array(spec, z)
+    frame = geometry.grid_frame(*jets, spec.regularity_eps)
     computed = ok & frame.exists
     valid = computed & frame.regular
     point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
     with np.errstate(all="ignore"):
-        sphere = geometry._sphere(g_jet)
-        x = np.stack(point_xyz(f_jet, g_jet, ell_jet, *sphere), axis=-1)
+        x = xyz_array(point_xyz, jets)
         residuals = _residuals(frame, x)
         vertices = {"vertices": x}
         if rotation_a is not None:
             vertices = {"closed_form": x, "vertices": np.stack(
-                _rotation_xyz(rotation_a, ell_jet, z.real, z.imag), axis=-1)}
+                _rotation_xyz(rotation_a, jets[2], z.real, z.imag), axis=-1)}
 
     def where(mask, value):
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))

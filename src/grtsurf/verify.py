@@ -3,12 +3,14 @@
 The oracle, fd_oracle, recomputes fundamental forms and curvatures from
 sampled surface points and normals alone (central differences in parameter
 space) in four shifted array passes, and returns them as arrays with a mask;
-it has no one-point form.  run_checks compares them against the closed-form
-path, which it evaluates point by point at the grid centres, and
-convergence_order against the closed-form frame of the same array pass that
-samples mesh rows.  CHECKS lists every check: algebraic identities hold to
-near machine precision, finite-difference comparisons carry an O(step^2)
-floor and a looser tolerance.
+it has no one-point form.  run_checks compares them with the closed form at
+the grid centres, a surface.sample_blocks block at a time: each row of
+CHECKS maps a block to arrays.  Only the centres' jets are evaluated point
+by point, until perfbench can time a job shorter than its 50 ms sampling
+period (ROADMAP, item A).  convergence_order compares the oracle with the
+closed-form frame of one array pass.  CHECKS lists every check: algebraic
+identities hold to near machine precision, finite-difference comparisons
+carry an O(step^2) floor and a looser tolerance.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -21,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError
-from .geometry import PointFrame, SingularPointError
+from .expr import EvalError, Jet2
+from .geometry import GridFrame, inner
 from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
@@ -135,18 +136,24 @@ class ResidualReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def _rel(err: float, ref: float) -> float:
+def _rel(err, ref):
     return abs(err) / (1.0 + abs(ref))
 
 
-def _frame_at(spec: SurfaceSpec, z: complex) -> tuple[tuple, PointFrame] | None:
-    """The jets of f, g and ell at z and their frame; None without a regular frame."""
-    try:
-        jets = surface.jets_at(spec, z)
-        frame = geometry.point_frame(*jets, spec.regularity_eps)
-    except (EvalError, SingularPointError):
-        return None
-    return (jets, frame) if frame.regular else None
+def _centre_jets(spec: SurfaceSpec, z: np.ndarray) -> tuple:
+    """surface.jets_at at each point of the array z, stacked into Jet2
+    arrays shaped like z, and the mask of the points where f, g and ell all
+    evaluate; the jets are NaN where they do not."""
+    ok = np.ones(z.size, dtype=bool)
+    table = np.full((z.size, 3, 3), math.nan, dtype=complex)
+    for k, w in enumerate(map(complex, z.flat)):
+        try:
+            table[k] = [(jet.value, jet.d1, jet.d2) for jet in surface.jets_at(spec, w)]
+        except EvalError:
+            ok[k] = False
+    table = np.moveaxis(table.reshape(z.shape + (3, 3)), -1, 0)
+    f_jet, g_jet = (Jet2(*table[..., i]) for i in (0, 1))
+    return (f_jet, g_jet, Jet2(*table[..., 2].real)), ok.reshape(z.shape)
 
 
 def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
@@ -169,8 +176,7 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
             frame = geometry.grid_frame(*jets, spec.regularity_eps)
             ok &= jets_ok & frame.regular
             f_ok &= f_ok_w
-            xs.append(np.stack(surface._closed_form_xyz(
-                *jets, *geometry._sphere(jets[1])), axis=-1))
+            xs.append(surface.xyz_array(surface._closed_form_xyz, jets))
             ns.append(frame.normal)
             f_values.append(jets[0].value.real)
         x_u1, x_u2 = ((xs[i] - xs[i + 1]) * (0.5 / step) for i in (0, 2))
@@ -185,77 +191,61 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
             "f_values": np.stack(f_values, axis=-1), "f_ok": f_ok}
 
 
-def _laplacian(f_values, mu: float, step: float) -> float:
-    """Flat 5-point Laplacian of mu = Re f from fd_oracle's ``f_values`` and
-    mu at the centre; it vanishes for holomorphic f."""
+def _laplacian(f_values, mu, step: float):
+    """Flat 5-point Laplacian of mu = Re f from the four f values of
+    fd_oracle and mu at the centre; it vanishes for holomorphic f."""
     return (f_values[0] + f_values[1] + f_values[2] + f_values[3]
             - 4.0 * mu) / (step * step)
 
 
 # ---------------------------------------------------------------------------
-# The check table.  A kernel maps a regular grid point to (absolute error,
-# relative error, whether the point is excluded from the check).
+# The check table.  A kernel maps a block of grid centres to arrays of the
+# absolute error, the relative error and whether a point is excluded from
+# the check, at each centre; run_checks also excludes the centres without a
+# regular frame.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Point:
-    """A regular grid point as the kernels read it, with its fd_oracle
-    ``forms`` and ``f_values`` as lists (None where masked).  The closed-form
-    point is computed on first use."""
+class _Block(NamedTuple):
+    """A block of grid centres as the kernels read it."""
 
-    spec: SurfaceSpec
-    z: complex
-    jets: tuple
-    frame: PointFrame
+    jets: tuple             # Jet2 arrays of f, g and ell
+    frame: GridFrame
+    x: np.ndarray           # (..., 3) closed-form points
+    oracle: dict            # fd_oracle's arrays
     step: float
-    fd: list | None
-    f_values: list | None
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return surface._point_closed_form(*self.jets, self.spec.regularity_eps)
-
-    @property
-    def c(self) -> float:
-        """C, NaN where it is undefined, as the residuals of surface take it."""
-        return math.nan if self.frame.c is None else self.frame.c
 
 
-_EXCLUDED = (math.nan, math.nan, True)
+def _distance(x: np.ndarray, y: np.ndarray) -> tuple:
+    """|y - x| and |y - x| / (1 + |x|) along the last axis.  The norm is
+    sqrt(<d, d>), which rounds as a one-vector np.linalg.norm does."""
+    d = y - x
+    err = np.sqrt(np.vecdot(d, d))
+    return err, err / (1.0 + np.sqrt(np.vecdot(x, x))), False
 
 
-def _distance_to(p: _Point, y: np.ndarray) -> tuple:
-    err = float(np.linalg.norm(y - p.x))
-    return err, err / (1.0 + float(np.linalg.norm(p.x))), False
+def _vs_fd(b: _Block, closed: np.ndarray, columns: slice) -> tuple:
+    """Errors of the ``columns`` of the FD oracle's ``forms`` against the
+    closed form, at the column with the largest relative error or the first
+    whose relative error is NaN; excluded where the oracle is not ``ok``."""
+    err = b.oracle["forms"][..., columns] - closed
+    worst = np.argmax(_rel(err, closed), axis=-1)[..., None]
+    err, closed = (np.take_along_axis(a, worst, axis=-1)[..., 0] for a in (err, closed))
+    return abs(err), _rel(err, closed), ~b.oracle["ok"]
 
 
-def _form_pairs(frame: PointFrame, fd: list) -> tuple:
-    return tuple(zip(frame.forms, fd[:6]))
+def _harmonicity_mu(b: _Block) -> tuple:
+    mu = inner(1.0, b.jets[0].value)
+    lap_mu = _laplacian(np.moveaxis(b.oracle["f_values"], -1, 0), mu, b.step)
+    return abs(lap_mu), _rel(lap_mu, mu), ~b.oracle["f_ok"]
 
 
-def _curvature_pairs(frame: PointFrame, fd: list) -> tuple:
-    return (frame.mean, fd[6]), (frame.gauss, fd[7])
-
-
-def _vs_fd(p: _Point, pairs) -> tuple:
-    """Errors of the (closed form, FD oracle) pair with the largest relative
-    error, or of one whose relative error is NaN."""
-    if p.fd is None:
-        return _EXCLUDED
-    errs = [(abs(got - ref), _rel(got - ref, ref)) for ref, got in pairs(p.frame, p.fd)]
-    return (*max(errs, key=lambda e: (math.isnan(e[1]), e[1])), False)
-
-
-def _harmonicity_mu(p: _Point) -> tuple:
-    if p.f_values is None:
-        return _EXCLUDED
-    lap_mu = _laplacian(p.f_values, p.frame.mu, p.step)
-    return abs(lap_mu), _rel(lap_mu, p.frame.mu), False
-
-
-def _wv_identity(p: _Point) -> tuple:
-    resid = np.abs(p.frame.w @ p.frame.v - np.eye(2))
-    return float(np.max(resid)), float(np.max(resid / (1.0 + np.eye(2)))), False
+def _wv_identity(b: _Block) -> tuple:
+    v11, v12, v22 = np.moveaxis(b.frame.v, -1, 0)
+    v = np.stack((v11, v12, v12, v22), axis=-1).reshape(v11.shape + (2, 2))
+    w = np.stack((v22, -v12, -v12, v11), axis=-1).reshape(v.shape) / b.frame.det_v[..., None, None]
+    resid = np.abs(w @ v - np.eye(2))
+    return (np.max(resid, axis=(-2, -1)),
+            np.max(resid / (1.0 + np.eye(2)), axis=(-2, -1)), False)
 
 
 class Check(NamedTuple):
@@ -263,7 +253,7 @@ class Check(NamedTuple):
 
     name: str
     tolerance_class: str
-    kernel: Callable[[_Point], tuple]
+    kernel: Callable[[_Block], tuple]
 
 
 # The tolerance classes and their defaults: identities exact up to rounding,
@@ -272,18 +262,19 @@ ALGEBRAIC, FD = "algebraic", "fd"
 CLASS_TOLERANCES = {ALGEBRAIC: 1e-9, FD: 1e-4}
 
 CHECKS = (
-    Check("param_equivalence", ALGEBRAIC, lambda p: _distance_to(
-        p, surface._point_direct(*p.jets, p.spec.regularity_eps))),
-    Check("support_identity", ALGEBRAIC, lambda p: surface.support_residual(
-        p.x, p.frame.normal, p.frame.psi)),
-    Check("quadratic_distance", ALGEBRAIC, lambda p: surface.distance_residual(
-        p.x, p.frame.lam)),
-    Check("weingarten_relation", ALGEBRAIC, lambda p: surface.weingarten_residual(
-        p.frame.psi, p.frame.lam, p.c, p.frame.h_over_k)),
-    Check("pde_lapla1", ALGEBRAIC, lambda p: surface.pde_residual(
-        p.frame.psi, p.frame.trace_v, p.c, p.frame.grad_sq)),
-    Check("forms_vs_fd", FD, lambda p: _vs_fd(p, _form_pairs)),
-    Check("curvature_vs_fd", FD, lambda p: _vs_fd(p, _curvature_pairs)),
+    Check("param_equivalence", ALGEBRAIC, lambda b: _distance(
+        b.x, surface.xyz_array(surface._direct_xyz, b.jets))),
+    Check("support_identity", ALGEBRAIC, lambda b: surface.support_residual(
+        b.x, b.frame.normal, b.frame.psi)),
+    Check("quadratic_distance", ALGEBRAIC, lambda b: surface.distance_residual(
+        b.x, b.frame.lam)),
+    Check("weingarten_relation", ALGEBRAIC, lambda b: surface.weingarten_residual(
+        b.frame.psi, b.frame.lam, b.frame.c, b.frame.h_over_k)),
+    Check("pde_lapla1", ALGEBRAIC, lambda b: surface.pde_residual(
+        b.frame.psi, b.frame.trace_v, b.frame.c, b.frame.grad_sq)),
+    Check("forms_vs_fd", FD, lambda b: _vs_fd(b, b.frame.forms, slice(0, 6))),
+    Check("curvature_vs_fd", FD, lambda b: _vs_fd(
+        b, np.stack((b.frame.mean, b.frame.gauss), axis=-1), slice(6, 8))),
     Check("harmonicity_mu", FD, _harmonicity_mu),
     Check("wv_identity", ALGEBRAIC, _wv_identity),
 )
@@ -292,46 +283,47 @@ ALGEBRAIC_CHECKS, FD_CHECKS = (tuple(c.name for c in CHECKS if c.tolerance_class
                                for cls in (ALGEBRAIC, FD))
 
 
+def _check_block(spec: SurfaceSpec, z: np.ndarray, step: float) -> dict:
+    """Every row of CHECKS over the grid centres z, along a last axis: the
+    ``abs`` and ``rel`` errors, and ``counted``, True where the jets evaluate,
+    the frame is regular and the row does not exclude the centre."""
+    jets, ok = _centre_jets(spec, z)
+    frame = geometry.grid_frame(*jets, spec.regularity_eps)
+    block = _Block(jets, frame, surface.xyz_array(surface._closed_form_xyz, jets),
+                   fd_oracle(spec, z, step), step)
+    abs_err, rel_err, excluded = zip(*(row.kernel(block) for row in CHECKS))
+    regular = ok & frame.regular
+    return {"abs": np.stack(abs_err, axis=-1), "rel": np.stack(rel_err, axis=-1),
+            "counted": np.stack([regular & ~np.asarray(e) for e in excluded], axis=-1)}
+
+
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
 def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None) -> ResidualReport:
-    """Evaluate every check over the spec grid, an evaluation error at a
-    point as an exclusion.  ``tolerances`` maps a tolerance class to its
-    value; a class left out keeps its default."""
+    """Evaluate every check over the spec grid, a block of rows at a time,
+    an evaluation error at a point as an exclusion.  ``tolerances`` maps a
+    tolerance class to its value; a class left out keeps its default."""
     tol = {**CLASS_TOLERANCES, **(tolerances or {})}
-    oracle = surface.sample_blocks(spec, lambda z: fd_oracle(spec, z, step))
-    points = surface.grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
-    forms, f_values = (oracle[key].reshape(points.size, -1).tolist()
-                       for key in ("forms", "f_values"))
-    ok, f_ok = (oracle[key].ravel().tolist() for key in ("ok", "f_ok"))
-    # (absolute error, relative error, excluded) of each row at each point
-    errors = np.full((len(CHECKS), points.size, 3), (math.nan, math.nan, 1.0))
-    for k, z in enumerate(points.tolist()):
-        jets_frame = _frame_at(spec, z)
-        if jets_frame is not None:
-            point = _Point(spec, z, *jets_frame, step, forms[k] if ok[k] else None,
-                           f_values[k] if f_ok[k] else None)
-            errors[:, k] = [row.kernel(point) for row in CHECKS]
+    grid = surface.sample_blocks(spec, lambda z: _check_block(spec, z, step))
+    points = surface.grid_points(spec.grid_u1(), spec.grid_u2())
     results = [CheckResult.reduce(row.name, tol[row.tolerance_class], points,
-                                  abs_err, rel_err, excluded == 0.0)
-               for row, abs_err, rel_err, excluded
-               in zip(CHECKS, *np.moveaxis(errors, -1, 0))]
+                                  abs_err, rel_err, counted)
+               for row, abs_err, rel_err, counted in zip(CHECKS, *(
+                   np.moveaxis(grid[key], -1, 0) for key in ("abs", "rel", "counted")))]
 
     summary = spec.summary()
     summary["fd_step"] = step
     return ResidualReport(spec_summary=summary, checks=results)
 
 
+@np.errstate(all="ignore")  # an overflowed vertex gives inf or NaN
 def rotation_match(mesh: SurfaceMesh) -> CheckResult:
     """The vertices of a surface.sample_rotation_mesh mesh, by the rotation
     formula, against the closed form with f = a*z + b, g = exp(z) that the
     same sampling kept.  Their distance, relative to 1 + |closed form|, is
     counted in grid order at the valid vertices; the others are excluded.
     """
-    x = mesh.closed_form
-    with np.errstate(all="ignore"):  # an overflowed vertex gives inf or NaN
-        errs = np.linalg.norm(mesh.vertices - x, axis=-1)
-        rels = errs / (1.0 + np.linalg.norm(x, axis=-1))
+    errs, rels, _ = _distance(mesh.closed_form, mesh.vertices)
     return CheckResult.reduce("rotation_match", CLASS_TOLERANCES[ALGEBRAIC],
                               surface.grid_points(mesh.u1, mesh.u2), errs, rels,
                               mesh.valid)

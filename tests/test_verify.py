@@ -514,7 +514,8 @@ def test_eval_jet2_calls(monkeypatch):
 
 
 def test_point_frame_calls(monkeypatch):
-    # 8x8 grid: a frame at each of the 64 points, none for the FD stencils
+    # 8x8 grid: the centres' frames and the FD stencils' both come from
+    # grid_frame, so no point goes through point_frame
     calls = []
     point_frame = geometry.point_frame
 
@@ -524,7 +525,7 @@ def test_point_frame_calls(monkeypatch):
 
     monkeypatch.setattr(geometry, "point_frame", counted)
     run_checks(spec_for("z", "z", "t^2+t+1", n=8))
-    assert len(calls) == 8 * 8
+    assert calls == []
 
 
 # the checks that the mesh diagnostics repeat, with their diagnostic
@@ -581,6 +582,90 @@ def test_pinned_outcomes(case, rows):
     assert got == {name: rows.get(name, (n * n, 0, "ok")) for name in ALL_CHECKS}
     for check in report.checks:
         assert check.passed == (check.status == "ok")
+
+
+def error_of(err, ref, excluded=False):
+    """(abs error, rel error, 1 + |ref|, excluded) of the error err of ref."""
+    return abs(err), abs(err) / (1.0 + abs(ref)), 1.0 + abs(ref), excluded
+
+
+def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
+    """Every row of CHECKS at every grid centre, one point at a time from the
+    scalar path: jets_at, point_frame, the closed-form and direct points, and
+    fd_oracle at the one point.  Returns {row: (CheckResult, the largest
+    1 + |ref| over its counted points)}."""
+    points = surface.grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
+    errors = {name: np.full((points.size, 3), math.nan) for name in ALL_CHECKS}
+    counted = {name: np.zeros(points.size, dtype=bool) for name in ALL_CHECKS}
+    for k, z in enumerate(points.tolist()):
+        try:
+            jets = surface.jets_at(spec, z)
+            frame = geometry.point_frame(*jets, spec.regularity_eps)
+        except (EvalError, geometry.SingularPointError):
+            continue
+        if not frame.regular:
+            continue
+        x = surface._point_closed_form(*jets, spec.regularity_eps)
+        direct = surface._point_direct(*jets, spec.regularity_eps)
+        oracle = fd_at(spec, z, step)
+        psi, lam, c = frame.psi, frame.lam, frame.c
+
+        def vs_fd(pairs):  # the pair with the largest relative error, or a NaN one
+            errs = [error_of(fd - ref, ref, not oracle["ok"]) for ref, fd in pairs]
+            return max(errs, key=lambda e: (math.isnan(e[1]), e[1]))
+
+        lhs = psi * (frame.trace_v - 2.0 * psi)
+        resid = np.abs(frame.w @ frame.v - np.eye(2))
+        rows = {
+            "param_equivalence": error_of(float(np.linalg.norm(direct - x)),
+                                          float(np.linalg.norm(x))),
+            "support_identity": error_of(float(np.dot(x, frame.normal)) - psi, psi),
+            "quadratic_distance": error_of(float(np.dot(x, x)) - lam, lam),
+            "weingarten_relation": (error_of(
+                frame.h_over_k - (c * (-lam / (2.0 * psi) + psi / 2.0) - psi),
+                frame.h_over_k) if c is not None and abs(psi) > geometry.PSI_EPS
+                else (math.nan, math.nan, 1.0, True)),
+            "pde_lapla1": (error_of(lhs - c * frame.grad_sq, lhs) if c is not None
+                           else (math.nan, math.nan, 1.0, True)),
+            "forms_vs_fd": vs_fd(zip(frame.forms, oracle["forms"][:6].tolist())),
+            "curvature_vs_fd": vs_fd(zip((frame.mean, frame.gauss),
+                                         oracle["forms"][6:].tolist())),
+            "harmonicity_mu": error_of(
+                (sum(oracle["f_values"].tolist()) - 4.0 * frame.mu) / (step * step),
+                frame.mu, not oracle["f_ok"]),
+            "wv_identity": (resid.max(), (resid / (1.0 + np.eye(2))).max(), 2.0, False),
+        }
+        for name, (abs_err, rel_err, scale, excluded) in rows.items():
+            errors[name][k] = abs_err, rel_err, scale
+            counted[name][k] = not excluded
+    return {name: (CheckResult.reduce(name, 0.0, points, *errors[name][:, :2].T,
+                                      counted[name]),
+                   np.max(errors[name][counted[name], 2], initial=1.0))
+            for name in ALL_CHECKS}
+
+
+@pytest.mark.parametrize("case", [case for case, _ in PINNED_OUTCOMES],
+                         ids=["fig1", "fig2", "exp", "mixed", "ell-1", "sinh"])
+def test_checks_match_pointwise_reference(case):
+    # the pinned specs on a coarser grid of the same parity: the odd grids
+    # keep z = 0 and the row u1 = 0
+    *fgl, n = case
+    spec = spec_for(*fgl, n=16 if n % 2 == 0 else 15)
+    report, reference = run_checks(spec), reference_rows(spec)
+    # Both paths apply the same formulas to the same jets.  They round apart
+    # only where numpy's complex arithmetic rounds differently from Python's
+    # (a complex g), by some ulps of the values a residual is computed from:
+    # a multiple of 1.1e-16 (1 + |ref|) in its absolute error and of 1.1e-16
+    # in its relative one.  The largest multiple here is about 120 (1.35e-14,
+    # forms_vs_fd of the mixed case, next to the zero of g').  The bound,
+    # 1e-12 with 1 + |ref| at its largest over the row, leaves 70 times that
+    # and stays 1000 times below the algebraic tolerance.
+    for name in ALL_CHECKS:
+        got, (ref, scale) = report.check(name), reference[name]
+        assert (got.count, got.excluded) == (ref.count, ref.excluded), name
+        for a, b, bound in ((got.max_abs, ref.max_abs, 1e-12 * scale),
+                            (got.max_rel, ref.max_rel, 1e-12)):
+            assert abs(a - b) <= bound or a == b, name
 
 
 def test_tolerance_override_fails_report():
