@@ -12,12 +12,9 @@ independent finite-difference oracle.
 from .expr import (EvalError, ExprError, Jet2, ParseError,
                    UnknownIdentifierError, differentiate, eval_jet2, evaluate,
                    parse_expr, simplify, unparse)
-from .geometry import (FundamentalForms, GaussFrame, PointFrame,
-                       SingularPointError, fundamental_forms, gauss_map, inner,
-                       point_frame, v_matrix, xi)
-from .surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec,
-                      point_closed_form, point_direct, rotation_point,
-                      rotation_spec, sample_mesh, sample_rotation_mesh)
+from .geometry import inner
+from .surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec, rotation_spec,
+                      sample_mesh, sample_rotation_mesh)
 from .verify import ResidualReport, convergence_order, run_checks
 
 __version__ = "0.1.0"
@@ -26,11 +23,9 @@ __all__ = [
     "EvalError", "ExprError", "Jet2", "ParseError", "UnknownIdentifierError",
     "differentiate", "eval_jet2", "evaluate", "parse_expr", "simplify",
     "unparse",
-    "FundamentalForms", "GaussFrame", "PointFrame", "SingularPointError",
-    "fundamental_forms", "gauss_map", "inner", "point_frame", "v_matrix", "xi",
-    "EmptyMeshError", "SurfaceMesh", "SurfaceSpec", "point_closed_form",
-    "point_direct", "rotation_point", "rotation_spec", "sample_mesh",
-    "sample_rotation_mesh",
+    "inner",
+    "EmptyMeshError", "SurfaceMesh", "SurfaceSpec", "rotation_spec",
+    "sample_mesh", "sample_rotation_mesh",
     "ResidualReport", "convergence_order", "run_checks",
     "__version__",
 ]

@@ -294,7 +294,8 @@ _non_negative = _checked(float, "finite and >= 0", lambda x: 0.0 <= x < math.inf
 _fd_step = _checked(float, "finite and > 0, with a square neither 0 nor inf",
                     lambda h: 0.0 < h < math.inf and 0.0 < h * h < math.inf)
 _resolution = _checked(int, ">= 2", lambda n: n >= 2)
-_samples = _checked(int, ">= 1", lambda n: n >= 1)
+_samples = _checked(int, f"between 1 and {surface.MAX_GRID_POINTS}",
+                    lambda n: 1 <= n <= surface.MAX_GRID_POINTS)
 
 
 def _parse_range(text: str) -> tuple[float, float]:

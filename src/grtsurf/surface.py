@@ -12,8 +12,7 @@ revolution obtained for f = a z + b, g = exp(z).
 
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
 det V numerically zero) and emit quad faces only over regular corners.  The
-grid is evaluated as numpy arrays, a block of whole rows at a time, by the
-same formulas that the pointwise functions apply to one point.
+grid is evaluated as numpy arrays, a block of whole rows at a time.
 """
 from __future__ import annotations
 
@@ -31,6 +30,13 @@ from .geometry import GridFrame, inner
 # many points at a time.  The bound keeps the temporaries of the array
 # evaluation small; a whole 128x128 grid at once raises peak memory.
 BLOCK_POINTS = 2048
+# The most grid points, nu1 * nu2, that a SurfaceSpec accepts, so that a run
+# stays under 2 GiB.  Peak RSS grows linearly in the points.  The worst shape
+# has two rows, each one block: verify at 2 x 2^17, 2 x 2^18 and 2 x 2^19
+# peaked at 217, 401 and 772 MiB (706 bytes a point; x86-64 Linux, numpy
+# 2.4.6), so 2 x 2^20 extrapolates to 1.5 GiB.  Square grids cost less: at
+# 1024^2, rotate --cross-check peaked at 307 MiB and generate at 283.
+MAX_GRID_POINTS = 2 ** 21
 
 
 class EmptyMeshError(Exception):
@@ -63,6 +69,9 @@ class SurfaceSpec:
         check_range("u2", *self.u2_range)
         if self.nu1 < 2 or self.nu2 < 2:
             raise ValueError("resolution must be at least 2 in each direction")
+        if self.nu1 * self.nu2 > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {self.nu1} x {self.nu2} points exceeds "
+                             f"the limit of {MAX_GRID_POINTS} points")
         if not (0.0 <= self.regularity_eps < math.inf):
             raise ValueError(f"regularity eps must be finite and >= 0, "
                              f"got {self.regularity_eps!r}")
@@ -118,8 +127,8 @@ def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple:
     return (f_jet, g_jet, ell_jet), f_ok & g_ok & ell_ok, f_ok
 
 
-# The point formulas return the three coordinates of X, at one point or
-# over arrays; both take the (|g'|^2, T, L11) of geometry._sphere.
+# The point formulas return the three coordinates of X elementwise over jet
+# arrays; both take the (|g'|^2, T, L11) of geometry._sphere.
 
 def _closed_form_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
                      gp2, t, l11) -> tuple:
@@ -131,17 +140,6 @@ def _closed_form_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
     return (a * w.real + l * 2.0 * g.real / t,
             a * w.imag + l * 2.0 * g.imag / t,
             a * (-2.0 * s) + l * (2.0 - t) / t)
-
-
-def _point_closed_form(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-                       eps: float) -> np.ndarray:
-    sphere = geometry._checked_sphere(g_jet, eps)
-    return np.array(_closed_form_xyz(f_jet, g_jet, ell_jet, *sphere))
-
-
-def point_closed_form(spec: SurfaceSpec, z: complex) -> np.ndarray:
-    """Surface point from the closed-form parameterization."""
-    return _point_closed_form(*jets_at(spec, z), spec.regularity_eps)
 
 
 def _direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2, gp2, t, l11) -> tuple:
@@ -160,42 +158,22 @@ def _direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2, gp2, t, l11) -> tuple:
                                       geometry._unit_normal(g, t)))
 
 
-def _point_direct(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-                  eps: float) -> np.ndarray:
-    sphere = geometry._checked_sphere(g_jet, eps)
-    return np.array(_direct_xyz(f_jet, g_jet, ell_jet, *sphere))
-
-
 def xyz_array(point_xyz, jets: tuple) -> np.ndarray:
     """The points of ``point_xyz`` (_closed_form_xyz or _direct_xyz) over
     jet arrays, with x, y, z along a last axis."""
     return np.stack(point_xyz(*jets, *geometry._sphere(jets[1])), axis=-1)
 
 
-def point_direct(spec: SurfaceSpec, z: complex) -> np.ndarray:
-    """Surface point as gradient-plus-support combination of the normal jets."""
-    return _point_direct(*jets_at(spec, z), spec.regularity_eps)
-
-
 def _rotation_xyz(a: float, jet: Jet2, u1, u2) -> tuple:
-    """X_ab at (u1, u2) from the jet of ell at mu = a*u1 + b."""
-    xp = np if isinstance(u1, np.ndarray) else math
-    e1 = xp.exp(u1)
+    """X_ab at the arrays (u1, u2) from the jet of ell at mu = a*u1 + b.
+
+    Equals the closed-form parameterization with f = a z + b, g = exp(z)."""
+    e1 = np.exp(u1)
     e2 = e1 * e1
     denom = 1.0 + e2
-    m = (a * jet.d1 * (xp.exp(-u1) - e2 * e1) + 4.0 * jet.value * e1) / (2.0 * denom)
+    m = (a * jet.d1 * (np.exp(-u1) - e2 * e1) + 4.0 * jet.value * e1) / (2.0 * denom)
     nz = (jet.value * (1.0 - e2) - a * jet.d1 * denom) / denom
-    return m * xp.cos(u2), m * xp.sin(u2), nz
-
-
-def rotation_point(a: float, b: float, ell: ExprNode,
-                   u1: float, u2: float) -> np.ndarray:
-    """Point of the rotation family X_ab at (u1, u2), with mu = a*u1 + b.
-
-    Equals the closed-form parameterization with f = a z + b, g = exp(z).
-    """
-    jet = eval_jet2(ell, a * u1 + b, variable="t")
-    return np.array(_rotation_xyz(a, jet, u1, u2))
+    return m * np.cos(u2), m * np.sin(u2), nz
 
 
 def rotation_spec(a: float, b: float, ell: ExprNode, **kwargs) -> SurfaceSpec:

@@ -1,4 +1,11 @@
-"""Shared test helpers: a grammar-driven random expression sampler.
+"""Shared test helpers: the array path at one point, and a grammar-driven
+random expression sampler.
+
+The package evaluates frames and surface points over arrays only.  A test
+reaches one point by wrapping each part of its scalar jets in a one-element
+array (``point_arrays``) and taking the one value of ``geometry.grid_frame``
+(``frame_at``), ``surface.xyz_array`` (``xyz_at``) or the rotation formula
+(``rotation_at``).
 
 Samples are (source, ast, point) triples accepted only when the expression
 and its first two symbolic derivatives evaluate cleanly at the point, every
@@ -11,11 +18,42 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from grtsurf import expr as E
+from grtsurf import geometry, surface
 
 FD_STEP_D1 = 1e-5
 FD_STEP_D2 = 3e-4
 MAG_CAP = 50.0
+
+
+def point_arrays(*jets):
+    """The scalar jets, each part wrapped in a one-element array."""
+    return tuple(E.Jet2(np.array([jet.value]), np.array([jet.d1]), np.array([jet.d2]))
+                 for jet in jets)
+
+
+def frame_at(f_jet, g_jet, ell_jet, eps=geometry.REGULARITY_EPS):
+    """geometry.grid_frame at the one point of the scalar jets, each field
+    taken at that point: ``exists`` is False where no frame exists."""
+    frame = geometry.grid_frame(*point_arrays(f_jet, g_jet, ell_jet), eps)
+    return geometry.GridFrame(*(field[0] for field in frame))
+
+
+def xyz_at(point_xyz, jets):
+    """surface.xyz_array of ``point_xyz`` (surface._closed_form_xyz or
+    _direct_xyz) at the one point of the scalar jets."""
+    return surface.xyz_array(point_xyz, point_arrays(*jets))[0]
+
+
+def rotation_at(a, b, ell, u1, u2):
+    """The rotation family X_ab at the one point (u1, u2), with mu = a*u1 + b;
+    EvalError where ell fails at mu."""
+    jet = E.eval_jet2(ell, a * u1 + b, variable="t")
+    return np.stack(surface._rotation_xyz(a, *point_arrays(jet), np.array([u1]),
+                                          np.array([u2])), axis=-1)[0]
+
 
 _NUMBERS = ("1", "2", "3", "0.5", "1.5", "0.25", "2.5", "4")
 _COMPLEX_CONSTS = ("pi", "e", "i")

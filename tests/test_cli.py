@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import gen_source
 from grtsurf.cli import main
+from grtsurf.surface import MAX_GRID_POINTS
 from grtsurf.verify import FD_CHECKS
 
 
@@ -164,22 +165,41 @@ def test_generate_io_error_exit_4(tmp_path, capsys):
 
 
 def test_grid_too_large_for_memory_exit_2(tmp_path):
-    # the 20000^2 complex grid needs 6 GB; the child's address space is
-    # capped at 3 GB, so the allocation fails at once instead of growing
+    # the largest square grid the limit accepts, 1448^2, peaks at 640 MiB of
+    # address space, against 140 MiB for a small grid; the child's address
+    # space is capped at 512 MiB, so an allocation fails instead of growing.
+    # One BLAS thread keeps the address space after import off the core count.
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
 
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "grtsurf.cli", "generate", "--preset", "fig1",
-         "--n", "20000", "--out", str(tmp_path / "x.obj")],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        preexec_fn=cap_address_space, timeout=120)
+         "--n", str(math.isqrt(MAX_GRID_POINTS)), "--out", str(tmp_path / "x.obj")],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: out of memory: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--preset", "fig1", "--n", "20000"),
+    ("rotate", "--preset", "fig3", "--nu1", "2", "--nu2", str(MAX_GRID_POINTS // 2 + 1)),
+    ("verify", "--n", "20000"),
+], ids=["generate", "rotate", "verify"])
+def test_oversize_grid_exits_2_up_front(tmp_path, capsys, argv):
+    # rejected before any array is allocated: no address-space cap needed
+    out = tmp_path / "out.obj"
+    extra = ("--out", str(out)) if argv[0] != "verify" else ()
+    code, stdout, stderr = run(capsys, *argv, *extra)
+    assert code == 2
+    assert stderr.startswith("error: grid of ") and stderr.count("\n") == 1
+    assert f"limit of {MAX_GRID_POINTS} points" in stderr
+    assert not out.exists() and stdout == ""
 
 
 def test_generate_presets(tmp_path, capsys):
@@ -482,6 +502,7 @@ def test_parse_error_at_end_names_end_of_input(capsys, ell):
     (("rotate", "--preset", "fig3", "--a", "inf"), "--a"),
     (("info", "--ell", "t", "--mu-range", "nan:1"), "--mu-range"),
     (("info", "--ell", "t", "--samples", "0"), "--samples"),
+    (("info", "--ell", "t", "--samples", str(MAX_GRID_POINTS + 1)), "--samples"),
     (("generate", "--preset", "fig1", "--eps", "-1e-5"), "--eps"),
     (("verify", "--fd-step", "-inf", "--n", "8"), "--fd-step"),
     (("verify", "--fd-step", "1e-300", "--n", "8"), "--fd-step"),
@@ -491,7 +512,7 @@ def test_parse_error_at_end_names_end_of_input(capsys, ell):
     (("verify", "--n", "8", "--method", "direct"), "--method"),  # verify checks both
 ], ids=["reversed-range", "n-1", "nan-range", "negative-eps", "inf-range",
         "zero-fd-step", "nan-tolerance", "inf-a", "nan-mu-range",
-        "no-samples", "exponent-eps", "minus-inf-fd-step",
+        "no-samples", "too-many-samples", "exponent-eps", "minus-inf-fd-step",
         "fd-step-square-underflows", "non-integer-n", "unknown-flag",
         "missing-value", "verify-method"])
 def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, flag):

@@ -1,9 +1,10 @@
 """Geometry module: frame, V matrix, scalar fields, fundamental forms.
 
-The independent oracle for the V matrix rebuilds it from finite differences
-of the support function h = ell(Re f) and the closed-form Christoffel
-symbols, i.e. through the defining formula rather than through the jet
-expressions under test.
+Each test reaches one point through conftest.frame_at, grid_frame at one
+point.  The independent oracle for the V matrix rebuilds it from finite
+differences of the support function h = ell(Re f) and the closed-form
+Christoffel symbols, i.e. through the defining formula rather than through
+the jet expressions under test.
 """
 import math
 import random
@@ -11,11 +12,13 @@ import random
 import numpy as np
 import pytest
 
+from conftest import frame_at
 from grtsurf.expr import Jet2, eval_jet2, parse_expr
-from grtsurf.geometry import (SingularPointError, fundamental_forms, gauss_map,
-                              inner, point_frame, v_matrix, xi)
+from grtsurf.geometry import _forms, _sphere, _xi, inner
 
 UNIT_JET = Jet2(0j, 1 + 0j, 0j)
+# A profile jet with ell, ell', ell'' nonzero, for frames that need only g
+PROFILE_JET = Jet2(1.0, 1.0, 2.0)
 
 
 def jets_for(f_src, g_src, ell_src, z):
@@ -37,41 +40,62 @@ SAMPLE_TRIPLES = [
 SAMPLE_POINTS = [0.31 + 0.17j, -0.42 + 0.55j, 0.73 - 0.64j, 0.11 + 0.93j]
 
 
+def v_matrix(ell_jet, f_jet, g_jet):
+    """V as a 2x2 matrix, and its trace, from the frame at the jets."""
+    frame = frame_at(f_jet, g_jet, ell_jet)
+    v11, v12, v22 = frame.v
+    return np.array([[v11, v12], [v12, v22]]), frame.trace_v
+
+
+def christoffel(g_jet):
+    """(G^1_11, G^2_22, G^2_11, G^1_22) of the sphere metric pulled back by
+    g; the remaining nonzero symbols are G^1_12 = G^1_21 = G^2_22 and
+    G^2_12 = G^2_21 = G^1_11."""
+    gp2, t, _ = _sphere(g_jet)
+    g, g1, g2 = g_jet.value, g_jet.d1, g_jet.d2
+    c111 = (t * inner(g1, g2) - 2.0 * gp2 * inner(g, g1)) / (t * gp2)
+    c222 = (t * inner(g1, 1j * g2) - 2.0 * gp2 * inner(g, 1j * g1)) / (t * gp2)
+    return c111, c222, -c222, -c111
+
+
 # ---------------------------------------------------------------------------
 # Gauss frame
 # ---------------------------------------------------------------------------
 
+def normal_of(g_jet):
+    """The unit normal of the frame at g_jet."""
+    return frame_at(UNIT_JET, g_jet, PROFILE_JET).normal
+
+
 def test_gauss_map_at_origin():
-    frame = gauss_map(UNIT_JET)
-    assert np.allclose(frame.normal, [0, 0, 1], atol=1e-15)
-    assert frame.l11 == 4.0
-    assert frame.t == 1.0
-    assert frame.christoffel == (0.0, 0.0, 0.0, 0.0)
+    _, t, l11 = _sphere(UNIT_JET)
+    assert np.allclose(normal_of(UNIT_JET), [0, 0, 1], atol=1e-15)
+    assert l11 == 4.0
+    assert t == 1.0
+    assert christoffel(UNIT_JET) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_gauss_map_at_one_plus_i():
-    frame = gauss_map(Jet2(1 + 1j, 1 + 0j, 0j))
-    assert np.allclose(frame.normal, [2 / 3, 2 / 3, -1 / 3], atol=1e-15)
-    assert frame.t == 3.0
-    assert abs(frame.l11 - 4 / 9) < 1e-15
+    g_jet = Jet2(1 + 1j, 1 + 0j, 0j)
+    _, t, l11 = _sphere(g_jet)
+    assert np.allclose(normal_of(g_jet), [2 / 3, 2 / 3, -1 / 3], atol=1e-15)
+    assert t == 3.0
+    assert abs(l11 - 4 / 9) < 1e-15
 
 
 def test_gauss_map_unit_modulus_kills_third_component():
-    frame = gauss_map(Jet2(1 + 0j, 1 + 0j, 0j))
-    assert np.allclose(frame.normal, [1, 0, 0], atol=1e-15)
+    assert np.allclose(normal_of(Jet2(1 + 0j, 1 + 0j, 0j)), [1, 0, 0], atol=1e-15)
 
 
 def test_gauss_map_singular_when_g_prime_vanishes():
-    with pytest.raises(SingularPointError):
-        gauss_map(Jet2(0j, 0j, 2 + 0j))
+    assert not frame_at(UNIT_JET, Jet2(0j, 0j, 2 + 0j), PROFILE_JET).exists
 
 
 def test_normal_is_unit_everywhere():
     for (f, g, l) in SAMPLE_TRIPLES:
         for z in SAMPLE_POINTS:
-            _, g_jet, _ = jets_for(f, g, l, z)
-            frame = gauss_map(g_jet)
-            assert abs(np.dot(frame.normal, frame.normal) - 1.0) <= 1e-12
+            normal = frame_at(*jets_for(f, g, l, z)).normal
+            assert abs(np.dot(normal, normal) - 1.0) <= 1e-12
 
 
 def test_conformality_by_finite_differences():
@@ -79,16 +103,16 @@ def test_conformality_by_finite_differences():
     step = 1e-4
     g = parse_expr("z^2+z", "z")
     for z in SAMPLE_POINTS:
-        frame = gauss_map(eval_jet2(g, z))
+        l11 = _sphere(eval_jet2(g, z))[2]
 
         def normal(w):
-            return gauss_map(eval_jet2(g, w)).normal
+            return normal_of(eval_jet2(g, w))
 
         n1 = (normal(z + step) - normal(z - step)) / (2 * step)
         n2 = (normal(z + 1j * step) - normal(z - 1j * step)) / (2 * step)
-        assert abs(np.dot(n1, n1) - frame.l11) <= 1e-5 * (1 + frame.l11)
-        assert abs(np.dot(n2, n2) - frame.l11) <= 1e-5 * (1 + frame.l11)
-        assert abs(np.dot(n1, n2)) <= 1e-5 * (1 + frame.l11)
+        assert abs(np.dot(n1, n1) - l11) <= 1e-5 * (1 + l11)
+        assert abs(np.dot(n2, n2) - l11) <= 1e-5 * (1 + l11)
+        assert abs(np.dot(n1, n2)) <= 1e-5 * (1 + l11)
 
 
 def test_christoffel_symbols_match_metric_derivatives():
@@ -96,14 +120,12 @@ def test_christoffel_symbols_match_metric_derivatives():
     step = 1e-5
     g = parse_expr("exp(z)", "z")
     for z in SAMPLE_POINTS:
-        frame = gauss_map(eval_jet2(g, z))
-
         def log_l11(w):
-            return math.log(gauss_map(eval_jet2(g, w)).l11)
+            return math.log(_sphere(eval_jet2(g, w))[2])
 
         d1 = (log_l11(z + step) - log_l11(z - step)) / (2 * step)
         d2 = (log_l11(z + 1j * step) - log_l11(z - 1j * step)) / (2 * step)
-        c111, c222, c211, c122 = frame.christoffel
+        c111, c222, c211, c122 = christoffel(eval_jet2(g, z))
         assert abs(c111 - d1 / 2) <= 1e-6 * (1 + abs(c111))
         assert abs(c222 - d2 / 2) <= 1e-6 * (1 + abs(c222))
         assert c211 == -c222
@@ -115,11 +137,11 @@ def test_christoffel_symbols_match_metric_derivatives():
 # ---------------------------------------------------------------------------
 
 def test_xi_zero_for_identity_pair_at_origin():
-    assert xi(UNIT_JET, UNIT_JET, 1.0) == 0j
+    assert _xi(UNIT_JET, UNIT_JET, 1.0) == 0j
 
 
 def test_xi_identity_pair_at_one():
-    value = xi(Jet2(1 + 0j, 1 + 0j, 0j), Jet2(1 + 0j, 1 + 0j, 0j), 2.0)
+    value = _xi(Jet2(1 + 0j, 1 + 0j, 0j), Jet2(1 + 0j, 1 + 0j, 0j), 2.0)
     assert abs(value - (-1 + 0j)) < 1e-15
 
 
@@ -128,7 +150,7 @@ def test_xi_reduces_to_second_derivative_term():
     f_jet = Jet2(0j, 0j, 3 - 2j)
     g_jet = Jet2(0.5 + 0.5j, 1 + 1j, 0.3j)
     t = 1 + inner(g_jet.value, g_jet.value)
-    assert xi(f_jet, g_jet, t) == -(3 - 2j)
+    assert _xi(f_jet, g_jet, t) == -(3 - 2j)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +158,7 @@ def test_xi_reduces_to_second_derivative_term():
 # ---------------------------------------------------------------------------
 
 def test_v_matrix_frozen_example():
-    v, trace = v_matrix(Jet2(1.0, 1.0, 2.0), UNIT_JET, UNIT_JET)
+    v, trace = v_matrix(PROFILE_JET, UNIT_JET, UNIT_JET)
     assert np.allclose(v, [[1.5, 0.0], [0.0, 1.0]], atol=1e-15)
     assert trace == 2.5
 
@@ -194,12 +216,12 @@ def _fd_v_matrix(f, g, ell, z, step=1e-3):
     h22 = (h(z + 1j * s) - 2 * h0 + h(z - 1j * s)) / (s * s)
     h12 = (h(z + s + 1j * s) + h(z - s - 1j * s)
            - h(z + s - 1j * s) - h(z - s + 1j * s)) / (4 * s * s)
-    frame = gauss_map(eval_jet2(g, z))
-    c111, c222, c211, c122 = frame.christoffel
+    g_jet = eval_jet2(g, z)
+    c111, c222, c211, c122 = christoffel(g_jet)
     # remaining symbols for the conformal metric
     c112 = c222  # G^1_12 = G^1_21
     c212 = c111  # G^2_12 = G^2_21
-    l11 = frame.l11
+    l11 = _sphere(g_jet)[2]
     v11 = (h11 - (h1 * c111 + h2 * c211) + h0 * l11) / l11
     v22 = (h22 - (h1 * c122 + h2 * c222) + h0 * l11) / l11
     v12 = (h12 - (h1 * c112 + h2 * c212)) / l11
@@ -222,15 +244,12 @@ def test_v_matrix_against_fd_oracle():
 def test_point_frame_singular_when_t_squared_overflows():
     # |g| = 1e200: T^2 overflows and the metric factor would be 0
     g_jet = Jet2(1e200 + 0j, 1 + 0j, 0j)
-    with pytest.raises(SingularPointError, match="metric factor"):
-        point_frame(UNIT_JET, g_jet, Jet2(1.0, 1.0, 2.0))
-    with pytest.raises(SingularPointError):
-        gauss_map(g_jet)
+    assert _sphere(g_jet)[2] == 0.0  # the metric factor
+    assert not frame_at(UNIT_JET, g_jet, PROFILE_JET).exists
 
 
 def test_v_matrix_singular_when_g_prime_vanishes():
-    with pytest.raises(SingularPointError):
-        v_matrix(Jet2(1.0, 1.0, 2.0), UNIT_JET, Jet2(0j, 0j, 2 + 0j))
+    assert not frame_at(UNIT_JET, Jet2(0j, 0j, 2 + 0j), PROFILE_JET).exists
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +257,7 @@ def test_v_matrix_singular_when_g_prime_vanishes():
 # ---------------------------------------------------------------------------
 
 def test_scalar_fields_frozen_example():
-    s = point_frame(UNIT_JET, UNIT_JET, Jet2(1.0, 1.0, 2.0))
+    s = frame_at(UNIT_JET, UNIT_JET, PROFILE_JET)
     assert s.psi == 1.0
     assert abs(s.grad_sq - 0.25) < 1e-15
     assert abs(s.lam - 1.25) < 1e-15
@@ -252,7 +271,7 @@ def test_linear_profile_gives_appell_relation():
     # C = 0, so H/K = -psi, i.e. H + psi*K = 0
     for (f_src, g_src) in [("z", "z"), ("z^2", "exp(z)")]:
         for z in SAMPLE_POINTS:
-            s = point_frame(*jets_for(f_src, g_src, "t", z))
+            s = frame_at(*jets_for(f_src, g_src, "t", z))
             assert s.regular and s.c == 0.0
             resid = abs(s.mean + s.psi * s.gauss) / (1 + abs(s.psi * s.gauss))
             assert resid <= 1e-9
@@ -269,8 +288,8 @@ def test_power_profile_constant_c():
 
 
 def test_degenerate_profile_raises():
-    frame = point_frame(UNIT_JET, UNIT_JET, Jet2(1.0, 0.0, 2.0))  # ell' = 0
-    assert frame.c is None and frame.degenerate_profile
+    frame = frame_at(UNIT_JET, UNIT_JET, Jet2(1.0, 0.0, 2.0))  # ell' = 0
+    assert np.isnan(frame.c)
 
 
 def test_singular_det_v_raises():
@@ -278,8 +297,9 @@ def test_singular_det_v_raises():
     # a combination producing det V = 0
     ell_jet = Jet2(0.0, 1.0, 0.0)
     f_jet = Jet2(0j, 0j, 0j)  # f constant -> V = ell * I = 0
-    frame = point_frame(f_jet, UNIT_JET, ell_jet)
-    assert not frame.regular and frame.mean is None and frame.gauss is None
+    frame = frame_at(f_jet, UNIT_JET, ell_jet)
+    assert frame.exists and not frame.regular
+    assert not np.isfinite(frame.mean) and not np.isfinite(frame.gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -287,29 +307,30 @@ def test_singular_det_v_raises():
 # ---------------------------------------------------------------------------
 
 def test_fundamental_forms_frozen_example():
-    forms = fundamental_forms(np.array([[1.5, 0.0], [0.0, 1.0]]), 4.0)
+    forms = _forms(1.5, 0.0, 1.0, 4.0)
     assert forms == (9.0, 0.0, 4.0, 6.0, 0.0, 4.0)
+    assert frame_at(UNIT_JET, UNIT_JET, PROFILE_JET).forms.tolist() == list(forms)
 
 
 def test_fundamental_forms_umbilic():
     c, l11 = 2.5, 0.3
-    forms = fundamental_forms(c * np.eye(2), l11)
-    assert forms.E == forms.G == pytest.approx(c * c * l11, rel=1e-15)
-    assert forms.F == 0.0
-    assert forms.e == forms.g == pytest.approx(c * l11, rel=1e-15)
-    assert forms.f == 0.0
+    E, F, G, e, f, g = _forms(c, 0.0, c, l11)
+    assert E == G == pytest.approx(c * c * l11, rel=1e-15)
+    assert F == 0.0
+    assert e == g == pytest.approx(c * l11, rel=1e-15)
+    assert f == 0.0
 
 
 def test_det_identity():
     for (f, g, l) in SAMPLE_TRIPLES:
         for z in SAMPLE_POINTS:
             f_jet, g_jet, ell_jet = jets_for(f, g, l, z)
-            frame = gauss_map(g_jet)
+            l11 = _sphere(g_jet)[2]
             v, _ = v_matrix(ell_jet, f_jet, g_jet)
-            forms = fundamental_forms(v, frame.l11)
+            E, F, G, *_ = frame_at(f_jet, g_jet, ell_jet).forms
             det_v = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-            lhs = forms.E * forms.G - forms.F * forms.F
-            rhs = det_v * det_v * frame.l11 * frame.l11
+            lhs = E * G - F * F
+            rhs = det_v * det_v * l11 * l11
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 
@@ -318,14 +339,12 @@ def test_fundamental_forms_match_expanded_expressions():
     for (f, g, l) in SAMPLE_TRIPLES:
         for z in SAMPLE_POINTS:
             f_jet, g_jet, ell_jet = jets_for(f, g, l, z)
-            frame = gauss_map(g_jet)
-            v, _ = v_matrix(ell_jet, f_jet, g_jet)
-            forms = fundamental_forms(v, frame.l11)
+            forms = frame_at(f_jet, g_jet, ell_jet).forms
 
-            t = frame.t
+            _, t, _ = _sphere(g_jet)
             gp2 = inner(g_jet.d1, g_jet.d1)
             k = t * t / (4 * gp2)
-            x = xi(f_jet, g_jet, t)
+            x = _xi(f_jet, g_jet, t)
             f1 = f_jet.d1
             l0, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
             a1 = inner(1.0, f1)            # <1, f'>
@@ -363,11 +382,10 @@ def test_weingarten_relation_at_random_points():
         hits = 0
         while hits < 25:
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            try:
-                frame = point_frame(*jets_for(f, g, l, z))
-            except SingularPointError:
+            frame = frame_at(*jets_for(f, g, l, z))
+            if not frame.exists:
                 continue
-            if (not frame.regular or frame.degenerate_profile
+            if (not frame.regular or np.isnan(frame.c)
                     or abs(frame.psi) <= 1e-6):
                 continue
             hits += 1
@@ -382,11 +400,10 @@ def test_pde_characterization_at_random_points():
         hits = 0
         while hits < 25:
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            try:
-                frame = point_frame(*jets_for(f, g, l, z))
-            except SingularPointError:
+            frame = frame_at(*jets_for(f, g, l, z))
+            if not frame.exists:
                 continue
-            if not frame.regular or frame.degenerate_profile:
+            if not frame.regular or np.isnan(frame.c):
                 continue
             hits += 1
             lap = frame.trace_v - 2 * frame.psi
@@ -411,13 +428,16 @@ def test_mu_harmonic():
 def test_lambda_dominates_psi_squared():
     for (f, g, l) in SAMPLE_TRIPLES:
         for z in SAMPLE_POINTS:
-            frame = point_frame(*jets_for(f, g, l, z))
+            frame = frame_at(*jets_for(f, g, l, z))
             assert frame.lam >= frame.psi ** 2 - 1e-12
 
 
 def test_point_frame_w_inverts_v():
     for (f, g, l) in SAMPLE_TRIPLES:
         for z in SAMPLE_POINTS:
-            frame = point_frame(*jets_for(f, g, l, z))
+            frame = frame_at(*jets_for(f, g, l, z))
             if frame.regular:
-                assert np.max(np.abs(frame.w @ frame.v - np.eye(2))) <= 1e-9
+                v11, v12, v22 = frame.v
+                v = np.array([[v11, v12], [v12, v22]])
+                w = np.array([[v22, -v12], [-v12, v11]]) / frame.det_v
+                assert np.max(np.abs(w @ v - np.eye(2))) <= 1e-9

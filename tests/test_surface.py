@@ -5,12 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from conftest import frame_at, rotation_at, xyz_at
 from grtsurf import surface
 from grtsurf.expr import EvalError, eval_jet2, parse_expr
-from grtsurf.geometry import (PSI_EPS, SingularPointError, gauss_map, inner,
-                              point_frame)
+from grtsurf.geometry import PSI_EPS, inner
 from grtsurf.surface import (EmptyMeshError, SurfaceSpec, jets_at,
-                             point_closed_form, point_direct, rotation_point,
                              rotation_spec, sample_mesh, sample_rotation_mesh)
 
 TRIPLES = [
@@ -27,6 +26,22 @@ def spec_for(f, g, l, **kw):
     kw.setdefault("nu1", 16)
     kw.setdefault("nu2", 16)
     return SurfaceSpec.from_strings(f, g, l, **kw)
+
+
+def point_closed_form(spec, z):
+    """The closed-form surface point at z."""
+    return xyz_at(surface._closed_form_xyz, jets_at(spec, z))
+
+
+def point_direct(spec, z):
+    """The surface point at z as gradient-plus-support combination of the
+    normal jets."""
+    return xyz_at(surface._direct_xyz, jets_at(spec, z))
+
+
+def normal_at(spec, z):
+    """The unit normal at z."""
+    return frame_at(*jets_at(spec, z)).normal
 
 
 def random_points(seed, n=20):
@@ -50,7 +65,7 @@ def test_constant_profile_gives_sphere():
     spec = spec_for("z", "z", "2.5")
     for z in random_points(7):
         x = point_closed_form(spec, z)
-        n = gauss_map(eval_jet2(spec.g, z)).normal
+        n = normal_at(spec, z)
         assert np.allclose(x, 2.5 * n, atol=1e-14)
         assert abs(np.dot(x, x) - 2.5 ** 2) <= 1e-12
 
@@ -73,8 +88,7 @@ def test_first_term_third_coordinate():
 
 def test_closed_form_singular_point():
     spec = spec_for("z", "z^2", "t^2+t+1")
-    with pytest.raises(SingularPointError):
-        point_closed_form(spec, 0j)
+    assert not frame_at(*jets_at(spec, 0j)).exists
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +104,10 @@ def test_direct_equals_closed_form():
     for (f, g, l) in TRIPLES:
         spec = spec_for(f, g, l)
         for z in random_points(hash((f, g, l)) & 0xFFFF):
-            try:
-                xc = point_closed_form(spec, z)
-                xd = point_direct(spec, z)
-            except SingularPointError:
+            if not frame_at(*jets_at(spec, z)).exists:
                 continue
+            xc = point_closed_form(spec, z)
+            xd = point_direct(spec, z)
             assert np.linalg.norm(xd - xc) <= 1e-9 * (1 + np.linalg.norm(xc))
 
 
@@ -102,7 +115,7 @@ def test_direct_constant_profile_is_support_times_normal():
     spec = spec_for("z", "z", "42")
     for z in random_points(3):
         x = point_direct(spec, z)
-        n = gauss_map(eval_jet2(spec.g, z)).normal
+        n = normal_at(spec, z)
         assert np.allclose(x, 42.0 * n, atol=1e-12)
 
 
@@ -123,7 +136,7 @@ def test_constant_f_gives_sphere_of_radius_ell_mu0():
 
 def test_rotation_frozen_example():
     ell = parse_expr("t^2+t+1", "t", real=True)
-    x = rotation_point(0.0, 1.0, ell, 0.0, 0.0)
+    x = rotation_at(0.0, 1.0, ell, 0.0, 0.0)
     assert np.allclose(x, [3.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -131,7 +144,7 @@ def test_rotation_a_zero_lies_on_sphere():
     # M^2 + N^2 = ell(b)^2 for every u1
     ell = parse_expr("t^2+t+1", "t", real=True)
     for u1 in np.linspace(-2, 2, 41):
-        x = rotation_point(0.0, 1.0, ell, float(u1), 0.7)
+        x = rotation_at(0.0, 1.0, ell, float(u1), 0.7)
         assert abs(np.dot(x, x) - 9.0) <= 1e-12
 
 
@@ -143,7 +156,7 @@ def test_rotation_matches_closed_form():
                                  u2_range=(-math.pi, math.pi), nu1=8, nu2=8)
             for u1 in np.linspace(-1, 1, 9):
                 for u2 in np.linspace(-math.pi, math.pi, 9):
-                    xr = rotation_point(a, b, ell, float(u1), float(u2))
+                    xr = rotation_at(a, b, ell, float(u1), float(u2))
                     xc = point_closed_form(spec, complex(u1, u2))
                     assert np.linalg.norm(xr - xc) <= 1e-9 * (1 + np.linalg.norm(xc))
 
@@ -152,10 +165,10 @@ def test_rotation_symmetry_across_u2():
     # radius and height depend on u1 only
     ell = parse_expr("cos(t)", "t", real=True)
     for u1 in (-0.8, -0.1, 0.4, 1.1):
-        base = rotation_point(1.0, 0.0, ell, u1, 0.0)
+        base = rotation_at(1.0, 0.0, ell, u1, 0.0)
         r0 = math.hypot(base[0], base[1])
         for u2 in np.linspace(-math.pi, math.pi, 17):
-            x = rotation_point(1.0, 0.0, ell, u1, float(u2))
+            x = rotation_at(1.0, 0.0, ell, u1, float(u2))
             assert abs(math.hypot(x[0], x[1]) - r0) <= 1e-12
             assert abs(x[2] - base[2]) <= 1e-12
 
@@ -164,7 +177,7 @@ def test_rotation_profile_error_propagates():
     ell = parse_expr("log(t)", "t", real=True)
     from grtsurf.expr import EvalError
     with pytest.raises(EvalError):
-        rotation_point(1.0, -2.0, ell, 0.0, 0.0)  # mu = -2 outside log domain
+        rotation_at(1.0, -2.0, ell, 0.0, 0.0)  # mu = -2 outside log domain
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +259,7 @@ def test_mesh_normals_match_gauss_map():
             if not mesh.valid[i, j]:
                 continue
             z = complex(mesh.u1[i], mesh.u2[j])
-            n = gauss_map(eval_jet2(spec.g, z)).normal
+            n = normal_at(spec, z)
             assert np.array_equal(mesh.normals[i, j], n)
 
 
@@ -319,6 +332,10 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             spec_for("z", "z", "t", **kw)
     spec_for("z", "z", "t", regularity_eps=0.0)
+    # nu1 * nu2 up to MAX_GRID_POINTS, in any shape
+    spec_for("z", "z", "t", nu1=2, nu2=surface.MAX_GRID_POINTS // 2)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        spec_for("z", "z", "t", nu1=2, nu2=surface.MAX_GRID_POINTS // 2 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +349,28 @@ DIAGNOSTICS = ("psi", "lam", "mean", "gauss", "c", "det_v",
 
 def reference_mesh(spec, rotation=None):
     """Mask, vertices, normals, diagnostics and faces of ``spec``, computed
-    one grid point at a time by the pointwise functions."""
+    one grid point at a time from the scalar evaluator's jets."""
     shape = (spec.nu1, spec.nu2)
     valid = np.zeros(shape, dtype=bool)
     vertices = np.full(shape + (3,), np.nan)
     normals = np.full(shape + (3,), np.nan)
     diag = {name: np.full(shape, np.nan) for name in DIAGNOSTICS}
-    point_fn = (surface._point_closed_form if spec.method == "closed_form"
-                else surface._point_direct)
+    point_xyz = (surface._closed_form_xyz if spec.method == "closed_form"
+                 else surface._direct_xyz)
     for i, u1 in enumerate(spec.grid_u1()):
         for j, u2 in enumerate(spec.grid_u2()):
             try:
                 jets = jets_at(spec, complex(u1, u2))
-                frame = point_frame(*jets, spec.regularity_eps)
-                x = point_fn(*jets, spec.regularity_eps)
-            except (EvalError, SingularPointError):
+            except EvalError:
                 continue
+            frame = frame_at(*jets, spec.regularity_eps)
+            if not frame.exists:
+                continue
+            x = xyz_at(point_xyz, jets)
             diag["psi"][i, j] = frame.psi
             diag["lam"][i, j] = frame.lam
             diag["det_v"][i, j] = frame.det_v
-            if frame.c is not None:
+            if not np.isnan(frame.c):
                 diag["c"][i, j] = frame.c
             if not frame.regular:
                 continue
@@ -362,7 +381,7 @@ def reference_mesh(spec, rotation=None):
             diag["support_residual"][i, j] = (abs(np.dot(x, frame.normal) - psi)
                                               / (1 + abs(psi)))
             diag["distance_residual"][i, j] = abs(np.dot(x, x) - lam) / (1 + abs(lam))
-            if frame.c is not None:
+            if not np.isnan(frame.c):
                 lap = psi * (frame.trace_v - 2 * psi)
                 diag["pde_residual"][i, j] = (abs(lap - frame.c * frame.grad_sq)
                                               / (1 + abs(lap)))
@@ -371,7 +390,7 @@ def reference_mesh(spec, rotation=None):
                     diag["weingarten_residual"][i, j] = (
                         abs(frame.h_over_k - rhs) / (1 + abs(frame.h_over_k)))
             if rotation is not None:
-                x = rotation_point(*rotation, spec.ell, float(u1), float(u2))
+                x = rotation_at(*rotation, spec.ell, float(u1), float(u2))
             vertices[i, j] = x
             normals[i, j] = frame.normal
     index = np.cumsum(valid).reshape(shape) - 1

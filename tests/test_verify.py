@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import gen_source
+from conftest import frame_at, gen_source, rotation_at, xyz_at
 from grtsurf import geometry, surface, verify
 from grtsurf.expr import EvalError, ExprError, eval_jet2, parse_expr
 from grtsurf.cli import main
@@ -63,11 +63,10 @@ def test_fd_residual_shrinks_quadratically():
     # halving the step shrinks the truncation error by about 4x
     spec = spec_for("z", "z", "t^2+t+1")
     z = 0.31 + 0.22j
-    from grtsurf import geometry, surface
-    frame = geometry.point_frame(*surface.jets_at(spec, z))
+    frame = frame_at(*surface.jets_at(spec, z))
 
     def resid(step):
-        return abs(fd_forms_at(spec, z, step=step)[0] - frame.forms.E)
+        return abs(fd_forms_at(spec, z, step=step)[0] - frame.forms[0])
 
     r1, r2 = resid(2e-4), resid(1e-4)
     assert 3.0 <= r1 / r2 <= 5.0
@@ -91,9 +90,15 @@ def test_laplacian_mu_fd_vanishes():
     assert abs(verify._laplacian(oracle["f_values"].tolist(), mu, 1e-4)) <= 1e-6
 
 
-# The one-point oracle API that fd_oracle's arrays replaced
+# The one-point oracle API that fd_oracle's arrays replaced, and the scalar
+# frame and surface-point layer that grid_frame and xyz_array replaced
 REMOVED_NAMES = ("fd_fundamental_forms", "FdOracleResult", "StencilError",
-                 "laplacian_mu_fd", "_per_point")
+                 "laplacian_mu_fd", "_per_point",
+                 "SingularPointError", "GaussFrame", "FundamentalForms",
+                 "PointFrame", "_profile_ratio", "_checked_sphere", "gauss_map",
+                 "xi", "v_matrix", "fundamental_forms", "point_frame",
+                 "_point_closed_form", "point_closed_form", "_point_direct",
+                 "point_direct", "rotation_point")
 
 
 def test_package_exports_resolve():
@@ -102,7 +107,8 @@ def test_package_exports_resolve():
         assert hasattr(grtsurf, name), name
     for name in REMOVED_NAMES:
         assert name not in grtsurf.__all__
-        assert not hasattr(verify, name)
+        for module in (grtsurf, verify, geometry, surface):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def array_point(spec, w):
@@ -133,12 +139,12 @@ def side(value, threshold):
 def regularity_clear(jets, frame, array_jets, array_frame, eps):
     """Whether the two regularity decisions at a stencil point, |g'|^2
     against eps^2 and |det V| against eps (1 + tr^2), are clear on the
-    scalar path (``jets``, and ``frame``, None where point_frame raised)
-    and on the array path alike; the second only where both have a frame."""
+    scalar evaluator's path (``jets`` and their ``frame``) and on the array
+    path alike; the second only where both have a frame."""
     gp2 = side(geometry._sphere(jets[1])[0], eps * eps)
     if gp2 == 0 or gp2 != side(geometry._sphere(array_jets[1])[0][0], eps * eps):
         return False
-    if frame is None or not array_frame.exists[0]:
+    if not frame.exists or not array_frame.exists[0]:
         return True
     det = side(abs(frame.det_v), eps * (1.0 + frame.trace_v * frame.trace_v))
     return det != 0 and det == side(abs(array_frame.det_v[0]), eps * (
@@ -146,7 +152,8 @@ def regularity_clear(jets, frame, array_jets, array_frame, eps):
 
 
 def reference_oracle(spec, step):
-    """The FD oracle point by point over the grid, from the scalar path.
+    """The FD oracle point by point over the grid, from the jets of the
+    scalar evaluator (surface.jets_at) and the frames and points at them.
 
     Returns per grid point, in row-major order: the stencil mask, the forms
     (E, F, G, e, f, g, H_fd, K_fd), the mask and values of Re f at the four
@@ -174,16 +181,13 @@ def reference_oracle(spec, step):
                     same = False
                     continue
                 array_jets, array_ok, array_frame, x, normal = array_point(spec, w)
-                try:
-                    frame = geometry.point_frame(*jets, spec.regularity_eps)
-                except geometry.SingularPointError:
-                    frame = None
+                frame = frame_at(*jets, spec.regularity_eps)
                 clear[-1] &= not array_ok or regularity_clear(
                     jets, frame, array_jets, array_frame, spec.regularity_eps)
-                if frame is None:
+                if not frame.exists:
                     same = False
                 elif frame.regular:
-                    xs.append(surface.point_closed_form(spec, w))
+                    xs.append(xyz_at(surface._closed_form_xyz, jets))
                     ns.append(frame.normal)
                     same = (same and np.array_equal(x, xs[-1])
                             and np.array_equal(normal, ns[-1])
@@ -338,12 +342,11 @@ def test_primary_run_passes_all_defaults():
 
 def test_tr_profile_reduces_relation():
     # ell = exp(t): C = 1 and H/K = -lam/(2 psi) - psi/2
-    from grtsurf import geometry, surface
     spec = spec_for("z", "z", "exp(t)", n=24)
     report = run_checks(spec)
     assert report.check("weingarten_relation").max_rel <= 1e-9
     for z in (0.3 + 0.4j, -0.6 - 0.2j, 0.9 + 0.9j):
-        frame = geometry.point_frame(*surface.jets_at(spec, z))
+        frame = frame_at(*surface.jets_at(spec, z))
         assert frame.c == 1.0
         reduced = -frame.lam / (2 * frame.psi) - frame.psi / 2
         assert abs(frame.h_over_k - reduced) <= 1e-9 * (1 + abs(frame.h_over_k))
@@ -351,12 +354,11 @@ def test_tr_profile_reduces_relation():
 
 def test_appell_profile():
     # ell = t: C = 0 branch, H + psi K = 0
-    from grtsurf import geometry, surface
     spec = spec_for("z", "z", "t", n=24)
     report = run_checks(spec)
     assert report.passed
     for z in (0.3 + 0.4j, -0.6 - 0.2j, 0.7 - 0.8j):
-        frame = geometry.point_frame(*surface.jets_at(spec, z))
+        frame = frame_at(*surface.jets_at(spec, z))
         assert frame.c == 0.0
         if frame.regular:
             resid = abs(frame.mean + frame.psi * frame.gauss)
@@ -414,7 +416,7 @@ def test_rotation_match_check():
     (1.0, 0.0, "cos(t)", (-1.0, 1.0)),
 ])
 def test_rotation_match_against_pointwise_reference(a, b, ell, u1_range):
-    # the distance of rotation_point to point_closed_form, point by point
+    # the distance of the rotation point to the closed-form one, point by point
     ell = parse_expr(ell, "t", real=True)
     window = dict(u1_range=u1_range, u2_range=(-2.0, 3.0), nu1=11, nu2=7)
     spec = rotation_spec(a, b, ell, **window)
@@ -423,14 +425,15 @@ def test_rotation_match_against_pointwise_reference(a, b, ell, u1_range):
         for u2 in spec.grid_u2():
             z = complex(u1, u2)
             try:
-                frame = geometry.point_frame(*surface.jets_at(spec, z))
-            except (EvalError, geometry.SingularPointError):
-                frame = None
-            if frame is None or not frame.regular:
+                jets = surface.jets_at(spec, z)
+            except EvalError:
                 excluded += 1
                 continue
-            x = surface.point_closed_form(spec, z)
-            y = surface.rotation_point(a, b, ell, u1, u2)
+            if not frame_at(*jets).regular:
+                excluded += 1
+                continue
+            x = xyz_at(surface._closed_form_xyz, jets)
+            y = rotation_at(a, b, ell, u1, u2)
             rels.append(np.linalg.norm(y - x) / (1.0 + np.linalg.norm(x)))
     check = rotation_match(sample_rotation_mesh(a, b, ell, **window))
     assert (check.count, check.excluded) == (len(rels), excluded)
@@ -513,21 +516,6 @@ def test_eval_jet2_calls(monkeypatch):
     assert len(calls) == 3 * 8 * 8
 
 
-def test_point_frame_calls(monkeypatch):
-    # 8x8 grid: the centres' frames and the FD stencils' both come from
-    # grid_frame, so no point goes through point_frame
-    calls = []
-    point_frame = geometry.point_frame
-
-    def counted(*args):
-        calls.append(args)
-        return point_frame(*args)
-
-    monkeypatch.setattr(geometry, "point_frame", counted)
-    run_checks(spec_for("z", "z", "t^2+t+1", n=8))
-    assert calls == []
-
-
 # the checks that the mesh diagnostics repeat, with their diagnostic
 MESH_RESIDUALS = {"support_identity": "support_residual",
                   "quadratic_distance": "distance_residual",
@@ -590,8 +578,8 @@ def error_of(err, ref, excluded=False):
 
 
 def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
-    """Every row of CHECKS at every grid centre, one point at a time from the
-    scalar path: jets_at, point_frame, the closed-form and direct points, and
+    """Every row of CHECKS at every grid centre, one point at a time: the
+    jets of jets_at, the frame, closed-form and direct points at them, and
     fd_oracle at the one point.  Returns {row: (CheckResult, the largest
     1 + |ref| over its counted points)}."""
     points = surface.grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
@@ -600,22 +588,25 @@ def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
     for k, z in enumerate(points.tolist()):
         try:
             jets = surface.jets_at(spec, z)
-            frame = geometry.point_frame(*jets, spec.regularity_eps)
-        except (EvalError, geometry.SingularPointError):
+        except EvalError:
             continue
+        frame = frame_at(*jets, spec.regularity_eps)
         if not frame.regular:
             continue
-        x = surface._point_closed_form(*jets, spec.regularity_eps)
-        direct = surface._point_direct(*jets, spec.regularity_eps)
+        x = xyz_at(surface._closed_form_xyz, jets)
+        direct = xyz_at(surface._direct_xyz, jets)
         oracle = fd_at(spec, z, step)
         psi, lam, c = frame.psi, frame.lam, frame.c
+        v11, v12, v22 = frame.v
+        v = np.array([[v11, v12], [v12, v22]])
+        w = np.array([[v22, -v12], [-v12, v11]]) / frame.det_v
 
         def vs_fd(pairs):  # the pair with the largest relative error, or a NaN one
             errs = [error_of(fd - ref, ref, not oracle["ok"]) for ref, fd in pairs]
             return max(errs, key=lambda e: (math.isnan(e[1]), e[1]))
 
         lhs = psi * (frame.trace_v - 2.0 * psi)
-        resid = np.abs(frame.w @ frame.v - np.eye(2))
+        resid = np.abs(w @ v - np.eye(2))
         rows = {
             "param_equivalence": error_of(float(np.linalg.norm(direct - x)),
                                           float(np.linalg.norm(x))),
@@ -623,16 +614,16 @@ def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
             "quadratic_distance": error_of(float(np.dot(x, x)) - lam, lam),
             "weingarten_relation": (error_of(
                 frame.h_over_k - (c * (-lam / (2.0 * psi) + psi / 2.0) - psi),
-                frame.h_over_k) if c is not None and abs(psi) > geometry.PSI_EPS
+                frame.h_over_k) if not np.isnan(c) and abs(psi) > geometry.PSI_EPS
                 else (math.nan, math.nan, 1.0, True)),
-            "pde_lapla1": (error_of(lhs - c * frame.grad_sq, lhs) if c is not None
+            "pde_lapla1": (error_of(lhs - c * frame.grad_sq, lhs) if not np.isnan(c)
                            else (math.nan, math.nan, 1.0, True)),
             "forms_vs_fd": vs_fd(zip(frame.forms, oracle["forms"][:6].tolist())),
             "curvature_vs_fd": vs_fd(zip((frame.mean, frame.gauss),
                                          oracle["forms"][6:].tolist())),
             "harmonicity_mu": error_of(
-                (sum(oracle["f_values"].tolist()) - 4.0 * frame.mu) / (step * step),
-                frame.mu, not oracle["f_ok"]),
+                (sum(oracle["f_values"].tolist()) - 4.0 * jets[0].value.real)
+                / (step * step), jets[0].value.real, not oracle["f_ok"]),
             "wv_identity": (resid.max(), (resid / (1.0 + np.eye(2))).max(), 2.0, False),
         }
         for name, (abs_err, rel_err, scale, excluded) in rows.items():
