@@ -22,8 +22,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import geometry, surface, verify
-from .expr import (ParseError, differentiate, eval_jet2, eval_jet2_array,
-                   parse_expr, unparse)
+from .expr import (ParseError, differentiate, eval_jet2_array, parse_expr,
+                   unparse)
 from .surface import EmptyMeshError, SurfaceMesh, SurfaceSpec
 
 EXIT_OK = 0
@@ -486,7 +486,8 @@ def _cmd_rotate(args) -> int:
     mesh = surface.sample_rotation_mesh(args.a, args.b, ell, **_window(args))
     _write_mesh(mesh, args)
     if args.a == 0.0:
-        radius = abs(eval_jet2(ell, args.b, variable="t").value)
+        # psi = ell(Re f) = ell(b) at every vertex
+        radius = abs(mesh.diagnostics.psi[mesh.valid][0])
         print(f"note: a = 0 degenerates to the sphere of radius {radius:.12g} "
               f"(|ell(b)| with b = {args.b:g})")
     if args.cross_check:

@@ -63,9 +63,10 @@ class GridFrame(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise arithmetic.  Every formula below takes floats and complex numbers
-# or numpy arrays of them alike; grid_frame applies them over arrays and
-# turns the conditions under which they are undefined into masks.
+# Pointwise arithmetic.  The helpers before grid_frame take floats and
+# complex numbers or numpy arrays of them alike, for surface and the tests;
+# grid_frame applies them over arrays and turns the conditions under which
+# they are undefined into masks.
 # ---------------------------------------------------------------------------
 
 def _sphere(g_jet) -> tuple:
@@ -73,11 +74,6 @@ def _sphere(g_jet) -> tuple:
     gp2 = inner(g_jet.d1, g_jet.d1)
     t = 1.0 + inner(g_jet.value, g_jet.value)
     return gp2, t, 4.0 * gp2 / (t * t)
-
-
-def _frame_exists(gp2, l11, eps):
-    """|g'| above ``eps`` and L11 positive and finite (T^2 did not overflow)."""
-    return (gp2 > eps * eps) & (l11 > 0.0) & (l11 < math.inf)
 
 
 def _unit_normal(g, t) -> tuple:
@@ -103,15 +99,6 @@ def _v_entries(ell_jet, f_jet, g_jet, gp2, t) -> tuple:
     return v11, v12, v22
 
 
-def _trace_det(v11, v12, v21, v22) -> tuple:
-    return v11 + v22, v11 * v22 - v12 * v21
-
-
-def _curvatures(h_over_k, det_v) -> tuple:
-    """Mean and Gauss curvature: H = (H/K) / det V and K = 1 / det V."""
-    return h_over_k / det_v, 1.0 / det_v
-
-
 def _gradient(f_jet, ell_jet, l11) -> tuple:
     """h_,1 and h_,2 of h = ell(Re f), |grad_L h|^2 and lam = |grad_L h|^2 + h^2."""
     l, l1 = ell_jet.value, ell_jet.d1
@@ -119,19 +106,6 @@ def _gradient(f_jet, ell_jet, l11) -> tuple:
     h2 = l1 * inner(1.0, 1j * f_jet.d1)
     grad_sq = (h1 * h1 + h2 * h2) / l11
     return h1, h2, grad_sq, grad_sq + l * l
-
-
-def _profile_ratio_defined(l, l1, l2):
-    """ell' != 0 and |C| within PROFILE_RATIO_MAX."""
-    return (l1 * l1 != 0.0) & (abs(l * l2) <= PROFILE_RATIO_MAX * l1 * l1)
-
-
-def _profile_ratio_value(l, l1, l2):
-    return l * l2 / (l1 * l1)
-
-
-def is_regular(det_v, trace_v, eps: float = REGULARITY_EPS):
-    return abs(det_v) > eps * (1.0 + trace_v * trace_v)
 
 
 def _forms(v11, v12, v22, l11) -> tuple:
@@ -146,20 +120,22 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
     jets whose components are arrays of one shape."""
     with np.errstate(all="ignore"):
         gp2, t, l11 = _sphere(g_jet)
-        exists = _frame_exists(gp2, l11, eps)
+        # |g'| above eps and L11 positive and finite (T^2 did not overflow)
+        exists = (gp2 > eps * eps) & (l11 > 0.0) & (l11 < math.inf)
         v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
-        trace, det = _trace_det(v11, v12, v12, v22)
+        trace, det = v11 + v22, v11 * v22 - v12 * v12
         l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
         _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
-        c = _profile_ratio_value(l, l1, l2)
-        c[~(_profile_ratio_defined(l, l1, l2) & np.isfinite(c))] = np.nan
+        # C = ell ell''/ell'^2, undefined where ell' = 0 or |C| > PROFILE_RATIO_MAX
+        c = l * l2 / (l1 * l1)
+        c[~((l1 * l1 != 0.0) & (abs(l * l2) <= PROFILE_RATIO_MAX * l1 * l1)
+            & np.isfinite(c))] = np.nan
         h_over_k = -0.5 * trace
-        mean, gauss = _curvatures(h_over_k, det)
         return GridFrame(
-            exists=exists, regular=exists & is_regular(det, trace, eps),
+            exists=exists, regular=exists & (abs(det) > eps * (1.0 + trace * trace)),
             normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
             psi=l, grad_sq=grad_sq, lam=lam, c=c,
             v=np.stack((v11, v12, v22), axis=-1), trace_v=trace, det_v=det,
-            h_over_k=h_over_k, mean=mean, gauss=gauss,
+            h_over_k=h_over_k, mean=h_over_k / det, gauss=1.0 / det,
             forms=np.stack(_forms(v11, v12, v22, l11), axis=-1),
         )

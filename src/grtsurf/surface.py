@@ -12,7 +12,8 @@ revolution obtained for f = a z + b, g = exp(z).
 
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
 det V numerically zero) and emit quad faces only over regular corners.  The
-grid is evaluated as numpy arrays, a block of whole rows at a time.
+grid is evaluated as numpy arrays by a per-point kernel, in flat chunks of
+at most BLOCK_POINTS points, whatever the grid's shape.
 """
 from __future__ import annotations
 
@@ -26,17 +27,19 @@ from .expr import (Add, Const, ExprNode, Fn, Jet2, Mul, Var, eval_jet2,
                    eval_jet2_array, parse_expr, unparse)
 from .geometry import GridFrame, inner
 
-# Grid points evaluated together: sample_mesh takes whole rows, about this
-# many points at a time.  The bound keeps the temporaries of the array
-# evaluation small; a whole 128x128 grid at once raises peak memory.
+# Grid points evaluated together: sample_blocks hands its kernel at most this
+# many consecutive points of the flattened grid, so the temporaries of the
+# array evaluation stay small and their size does not depend on the grid's
+# shape; a whole 128x128 grid at once raises peak memory.
 BLOCK_POINTS = 2048
 # The most grid points, nu1 * nu2, that a SurfaceSpec accepts, so that a run
-# stays under 2 GiB.  Peak RSS grows linearly in the points.  The worst shape
-# has two rows, each one block: verify at 2 x 2^17, 2 x 2^18 and 2 x 2^19
-# peaked at 217, 401 and 772 MiB (706 bytes a point; x86-64 Linux, numpy
-# 2.4.6), so 2 x 2^20 extrapolates to 1.5 GiB.  Square grids cost less: at
-# 1024^2, rotate --cross-check peaked at 307 MiB and generate at 283.
-MAX_GRID_POINTS = 2 ** 21
+# stays under 2 GiB.  Peak RSS grows linearly in the points and, with blocks
+# cut from the flattened grid, barely with its shape.  At 2^22 points, 2048^2
+# and 2 x 2^21, the worst peak of generate, rotate --cross-check, verify and
+# info was 1374 MiB: 343 bytes a point, in generate to mesh JSON on two
+# rows, whose writer formats one grid row at a time (x86-64 Linux, numpy
+# 2.4.6).  2^23 points would take about 2.7 GiB.
+MAX_GRID_POINTS = 2 ** 22
 
 
 class EmptyMeshError(Exception):
@@ -280,22 +283,24 @@ def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
             frame.psi, frame.trace_v, frame.c, frame.grad_sq)))}
 
 
-def sample_blocks(spec: SurfaceSpec, sample) -> dict:
-    """The arrays of ``sample(z)`` over the spec grid, sampled in blocks z
-    of whole rows, about BLOCK_POINTS points each."""
-    z = grid_points(spec.grid_u1(), spec.grid_u2())
-    step = max(1, BLOCK_POINTS // spec.nu2)
-    grid = {}
-    for i in range(0, spec.nu1, step):
-        for key, rows in sample(z[i:i + step]).items():
-            if key not in grid:
-                grid[key] = np.empty((spec.nu1,) + rows.shape[1:], rows.dtype)
-            grid[key][i:i + step] = rows
-    return grid
+def sample_blocks(spec: SurfaceSpec, kernel) -> dict:
+    """The arrays of the per-point ``kernel(z)`` over the spec grid, shaped
+    (nu1, nu2, ...).  The row-major grid is flattened and z takes it in
+    consecutive chunks of at most BLOCK_POINTS points, whatever its shape."""
+    z = grid_points(spec.grid_u1(), spec.grid_u2()).ravel()
+    flat = {}
+    for i in range(0, z.size, BLOCK_POINTS):
+        for key, values in kernel(z[i:i + BLOCK_POINTS]).items():
+            if key not in flat:
+                flat[key] = np.empty(z.shape + values.shape[1:], values.dtype)
+            flat[key][i:i + BLOCK_POINTS] = values
+    return {key: values.reshape((spec.nu1, spec.nu2) + values.shape[1:])
+            for key, values in flat.items()}
 
 
-def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> dict:
-    """Every per-vertex array of the mesh over the grid rows ``z``.
+def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> dict:
+    """The per-point kernel of the mesh: every per-vertex array at the points
+    ``z``, elementwise, with z's shape first.
 
     A vertex is computed where f, g and ell evaluate and a frame exists, and
     valid where its frame is also regular; diagnostics are NaN elsewhere.
@@ -319,17 +324,17 @@ def _sample_rows(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> 
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
         return np.where(mask, value, np.nan)
 
-    rows = {key: where(valid, value) for key, value in dict(
+    points = {key: where(valid, value) for key, value in dict(
         residuals, mean=frame.mean, gauss=frame.gauss, normals=frame.normal,
         **vertices).items()}
-    rows.update({key: where(computed, getattr(frame, key))
-                 for key in ("psi", "lam", "c", "det_v")})
-    rows.update(valid=valid, regular=valid.copy())
-    return rows
+    points.update({key: where(computed, getattr(frame, key))
+                   for key in ("psi", "lam", "c", "det_v")})
+    points.update(valid=valid, regular=valid.copy())
+    return points
 
 
 def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceMesh:
-    grid = sample_blocks(spec, lambda z: _sample_rows(spec, z, rotation_a))
+    grid = sample_blocks(spec, lambda z: _sample_points(spec, z, rotation_a))
     valid = grid.pop("valid")
     if not valid.any():
         raise EmptyMeshError("no regular vertex in the sampled window")

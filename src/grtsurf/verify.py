@@ -300,7 +300,7 @@ def _check_block(spec: SurfaceSpec, z: np.ndarray, step: float) -> dict:
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
 def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None) -> ResidualReport:
-    """Evaluate every check over the spec grid, a block of rows at a time,
+    """Evaluate every check over the spec grid, a block of points at a time,
     an evaluation error at a point as an exclusion.  ``tolerances`` maps a
     tolerance class to its value; a class left out keeps its default."""
     tol = {**CLASS_TOLERANCES, **(tolerances or {})}

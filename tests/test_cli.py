@@ -165,9 +165,10 @@ def test_generate_io_error_exit_4(tmp_path, capsys):
 
 
 def test_grid_too_large_for_memory_exit_2(tmp_path):
-    # the largest square grid the limit accepts, 1448^2, peaks at 640 MiB of
-    # address space, against 140 MiB for a small grid; the child's address
-    # space is capped at 512 MiB, so an allocation fails instead of growing.
+    # the largest square grid the limit accepts, 2048^2, peaks at 1 GiB of
+    # RSS, against 140 MiB of address space for a small grid; the child's
+    # address space is capped at 512 MiB, so an allocation fails instead of
+    # growing.
     # One BLAS thread keeps the address space after import off the core count.
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
@@ -386,10 +387,12 @@ def test_verify_deterministic(tmp_path, capsys):
 
 def test_rotate_sphere_note(tmp_path, capsys):
     out = tmp_path / "rot.obj"
-    code, stdout, _ = run(capsys, "rotate", "--a", "0", "--b", "1",
-                          "--ell", "t^2+t+1", "--n", "12", "--out", str(out))
-    assert code == 0
-    assert "sphere of radius 3" in stdout
+    # the radius |ell(b)|, read from the sampled mesh; sinh(1) + 2 = 3.1752011936438
+    for ell, radius in (("t^2+t+1", "3"), ("sinh(t)+2", "3.17520119364")):
+        code, stdout, _ = run(capsys, "rotate", "--a", "0", "--b", "1",
+                              "--ell", ell, "--n", "12", "--out", str(out))
+        assert code == 0
+        assert f"sphere of radius {radius} (" in stdout
 
 
 def test_rotate_cross_check(tmp_path, capsys):

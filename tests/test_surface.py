@@ -435,7 +435,29 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("block_points", [surface.BLOCK_POINTS, 20])
+@pytest.mark.parametrize("shape", [(2, 5000), (5000, 2), (9, 9)])
+def test_sample_blocks_chunks_any_shape(monkeypatch, shape):
+    # a row of 5000 points is cut like any other run of points
+    monkeypatch.setattr(surface, "BLOCK_POINTS", 20)
+    spec = spec_for("z", "z", "t", nu1=shape[0], nu2=shape[1])
+    sizes = []
+
+    def kernel(z):
+        sizes.append(z.size)
+        return {"z": 2.0 * z, "parts": np.stack((z.real, abs(z)), axis=-1),
+                "right": z.real > 0.0}
+
+    grid = surface.sample_blocks(spec, kernel)
+    assert max(sizes) <= 20 and sum(sizes) == shape[0] * shape[1]
+    whole = kernel(surface.grid_points(spec.grid_u1(), spec.grid_u2()))
+    assert grid.keys() == whole.keys()
+    for key, values in whole.items():
+        assert grid[key].dtype == values.dtype
+        assert np.array_equal(grid[key], values), key
+
+
+# 7 splits the rows of 9 points
+@pytest.mark.parametrize("block_points", [surface.BLOCK_POINTS, 20, 7])
 @pytest.mark.parametrize("f,g,ell,kw", REFERENCE_CASES)
 def test_sample_mesh_matches_pointwise_reference(monkeypatch, block_points,
                                                  f, g, ell, kw):

@@ -231,7 +231,7 @@ def assert_close(got, ref, slack=0.0):
 
 
 def compare_with_reference(spec, step, monkeypatch):
-    """The array oracle, assembled one grid row per block as run_checks
+    """The array oracle, assembled one point per block as run_checks
     assembles it, and the pointwise reference, both flattened."""
     monkeypatch.setattr(surface, "BLOCK_POINTS", 1)
     oracle = surface.sample_blocks(spec, lambda z: verify.fd_oracle(spec, z, step))
@@ -637,12 +637,12 @@ def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
 
 @pytest.mark.parametrize("case", [case for case, _ in PINNED_OUTCOMES],
                          ids=["fig1", "fig2", "exp", "mixed", "ell-1", "sinh"])
-def test_checks_match_pointwise_reference(case):
+def test_checks_match_pointwise_reference(monkeypatch, case):
     # the pinned specs on a coarser grid of the same parity: the odd grids
-    # keep z = 0 and the row u1 = 0
+    # keep z = 0 and the row u1 = 0; blocks of 7 points split the rows
     *fgl, n = case
     spec = spec_for(*fgl, n=16 if n % 2 == 0 else 15)
-    report, reference = run_checks(spec), reference_rows(spec)
+    reference = reference_rows(spec)
     # Both paths apply the same formulas to the same jets.  They round apart
     # only where numpy's complex arithmetic rounds differently from Python's
     # (a complex g), by some ulps of the values a residual is computed from:
@@ -651,12 +651,15 @@ def test_checks_match_pointwise_reference(case):
     # forms_vs_fd of the mixed case, next to the zero of g').  The bound,
     # 1e-12 with 1 + |ref| at its largest over the row, leaves 70 times that
     # and stays 1000 times below the algebraic tolerance.
-    for name in ALL_CHECKS:
-        got, (ref, scale) = report.check(name), reference[name]
-        assert (got.count, got.excluded) == (ref.count, ref.excluded), name
-        for a, b, bound in ((got.max_abs, ref.max_abs, 1e-12 * scale),
-                            (got.max_rel, ref.max_rel, 1e-12)):
-            assert abs(a - b) <= bound or a == b, name
+    for block_points in (surface.BLOCK_POINTS, 7):
+        monkeypatch.setattr(surface, "BLOCK_POINTS", block_points)
+        report = run_checks(spec)
+        for name in ALL_CHECKS:
+            got, (ref, scale) = report.check(name), reference[name]
+            assert (got.count, got.excluded) == (ref.count, ref.excluded), name
+            for a, b, bound in ((got.max_abs, ref.max_abs, 1e-12 * scale),
+                                (got.max_rel, ref.max_rel, 1e-12)):
+                assert abs(a - b) <= bound or a == b, name
 
 
 def test_tolerance_override_fails_report():
