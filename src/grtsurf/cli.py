@@ -48,15 +48,13 @@ DEFAULT_U2 = (-math.pi, math.pi)
 
 
 # ---------------------------------------------------------------------------
-# Mesh writers (single writer, after computation completes).  _index_text
-# gathers OBJ and PLY lines from NUL-padded ASCII tables of face indices and of
-# floats in '%.17g' (_g17_table).  Mesh JSON fills each grid row with one '%r' %.
+# Mesh writers (single writer, after computation completes).  Numbers come
+# from NUL-padded ASCII tables built with numpy: face indices (_index_table),
+# floats in '%.17g' for OBJ and PLY (_g17_table) and in repr for mesh JSON
+# (_repr_table).  _index_text gathers OBJ and PLY lines between the literal
+# bytes of a line template; _write_json_cells gathers mesh JSON cells between
+# constant rows of brackets, commas and indentation.
 # ---------------------------------------------------------------------------
-
-def _fill(template: str, values) -> str:
-    """``template`` filled in with ``values`` in row-major order."""
-    return template % tuple(np.ravel(values).tolist())
-
 
 def _index_table(n: int) -> np.ndarray:
     """Row i holds i in right-aligned ASCII, NUL-padded on the left, i < n."""
@@ -79,60 +77,201 @@ def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _text_rows(texts: list[str], width: int = 24) -> np.ndarray:
+    """Each of ``texts``, ASCII of at most ``width`` bytes, as a NUL-padded row."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+# 10^q is tabled for |q| <= _POWERS
+_POWERS = 300
+
+
 @functools.cache
-def _g17_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_g17_table's tables, built on first use: 10^q for q in 0..20 (exact),
-    per (sign, E + 4, kept digits - 1) the columns of the source row
-    b'\\0-0.000' + 17 digits that spell it, and 0..9999 as 4-byte digit words."""
-    layouts = np.zeros((2, 21, 17, 24), dtype=np.intp)
+def _g17_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_g17_table's tables, built on first use, shared with _repr_table:
+    10^q for |q| <= _POWERS as hi + lo, hi the nearest double and lo the
+    nearest to 10^q - hi (0 for q in 0..22); 0..9999 as 4-byte digit words
+    and the count of their trailing zeros (4 for 0); and per (sign, E + 4,
+    kept digits - 1) the columns of _spell's source row that spell '%.17g'."""
+    powers = np.empty((2, 2 * _POWERS + 1))
+    for q in range(-_POWERS, _POWERS + 1):
+        a, b = 10 ** max(q, 0), 10 ** max(-q, 0)
+        hi = a / b  # int / int is correctly rounded
+        num, den = hi.as_integer_ratio()
+        powers[:, _POWERS + q] = hi, (a * den - num * b) / (b * den)
+    layouts = np.zeros((2, 21, 17, 24), dtype=np.uint8)
     for neg, e, k in np.ndindex(2, 21, 17):
         e, k = e - 4, k + 1
         digits = list(range(7, 7 + max(k, e + 1)))
         columns = [1] * neg + ([2, 3] + [4] * (-e - 1) + digits if e < 0 else
                                digits[:e + 1] + [3] * (k > e + 1) + digits[e + 1:])
         layouts[neg, e + 4, k - 1, :len(columns)] = columns
-    return (10.0 ** np.arange(21), layouts.reshape(-1, 24),
-            np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel())
+    digits4 = np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel()
+    zeros4 = sum((np.arange(10**4) % 10**k == 0).astype(np.uint8) for k in range(1, 5))
+    return powers, digits4, zeros4, layouts
 
 
-def _rint_product(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """x*c rounded half to even, exact where x*c >= 2**53 (and below 2**53
-    + 1 elsewhere): Dekker's product x*c = p + err is exact, and p is an even
-    integer there."""
+@functools.cache
+def _repr_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_repr_table's own tables, built on first use: per (sign, E + 4, or 20
+    for exponent notation, kept digits - 1) the columns of _spell's source
+    row that spell repr, the suffix 'e+XX' per E + 400 as 8 bytes, and the
+    rows of 0.0, -0.0, inf, -inf, nan and nan."""
+    layouts = np.zeros((2, 21, 17, 24), dtype=np.uint8)
+    digits = list(range(7, 24))
+    for neg, slot, k in np.ndindex(2, 21, 17):
+        e, k = slot - 4, k + 1
+        if slot == 20:  # d.ddd, then the suffix
+            columns = digits[:1] + [3] * (k > 1) + digits[1:k] + list(range(24, 29))
+        elif e < 0:
+            columns = [2, 3] + [4] * (-e - 1) + digits[:k]
+        else:  # an integer ends in '.0'
+            columns = digits[:e + 1] + [3] + (digits[e + 1:k] or [2])
+        layouts[neg, slot, k - 1, :neg + len(columns)] = [1] * neg + columns
+    suffixes = np.array([b"e%+03d" % e for e in range(-400, 401)], dtype="S8")
+    return (layouts, suffixes.view(np.uint64),
+            _text_rows(["0.0", "-0.0", "inf", "-inf", "nan", "nan"]))
+
+
+def _rint_product(x: np.ndarray, c: np.ndarray,
+                  c_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = x*(c + c_lo) rounded half to even, and the residual x*(c + c_lo) - N.
+    Dekker's product x*c = p + err is exact, and p is an even integer where
+    x*c >= 2**53, so N and the residual are exact there when c_lo is 0;
+    x*c_lo joins err with one rounding."""
     p = x * c
     # Veltkamp's split into halves of at most 26 significant bits
     xh, ch = (v * 134217729.0 - (v * 134217729.0 - v) for v in (x, c))
     xl, cl = x - xh, c - ch
-    err = ((xh * ch - p) + xh * cl + xl * ch) + xl * cl
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    err = (((xh * ch - p) + xh * cl + xl * ch) + xl * cl) + x * c_lo
+    rounded = np.rint(err)
+    return p.astype(np.int64) + rounded.astype(np.int64), err - rounded
+
+
+def _round17(size: np.ndarray, e: np.ndarray, powers: np.ndarray):
+    """D17 = size*10^q rounded half to even, with q = 16 - E so that D17 has 17
+    digits, its residual size*10^q - D17, and E, from the estimate ``e`` of
+    E moved by one where D17 falls outside [10^16, 10^17)."""
+    n, r = _rint_product(size, *np.take(powers, _POWERS + 16 - e, axis=1))
+    redo = (n < 10**16) | (n >= 10**17)
+    if redo.any():
+        e[redo] += np.where(n[redo] < 10**16, -1, 1)
+        n[redo], r[redo] = _rint_product(
+            size[redo], *np.take(powers, _POWERS + 16 - e[redo], axis=1))
+    return n, r, e
+
+
+def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, layouts: np.ndarray,
+           suffix=0) -> np.ndarray:
+    """Rows of 24 ASCII bytes, NUL-padded: layouts[neg, slot, kept digits - 1]
+    gathered from the source row b'\\0-0.000', the 17 digits of n (10^16 <=
+    n < 10^17, trailing zeros not kept), then 8 bytes of ``suffix``."""
+    _, digits4, zeros4, _ = _g17_lookup()
+    source = np.empty((len(n), 32), dtype=np.uint8)
+    words = source.view(np.uint32)
+    words[:, 0] = np.frombuffer(b"\0-0.", np.uint32)
+    groups = []  # the 4-digit groups of n, last first
+    for _ in range(4):
+        top = n // 10**4
+        groups.append(n - top * 10**4)
+        n = top
+    words[:, 1] = digits4[n]
+    zeros = 0
+    for column, group in enumerate(groups[::-1], 2):
+        words[:, column] = digits4[group]
+        zeros = zeros4[group] + (group == 0) * zeros
+    source.view(np.uint64)[:, 3] = suffix
+    key = (neg * 21 + slot) * 17 + 16 - zeros
+    text = np.empty((len(key), 24), dtype=np.uint8)
+    for start in range(0, len(key), 1024):  # the gather's index array stays small
+        columns = np.take(layouts.reshape(-1, 24), key[start:start + 1024], axis=0)
+        text[start:start + 1024] = source.ravel()[
+            columns + np.arange(32 * start, 32 * (start + len(columns)), 32)[:, None]]
+    return text
 
 
 def _g17_table(values: np.ndarray) -> np.ndarray:
     """Each of ``values`` as '%.17g', a NUL-padded row of 24 ASCII bytes.  On
-    1e-4 <= |x| < 1e17 (fixed notation) the digits are N = x*10^(16-E) rounded
-    half to even, E = floor(log10|x|) moved by one where N is not in [1e16, 1e17)."""
-    powers, layouts, digits4 = _g17_lookup()
+    1e-4 <= |x| < 1e17 (fixed notation) the digits are D17 (_round17), with
+    10^q exact; every other value is '%.17g' % x."""
+    powers, _, _, layouts = _g17_lookup()
     x = np.ravel(values)
     fixed = (abs(x) >= 1e-4) & (abs(x) < 1e17)
     size = abs(x[fixed])
     e = np.clip(np.floor(np.log10(size)), -4, 16).astype(np.intp)
-    n = _rint_product(size, powers[16 - e])
-    redo = (n < 10**16) | (n >= 10**17)
-    e[redo] += np.where(n[redo] < 10**16, -1, 1)
-    n[redo] = _rint_product(size[redo], powers[16 - e[redo]])
-    source = np.empty((len(n), 24), dtype=np.uint8)
-    words = source.view(np.uint32)
-    words[:, 0] = np.frombuffer(b"\0-0.", np.uint32)
-    for column, unit in enumerate((10**16, 10**12, 10**8, 10**4, 1), 1):
-        words[:, column] = digits4[n // unit % 10**4]
-    kept = 17 - np.argmax(source[:, :6:-1] != ord("0"), axis=1)
-    key = (np.signbit(x[fixed]) * 21 + e + 4) * 17 + kept - 1
-    columns = np.take(layouts, key, axis=0)
-    columns += np.arange(0, source.size, 24)[:, None]
+    n, _, e = _round17(size, e, powers)
     table = np.empty((len(x), 24), dtype=np.uint8)
-    table[fixed] = source.ravel()[columns]
-    others = ["%.17g" % v for v in x[~fixed].tolist()]
-    table[~fixed] = np.array(others, dtype="S24").view(np.uint8).reshape(-1, 24)
+    table[fixed] = _spell(n, np.signbit(x[fixed]), e + 4, layouts)
+    table[~fixed] = _text_rows(["%.17g" % v for v in x[~fixed].tolist()])
+    return table
+
+
+# The double-double decisions of _repr_table are off by less than 1e-13 in
+# units of D17's last digit; one closer than this to its threshold is left
+# to '%r'.
+_MARGIN = 1e-9
+
+
+def _shortest(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of repr(x) for each of ``size`` (|x|, finite, not 0): N in
+    [10^16, 10^17) whose leading digits they are, E, and where a decision
+    came within _MARGIN of its threshold.
+
+    D17 comes from _round17 with 10^q as a double-double.  D16 and D15 are
+    its roundings half to even; where its last digits are a tie (5, 50), the
+    sign of the residual decides.  The shortest candidate D that reads back
+    as x is kept, D15 with trailing zeros dropped, else D16, else D17.  For
+    D < 2**53 and |s| <= 22, reading D*10^s back is one correctly rounded
+    operation (Clinger's fast path); otherwise |D*10^m - |x|*10^q|, m digits
+    dropped, is compared with half an ulp of x times 10^q."""
+    powers = _g17_lookup()[0]
+    n, r, e = _round17(size, np.floor(np.log10(size)).astype(np.intp), powers)
+    hi, lo = np.take(powers, _POWERS + 16 - e, axis=1)
+    inexact = lo != 0
+    unsure = inexact & (abs(r) > 0.5 - _MARGIN)
+    near_tie = inexact & (abs(r) <= _MARGIN)
+    half_ulp = (size.view(np.int64) & 0x7ff << 52).view(float) * 2.0**-53
+    sign, exact = np.sign(r), r == 0
+    best = n
+    for m in (1, 2):  # D16, then D15
+        unit = 10 ** m
+        d = n // unit
+        rest = n - d * unit
+        # up above half, and at half as r says, or to even where r is 0
+        d += 2 * rest + sign + exact * (d & 1) > unit
+        unsure |= near_tie & (rest == unit // 2)
+        s = e - 16 + m  # D*10^s is the candidate
+        ten = np.take(powers[0], _POWERS + np.minimum(abs(s), 22))
+        clinger = (abs(s) <= 22) & (d < 2**53)
+        gap = (abs(d * unit - n - r) - half_ulp * hi) - half_ulp * lo
+        unsure |= ~clinger & (abs(gap) <= _MARGIN)
+        back = np.where(clinger, np.where(s >= 0, d * ten, d / ten) == size, gap < 0)
+        best = np.where(back, d * unit, best)
+    carry = best == 10**17
+    best[carry] = 10**16
+    return best, e + carry, unsure
+
+
+def _repr_table(values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as repr(), a NUL-padded row of 24 ASCII bytes, from
+    _shortest's digits.  '%r' % x spells powers of two (their rounding
+    interval is asymmetric), |x| outside [1e-280, 1e280] and decisions
+    within _MARGIN; ±0, ±inf and NaN come from a table."""
+    layouts, suffixes, specials = _repr_lookup()
+    x = np.ravel(values)
+    size = abs(x)
+    fast = (size >= 1e-280) & (size <= 1e280) & (x.view(np.int64) & (2**52 - 1) != 0)
+    size[~fast] = 1.5  # a stand-in, its row replaced below
+    n, e, unsure = _shortest(size)
+    slot = np.where((e >= -4) & (e <= 15), e + 4, 20)
+    table = _spell(n, np.signbit(x), slot, layouts, suffixes[e + 400])
+    special = ~np.isfinite(x) | (x == 0)
+    if special.any():
+        v = x[special]
+        table[special] = specials[2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
+    others = (~fast | unsure) & ~special
+    if others.any():
+        table[others] = _text_rows(["%r" % v for v in x[others].tolist()])
     return table
 
 
@@ -176,25 +315,51 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
         _write_faces(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
 
 
-def _json_pieces(items, level: int):
+def _json_list(items: list[str], level: int) -> str:
     """Formatted items as json.dump(indent=1) lays out a list at ``level``."""
     pad = "\n" + " " * (level + 1)
-    sep = "[" + pad
-    for item in items:
-        yield sep + item
-        sep = "," + pad
-    yield "[]" if sep[0] == "[" else "\n" + " " * level + "]"
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]" if items else "[]"
 
 
-def _json_list(items: list[str], level: int) -> str:
-    return "".join(_json_pieces(items, level))
-
-
-def _json_floats(template: str, values) -> str:
-    """``template`` filled in with floats, null where not finite (no other text
-    holds 'nan' or 'inf')."""
-    text = _fill(template, values)
-    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
+                      cell: str = "{0}", valid=None, other: str = "null") -> None:
+    """The cells of ``values`` (one per row) as json.dump(indent=1) lays out,
+    at ``level``, a list of ``rows`` lists (a flat list where ``rows`` is 0).
+    A cell is ``cell`` with '{k}' as the repr of its k-th value, null where
+    that is not finite, and ``other`` where ``valid`` is False.  Blocks of
+    surface.BLOCK_POINTS cells are joined from byte rows: the separator and
+    brackets chosen by grid position, then the cell's literals and values."""
+    count, width = values.shape
+    if not count:
+        fh.write(_json_list(["[]"] * rows, level))
+        return
+    pad = "\n" + " " * (level + 1)  # before a row, or a flat list's cell
+    inner = pad + " " * (rows > 0)  # before a cell
+    # before the first cell, the first of a later row, any other cell
+    prefixes = ["[" + pad + "[" + inner if rows else "[" + inner,
+                pad + "]," + pad + "[" + inner, "," + inner]
+    prefixes = _text_rows(prefixes, max(map(len, prefixes)))
+    pieces = [np.frombuffer(piece.encode(), np.uint8) if i % 2 == 0 else int(piece)
+              for i, piece in enumerate(re.split(r"\{(\d)\}", cell)) if piece]
+    length = sum(24 if isinstance(p, int) else len(p) for p in pieces)
+    blank = np.frombuffer(other.encode().ljust(length, b"\0"), np.uint8)
+    pieces.append(np.zeros(len(blank) - length, np.uint8))  # room for ``other``
+    cols = count // max(rows, 1)
+    for start in range(0, count, surface.BLOCK_POINTS):
+        block = values[start:start + surface.BLOCK_POINTS]
+        cells = np.arange(start, start + len(block))
+        text = _repr_table(block)
+        text[~np.isfinite(np.ravel(block))] = _text_rows(["null"])
+        text = text.reshape(len(block), width, 24)
+        body = np.concatenate(
+            [prefixes[np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0))]]
+            + [text[:, p] if isinstance(p, int) else
+               np.broadcast_to(p, (len(block), len(p))) for p in pieces], axis=1)
+        if valid is not None:
+            ok = np.ravel(valid)[start:start + len(block)]
+            body[~ok, prefixes.shape[1]:] = blank
+        fh.write(body.tobytes().translate(None, b"\0").decode("ascii"))
+    fh.write((pad + "]" if rows else "") + pad[:-1] + "]")
 
 
 # JSON keys of the MeshDiagnostics fields that are not named as in the file
@@ -203,27 +368,16 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
     """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
-    cell = _json_list(["%r"] * 3, 3)
+    rows = len(mesh.valid)
     quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)
-
-    def vector_rows(grid):  # null at invalid vertices
-        for row, ok in zip(grid, mesh.valid):
-            template = _json_list([cell if v else "null" for v in ok.tolist()], 2)
-            yield _json_floats(template, row[ok])
-
-    def diagnostic_rows(grid):
-        if grid.dtype == bool:
-            return (_json_list(np.where(row, "true", "false").tolist(), 3)
-                    for row in grid)
-        template = _json_list(["%r"] * grid.shape[1], 3)
-        return (_json_floats(template, row) for row in grid)
-
     with open(path, "w", encoding="utf-8") as fh:
         for key, u in (('{\n "u1": ', mesh.u1), (',\n "u2": ', mesh.u2)):
-            fh.write(key + _json_floats(_json_list(["%r"] * len(u), 1), u))
+            fh.write(key)
+            _write_json_cells(fh, u.reshape(-1, 1), 0, 1)
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
-            fh.write(f',\n "{key}": ')
-            fh.writelines(_json_pieces(vector_rows(grid), 1))
+            fh.write(f',\n "{key}": ')  # null at invalid vertices
+            _write_json_cells(fh, grid.reshape(-1, 3), rows, 1,
+                              "[\n    {0},\n    {1},\n    {2}\n   ]", mesh.valid)
         fh.write(',\n "faces": ' + ("[" if mesh.face_count else "[]"))
         _write_faces(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
         _write_faces(fh, quad, mesh.faces[1:])
@@ -231,8 +385,12 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):
             fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": ')
-            fh.writelines(_json_pieces(
-                diagnostic_rows(getattr(mesh.diagnostics, name)), 2))
+            grid = getattr(mesh.diagnostics, name)
+            if grid.dtype == bool:  # cells without values: true, else false
+                _write_json_cells(fh, np.empty((grid.size, 0)), rows, 2, "true",
+                                  grid, "false")
+            else:
+                _write_json_cells(fh, grid.reshape(-1, 1), rows, 2)
             sep = ","
         fh.write("\n }\n}\n")
 

@@ -36,9 +36,9 @@ BLOCK_POINTS = 2048
 # stays under 2 GiB.  Peak RSS grows linearly in the points and, with blocks
 # cut from the flattened grid, barely with its shape.  At 2^22 points, 2048^2
 # and 2 x 2^21, the worst peak of generate, rotate --cross-check, verify and
-# info was 1374 MiB: 343 bytes a point, in generate to mesh JSON on two
-# rows, whose writer formats one grid row at a time (x86-64 Linux, numpy
-# 2.4.6).  2^23 points would take about 2.7 GiB.
+# info was 1128 MiB: 282 bytes a point, in rotate --cross-check on 2048^2
+# (x86-64 Linux, numpy 2.4.6).  Mesh JSON, written in blocks of BLOCK_POINTS
+# cells, peaks at 907 and 792 MiB.  2^23 points would take about 2.2 GiB.
 MAX_GRID_POINTS = 2 ** 22
 
 

@@ -3,16 +3,18 @@
 The reference writers below format every number on its own: an f-string
 with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
 nested Python lists for mesh JSON.  The batch writers must produce the same
-bytes.  Both format the same mesh, so nothing here pins ulps across numpy
-versions.  cli._g17_table, the numpy '%.17g' of OBJ and PLY, is checked
-against '%.17g' % x value by value.
+bytes, mesh JSON also with blocks of 5 cells that split grid rows.  Both
+format the same mesh, so nothing here pins ulps across numpy versions.
+The numpy float tables, cli._g17_table ('%.17g', OBJ and PLY) and
+cli._repr_table (shortest repr, mesh JSON), are checked against '%.17g' % x
+and '%r' % x value by value.
 """
 import json
 import math
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 import pytest
@@ -99,6 +101,8 @@ def reference_mesh_json(mesh):
     }
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
+
+DEFAULT_BLOCK_POINTS = surface.BLOCK_POINTS
 
 WRITERS = (
     (cli.write_obj, reference_obj),
@@ -251,39 +255,50 @@ def test_float_blocks_match_reference(tmp_path, count):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), nu1=st.integers(1, 12), nu2=st.integers(1, 12),
        finite=st.booleans())
-def test_random_masks_match_reference(tmp_path, data, nu1, nu2, finite):
+def test_random_masks_match_reference(tmp_path, monkeypatch, data, nu1, nu2, finite):
     cells = data.draw(st.lists(st.booleans(), min_size=nu1 * nu2,
                                max_size=nu1 * nu2))
     values = None if finite else np.reshape(data.draw(st.lists(
         st.floats(), min_size=nu1 * nu2 * 3, max_size=nu1 * nu2 * 3)), (nu1, nu2, 3))
-    assert_writers_match(_masked_mesh(np.reshape(cells, (nu1, nu2)), vertices=values),
-                         tmp_path)
+    mesh = _masked_mesh(np.reshape(cells, (nu1, nu2)), vertices=values)
+    # blocks of 5 cells split grid rows, so every block edge falls in a row
+    for block_points in (DEFAULT_BLOCK_POINTS, 5):
+        monkeypatch.setattr(surface, "BLOCK_POINTS", block_points)
+        assert_writers_match(mesh, tmp_path)
 
 
 # ---------------------------------------------------------------------------
-# The '%.17g' table of OBJ and PLY floats
+# The float tables: '%.17g' of OBJ and PLY, shortest repr of mesh JSON
 # ---------------------------------------------------------------------------
 
-def assert_g17_exact(values):
+TABLES = ((cli._g17_table, "%.17g"), (cli._repr_table, "%r"))
+
+
+def assert_tables_exact(values, tables=TABLES):
     values = np.asarray(values, dtype=float)
-    table = cli._g17_table(values)
-    assert table.shape == (values.size, 24)
-    # NULs only after the text
-    got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in table]
-    assert got == ["%.17g" % v for v in values.tolist()]
+    for table, fmt in tables:
+        rows = table(values)
+        assert rows.shape == (values.size, 24)
+        # NULs only after the text
+        got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
+        assert got == [fmt % v for v in values.tolist()], fmt
+
+
+def assert_repr_exact(values):
+    assert_tables_exact(values, TABLES[1:])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=50))
 def test_g17_table_matches_percent_format(values):
     # every double: +-0, NaN, +-inf and subnormals included
-    assert_g17_exact(values)
+    assert_tables_exact(values)
 
 
 def test_g17_table_powers_of_ten():
     powers = 10.0 ** np.arange(-6, 19)
     around = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
-    assert_g17_exact(np.concatenate(around + [-v for v in around]))
+    assert_tables_exact(np.concatenate(around + [-v for v in around]))
 
 
 def test_g17_table_trailing_zeros():
@@ -291,7 +306,7 @@ def test_g17_table_trailing_zeros():
     digits = "73205080756887719"
     values = [float(f"{sign}{digits[0]}.{digits[1:17 - zeros]}{'0' * zeros}e{e}")
               for sign in "+-" for e in range(-4, 17) for zeros in range(17)]
-    assert_g17_exact(values)
+    assert_tables_exact(values)
 
 
 def test_g17_table_ties_round_half_even():
@@ -305,22 +320,98 @@ def test_g17_table_ties_round_half_even():
             if len(exact.digits) == 18 and exact.digits[-1] == 5:
                 ties.append((x, exact.digits[-2] % 2))
     assert {parity for _, parity in ties} == {0, 1}
-    assert_g17_exact([x for x, _ in ties])
+    assert_tables_exact([x for x, _ in ties])
 
 
 def test_g17_table_rounding_up_to_a_power_of_ten():
-    assert_g17_exact([99999999999999999.0, np.nextafter(1e-4, 0.0), 1e-4,
-                      9999999999999998.0, 0.099999999999999992])
+    assert_tables_exact([99999999999999999.0, np.nextafter(1e-4, 0.0), 1e-4,
+                         9999999999999998.0, 0.099999999999999992])
+
+
+def test_repr_table_powers_of_two():
+    # their rounding interval is asymmetric: every one, normal or subnormal
+    powers = 2.0 ** np.arange(-1074, 1024)
+    assert_repr_exact(np.concatenate([powers, -powers]))
+
+
+def test_repr_table_16_digits_at_or_above_2_53():
+    # 16-digit candidates D >= 2^53 do not read back in one rounding
+    rng = np.random.default_rng(5)
+    mantissas = rng.integers(9007199254740992, 10**16, 400).tolist()
+    values = [float(f"{m}e{e}") for m, e in zip(mantissas, range(-330, 330, 2))]
+    assert sum(len(repr(v).split("e")[0].replace(".", "").replace("-", "")
+                   .strip("0")) == 16 for v in values) > 100
+    assert_repr_exact(values + [-v for v in values])
+
+
+def _d17(x: float) -> tuple[int, int]:
+    """x's 17-digit rounding, half to even, as an integer, and the sign of
+    the residual x - D17 in its units."""
+    exact = Decimal(abs(x))
+    unit = Decimal(1).scaleb(exact.adjusted() - 16)
+    rounded = exact.quantize(unit, rounding=ROUND_HALF_EVEN)
+    return int(rounded.scaleb(16 - exact.adjusted())), (exact > rounded) - (exact < rounded)
+
+
+def test_repr_table_ties_in_the_last_digits():
+    # D17 ending in 5 (a tie for D16) or 50 (a tie for D15), with the exact
+    # value above, below or on the tie, where the shorter candidate reads back
+    rng = np.random.default_rng(11)
+    found = {}
+    for x in (rng.standard_normal(40000) * 10.0 ** rng.integers(-30, 30, 40000)).tolist():
+        n, side = _d17(x)
+        ending = 50 if n % 100 == 50 else 5 if n % 10 == 5 else None
+        if ending and len(repr(abs(x)).split("e")[0].replace(".", "").strip("0")) < 17:
+            found.setdefault((ending, side), []).append(x)
+    # k * 2^-j whose exact decimal has 17 (16) significant digits, the last a
+    # 5: on the tie of D16 (D15)
+    for j in range(2, 60):
+        for digits in (17, 16):
+            k = int(10 ** (digits - 1) * 1.7 * 0.2 ** j) | 1
+            for x in (float(k + 2 * i) * 2.0 ** -j for i in range(6)):
+                exact = Decimal(x).as_tuple()
+                if len(exact.digits) == digits and exact.digits[-1] == 5:
+                    found.setdefault((5 if digits == 17 else 50, 0), []).append(x)
+    assert set(found) >= {(5, -1), (5, 1), (50, -1), (50, 1), (5, 0), (50, 0)}
+    values = [x for xs in found.values() for x in xs]
+    assert_repr_exact(values + [-x for x in values])
+
+
+def test_repr_table_notation_switches():
+    assert_repr_exact([9999999999999998.0, 1e16, np.nextafter(1e16, 0.0),
+                       np.nextafter(1e16, np.inf), 1e-4, 9.999999999999999e-05,
+                       np.nextafter(1e-4, 0.0), 5e-324, 1.7976931348623157e308,
+                       -5e-324, -1.7976931348623157e308, 1e-280, 1e280,
+                       np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf)])
+
+
+def test_repr_table_candidates_halfway_between_doubles():
+    # 2^v * 10^23 = 5^23 * 2^(v+23), 5^23 odd and of 54 bits, lies halfway
+    # between two doubles and reads back as the even one, below it; whether
+    # it is repr of the one below or above, double-double arithmetic cannot tell
+    below = [float((5**23 - 1) * 2**(v + 23)) for v in range(47, 54)]
+    above = [float((5**23 + 1) * 2**(v + 23)) for v in range(47, 54)]
+    assert [float(f"{2**v}e23") for v in range(47, 54)] == below
+    assert_repr_exact(below + above + [-v for v in below + above])
+
+
+def test_repr_table_residual_like_values():
+    # the mesh diagnostics hold residuals of a few ulps: k * 2^-53 and scaled
+    k = np.arange(1, 3000, dtype=float)
+    values = np.concatenate([k * 2.0 ** -53, k * 2.0 ** -60, k * 2.0 ** -45,
+                             (k + 0.5) * 2.0 ** -52])
+    assert_repr_exact(np.concatenate([values, -values]))
 
 
 def test_import_grtsurf_leaves_the_writers_unloaded():
     # the writers and their tables cost set-up time only when cli is used
     code = ("import sys, grtsurf; print('grtsurf.cli' in sys.modules); "
-            "from grtsurf import cli; print(cli._g17_lookup.cache_info().currsize)")
+            "from grtsurf import cli; print(cli._g17_lookup.cache_info().currsize, "
+            "cli._repr_lookup.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(grtsurf.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout == "False\n0\n"
+    assert out.stdout == "False\n0 0\n"
 
 
 def _reject_constant(name):
