@@ -7,7 +7,8 @@ Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
 or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
 failure or insufficient coverage.  Mesh and report outputs are byte-identical
 for identical inputs; OBJ and PLY numbers carry 17 significant digits and
-mesh JSON floats are shortest repr, so all round-trip.
+mesh JSON floats are shortest repr, so all round-trip.  Mesh files are
+written as bytes, with '\\n' line endings on every platform.
 """
 from __future__ import annotations
 
@@ -53,7 +54,8 @@ DEFAULT_U2 = (-math.pi, math.pi)
 # floats in '%.17g' for OBJ and PLY (_g17_table) and in repr for mesh JSON
 # (_repr_table).  _index_text gathers OBJ and PLY lines between the literal
 # bytes of a line template; _write_json_cells gathers mesh JSON cells between
-# constant rows of brackets, commas and indentation.
+# constant rows of brackets, commas and indentation.  Files are opened in
+# binary mode and get these bytes with the NULs dropped.
 # ---------------------------------------------------------------------------
 
 def _index_table(n: int) -> np.ndarray:
@@ -66,15 +68,22 @@ def _index_table(n: int) -> np.ndarray:
     return table
 
 
-def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> str:
+def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> bytes:
     """``template`` once per row of ``indices``, each '{k}' as the row
     indices[:, k] of ``table``, NUL-padded ASCII, with the NULs dropped."""
     pieces = re.split(r"\{(\d)\}", template)
     text = np.concatenate(
-        [table[indices[:, int(piece)]] if i % 2 else np.broadcast_to(
+        [_rows(table, indices[:, int(piece)]) if i % 2 else np.broadcast_to(
             np.frombuffer(piece.encode(), np.uint8), (len(indices), len(piece)))
          for i, piece in enumerate(pieces) if piece], axis=1)
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.tobytes().translate(None, b"\0")
+
+
+def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] for a C-contiguous 2-d uint8 ``table``, each row moved as
+    one item of a void view rather than byte by byte."""
+    width = table.shape[1]
+    return table.view(f"V{width}")[index, 0].view(np.uint8).reshape(len(index), width)
 
 
 def _text_rows(texts: list[str], width: int = 24) -> np.ndarray:
@@ -293,8 +302,8 @@ def _write_faces(fh, template: str, faces: np.ndarray, base: int = 0) -> None:
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# generated by grtsurf\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# generated by grtsurf\n")
         _write_blocks(fh, "v {0} {1} {2}\n", verts)
         _write_blocks(fh, "vn {0} {1} {2}\n", normals)
         # triangles (a, b, c) and (a, c, d) of each quad, 1-based, as i//i
@@ -304,13 +313,13 @@ def write_obj(mesh: SurfaceMesh, path: str) -> None:
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
     verts, normals = mesh.compact_vertices()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.write("ply\nformat ascii 1.0\n"
                  f"element vertex {len(verts)}\n"
                  "property float x\nproperty float y\nproperty float z\n"
                  "property float nx\nproperty float ny\nproperty float nz\n"
                  f"element face {2 * mesh.face_count}\n"
-                 "property list uchar int vertex_indices\nend_header\n")
+                 "property list uchar int vertex_indices\nend_header\n".encode())
         _write_blocks(fh, "{0} {1} {2} {3} {4} {5}\n", verts, normals)
         _write_faces(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
 
@@ -326,12 +335,14 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     """The cells of ``values`` (one per row) as json.dump(indent=1) lays out,
     at ``level``, a list of ``rows`` lists (a flat list where ``rows`` is 0).
     A cell is ``cell`` with '{k}' as the repr of its k-th value, null where
-    that is not finite, and ``other`` where ``valid`` is False.  Blocks of
-    surface.BLOCK_POINTS cells are joined from byte rows: the separator and
-    brackets chosen by grid position, then the cell's literals and values."""
+    that is not finite, and ``other`` where ``valid`` is False.  Blocks of at
+    most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none)
+    are joined from byte rows: the separator and brackets chosen by grid
+    position, then the cell's literals and values.  Only the values printed
+    as numbers are formatted, into a block of null rows."""
     count, width = values.shape
     if not count:
-        fh.write(_json_list(["[]"] * rows, level))
+        fh.write(_json_list(["[]"] * rows, level).encode())
         return
     pad = "\n" + " " * (level + 1)  # before a row, or a flat list's cell
     inner = pad + " " * (rows > 0)  # before a cell
@@ -344,22 +355,25 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     length = sum(24 if isinstance(p, int) else len(p) for p in pieces)
     blank = np.frombuffer(other.encode().ljust(length, b"\0"), np.uint8)
     pieces.append(np.zeros(len(blank) - length, np.uint8))  # room for ``other``
+    valid = np.ones(count, bool) if valid is None else np.ravel(valid)
+    null = _text_rows(["null"]).view("V24")[0, 0]
     cols = count // max(rows, 1)
-    for start in range(0, count, surface.BLOCK_POINTS):
-        block = values[start:start + surface.BLOCK_POINTS]
+    step = max(3 * surface.BLOCK_POINTS // max(width, 1), 1)
+    for start in range(0, count, step):
+        block = values[start:start + step]
         cells = np.arange(start, start + len(block))
-        text = _repr_table(block)
-        text[~np.isfinite(np.ravel(block))] = _text_rows(["null"])
-        text = text.reshape(len(block), width, 24)
+        ok = valid[start:start + len(block)]
+        printed = np.isfinite(block) & ok[:, None]
+        text = np.full(block.shape, null)  # one 24-byte row per value
+        text[printed] = _repr_table(block[printed]).view("V24")[:, 0]
+        text = text.view(np.uint8).reshape(block.shape + (24,))
         body = np.concatenate(
-            [prefixes[np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0))]]
+            [_rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))]
             + [text[:, p] if isinstance(p, int) else
                np.broadcast_to(p, (len(block), len(p))) for p in pieces], axis=1)
-        if valid is not None:
-            ok = np.ravel(valid)[start:start + len(block)]
-            body[~ok, prefixes.shape[1]:] = blank
-        fh.write(body.tobytes().translate(None, b"\0").decode("ascii"))
-    fh.write((pad + "]" if rows else "") + pad[:-1] + "]")
+        body[~ok, prefixes.shape[1]:] = blank
+        fh.write(body.tobytes().translate(None, b"\0"))
+    fh.write(((pad + "]" if rows else "") + pad[:-1] + "]").encode())
 
 
 # JSON keys of the MeshDiagnostics fields that are not named as in the file
@@ -370,21 +384,21 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
     """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
     rows = len(mesh.valid)
     quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, u in (('{\n "u1": ', mesh.u1), (',\n "u2": ', mesh.u2)):
+    with open(path, "wb") as fh:
+        for key, u in ((b'{\n "u1": ', mesh.u1), (b',\n "u2": ', mesh.u2)):
             fh.write(key)
             _write_json_cells(fh, u.reshape(-1, 1), 0, 1)
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
-            fh.write(f',\n "{key}": ')  # null at invalid vertices
+            fh.write(f',\n "{key}": '.encode())  # null at invalid vertices
             _write_json_cells(fh, grid.reshape(-1, 3), rows, 1,
                               "[\n    {0},\n    {1},\n    {2}\n   ]", mesh.valid)
-        fh.write(',\n "faces": ' + ("[" if mesh.face_count else "[]"))
+        fh.write(b',\n "faces": ' + (b"[" if mesh.face_count else b"[]"))
         _write_faces(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
         _write_faces(fh, quad, mesh.faces[1:])
-        fh.write("\n ]" if mesh.face_count else "")
+        fh.write(b"\n ]" if mesh.face_count else b"")
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):
-            fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": ')
+            fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": '.encode())
             grid = getattr(mesh.diagnostics, name)
             if grid.dtype == bool:  # cells without values: true, else false
                 _write_json_cells(fh, np.empty((grid.size, 0)), rows, 2, "true",
@@ -392,7 +406,7 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
             else:
                 _write_json_cells(fh, grid.reshape(-1, 1), rows, 2)
             sep = ","
-        fh.write("\n }\n}\n")
+        fh.write(b"\n }\n}\n")
 
 
 _WRITERS = {"obj": write_obj, "ply": write_ply, "json": write_mesh_json}

@@ -37,8 +37,9 @@ BLOCK_POINTS = 2048
 # cut from the flattened grid, barely with its shape.  At 2^22 points, 2048^2
 # and 2 x 2^21, the worst peak of generate, rotate --cross-check, verify and
 # info was 1128 MiB: 282 bytes a point, in rotate --cross-check on 2048^2
-# (x86-64 Linux, numpy 2.4.6).  Mesh JSON, written in blocks of BLOCK_POINTS
-# cells, peaks at 907 and 792 MiB.  2^23 points would take about 2.2 GiB.
+# (x86-64 Linux, numpy 2.4.6).  Mesh JSON, written in blocks of at most
+# 3 * BLOCK_POINTS numbers, peaks at 907 and 792 MiB.  2^23 points would take
+# about 2.2 GiB.
 MAX_GRID_POINTS = 2 ** 22
 
 

@@ -3,7 +3,7 @@
 The reference writers below format every number on its own: an f-string
 with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
 nested Python lists for mesh JSON.  The batch writers must produce the same
-bytes, mesh JSON also with blocks of 5 cells that split grid rows.  Both
+bytes, also with blocks of 5 and of 1 point that split grid rows.  Both
 format the same mesh, so nothing here pins ulps across numpy versions.
 The numpy float tables, cli._g17_table ('%.17g', OBJ and PLY) and
 cli._repr_table (shortest repr, mesh JSON), are checked against '%.17g' % x
@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
@@ -187,10 +188,10 @@ def test_empty_grid_matches_reference(tmp_path, shape):
     assert_writers_match(mesh, tmp_path)
 
 
-def _masked_mesh(valid, seed=0, vertices=None):
-    """A mesh over the grid of ``valid`` with ``vertices``, else random finite
-    values, whose faces are listed quad by quad as the grid sampler defines
-    them."""
+def _masked_mesh(valid, seed=0, vertices=None, diagnostics=None):
+    """A mesh over the grid of ``valid`` with ``vertices`` and the ten float
+    grids of ``diagnostics``, else random finite values, whose faces are
+    listed quad by quad as the grid sampler defines them."""
     rng = np.random.default_rng(seed)
     nu1, nu2 = valid.shape
     if vertices is None:
@@ -201,8 +202,9 @@ def _masked_mesh(valid, seed=0, vertices=None):
              for i in range(nu1 - 1) for j in range(nu2 - 1)
              for corners in [((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))]
              if all(valid[c] for c in corners)]
-    diag = MeshDiagnostics(*(rng.standard_normal(valid.shape) for _ in range(10)),
-                           regular=valid.copy())
+    if diagnostics is None:
+        diagnostics = rng.standard_normal((10,) + valid.shape)
+    diag = MeshDiagnostics(*diagnostics, regular=valid.copy())
     return SurfaceMesh(u1=np.linspace(-1.0, 1.0, nu1), u2=np.linspace(0.0, 1.0, nu2),
                        vertices=vertices, normals=-vertices, valid=valid,
                        vertex_index=index, faces=faces, diagnostics=diag)
@@ -251,6 +253,45 @@ def test_float_blocks_match_reference(tmp_path, count):
     assert_writers_match(mesh, tmp_path)
 
 
+# mesh JSON formats blocks of at most 3 * BLOCK_POINTS numbers: u2 is a
+# width-1 list of one block less one cell, one block, and one block and a
+# cell, and the diagnostics' block edge falls inside row 1, on its first
+# cell, and on the last cell of row 0
+@pytest.mark.parametrize("count", [3 * surface.BLOCK_POINTS - 1, 3 * surface.BLOCK_POINTS,
+                                   3 * surface.BLOCK_POINTS + 1])
+def test_width_one_blocks_match_reference(tmp_path, count):
+    valid = np.ones((2, count), dtype=bool)
+    valid[:, ::7] = False
+    diagnostics = np.random.default_rng(count).standard_normal((10, 2, count))
+    diagnostics[:, :, ::5] = np.nan
+    mesh = _masked_mesh(valid, diagnostics=diagnostics)
+    assert mesh.u2.size == count
+    assert_writers_match(mesh, tmp_path)
+
+
+def test_mesh_json_formats_only_printed_values(tmp_path, monkeypatch):
+    spec = SurfaceSpec.from_strings("z", "z", "log(t+0.5)", u1_range=(-1.0, 1.0),
+                                    u2_range=(-math.pi, math.pi), nu1=32, nu2=32)
+    mesh = surface.sample_mesh(spec)
+    diagnostics = [getattr(mesh.diagnostics, f.name) for f in fields(MeshDiagnostics)
+                   if f.name != "regular"]
+    assert not mesh.valid.all() and np.isnan(diagnostics).any()
+    received, repr_table = [], cli._repr_table
+
+    def spy(values):
+        received.append(np.ravel(values).copy())
+        return repr_table(values)
+
+    monkeypatch.setattr(cli, "_repr_table", spy)
+    cli.write_mesh_json(mesh, str(tmp_path / "masked.json"))
+    formatted = np.concatenate(received)
+    assert np.isfinite(formatted).all()
+    at_valid = np.concatenate([mesh.vertices[mesh.valid], mesh.normals[mesh.valid]])
+    printed = (np.isfinite(at_valid).sum() + np.isfinite(diagnostics).sum()
+               + mesh.u1.size + mesh.u2.size)
+    assert formatted.size == printed
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), nu1=st.integers(1, 12), nu2=st.integers(1, 12),
@@ -258,11 +299,17 @@ def test_float_blocks_match_reference(tmp_path, count):
 def test_random_masks_match_reference(tmp_path, monkeypatch, data, nu1, nu2, finite):
     cells = data.draw(st.lists(st.booleans(), min_size=nu1 * nu2,
                                max_size=nu1 * nu2))
-    values = None if finite else np.reshape(data.draw(st.lists(
-        st.floats(), min_size=nu1 * nu2 * 3, max_size=nu1 * nu2 * 3)), (nu1, nu2, 3))
-    mesh = _masked_mesh(np.reshape(cells, (nu1, nu2)), vertices=values)
-    # blocks of 5 cells split grid rows, so every block edge falls in a row
-    for block_points in (DEFAULT_BLOCK_POINTS, 5):
+
+    def floats(*shape):  # any doubles, NaN and ±inf included
+        return np.reshape(data.draw(st.lists(
+            st.floats(), min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+
+    mesh = _masked_mesh(np.reshape(cells, (nu1, nu2)),
+                        vertices=None if finite else floats(nu1, nu2, 3),
+                        diagnostics=None if finite else floats(10, nu1, nu2))
+    # blocks of 5 and 1 points split grid rows, so block edges fall in a row;
+    # at 1, width-1 lists split every 3 cells and vertices every cell
+    for block_points in (DEFAULT_BLOCK_POINTS, 5, 1):
         monkeypatch.setattr(surface, "BLOCK_POINTS", block_points)
         assert_writers_match(mesh, tmp_path)
 
