@@ -399,13 +399,11 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):
             fh.write(f'{sep}\n  "{_JSON_KEYS.get(name, name)}": '.encode())
-            grid = getattr(mesh.diagnostics, name)
-            if grid.dtype == bool:  # cells without values: true, else false
-                _write_json_cells(fh, np.empty((grid.size, 0)), rows, 2, "true",
-                                  grid, "false")
-            else:
-                _write_json_cells(fh, grid.reshape(-1, 1), rows, 2)
+            _write_json_cells(fh, getattr(mesh.diagnostics, name).reshape(-1, 1), rows, 2)
             sep = ","
+        fh.write(b',\n  "regular": ')  # cells without values: true, else false
+        _write_json_cells(fh, np.empty((mesh.valid.size, 0)), rows, 2, "true",
+                          mesh.valid, "false")
         fh.write(b"\n }\n}\n")
 
 

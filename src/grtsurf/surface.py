@@ -13,7 +13,9 @@ revolution obtained for f = a z + b, g = exp(z).
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
 det V numerically zero) and emit quad faces only over regular corners.  The
 grid is evaluated as numpy arrays by a per-point kernel, in flat chunks of
-at most BLOCK_POINTS points, whatever the grid's shape.
+at most BLOCK_POINTS points, whatever the grid's shape.  IDENTITIES holds
+the four identities every surface point meets, once for the mesh
+diagnostics and verify's checks alike.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import geometry
 from .expr import (Add, Const, ExprNode, Fn, Jet2, Mul, Var, eval_jet2,
                    eval_jet2_array, parse_expr, unparse)
-from .geometry import GridFrame, inner
+from .geometry import inner
 
 # Grid points evaluated together: sample_blocks hands its kernel at most this
 # many consecutive points of the flattened grid, so the temporaries of the
@@ -190,6 +192,7 @@ def rotation_spec(a: float, b: float, ell: ExprNode, **kwargs) -> SurfaceSpec:
 class MeshDiagnostics:
     """Per-vertex frame summary and closed-form identity residuals.
 
+    The residual fields are named by the diagnostic keys of IDENTITIES.
     Residuals are relative with denominator 1 + |reference|; entries are NaN
     where a quantity is undefined (irregular vertex, degenerate profile).
     """
@@ -204,7 +207,6 @@ class MeshDiagnostics:
     distance_residual: np.ndarray
     weingarten_residual: np.ndarray
     pde_residual: np.ndarray
-    regular: np.ndarray
 
 
 @dataclass
@@ -214,7 +216,6 @@ class SurfaceMesh:
     vertices: np.ndarray            # (nu1, nu2, 3), NaN at invalid vertices
     normals: np.ndarray             # (nu1, nu2, 3)
     valid: np.ndarray               # (nu1, nu2) bool
-    vertex_index: np.ndarray        # (nu1, nu2) compact index or -1
     faces: np.ndarray = ()          # (n_quads, 4) int compact indices of quad corners
     diagnostics: MeshDiagnostics | None = None
     closed_form: np.ndarray | None = None  # (nu1, nu2, 3) closed form of a rotation mesh
@@ -243,45 +244,33 @@ class SurfaceMesh:
         return self.vertices[mask], self.normals[mask]
 
 
-# The residuals of the identities that every surface point X meets, over
-# arrays of points (verify's rows and the mesh diagnostics alike): the
-# absolute error, the relative error (denominator 1 + |reference|) and where
-# the identity is left unchecked.  C is NaN where the profile ratio is
-# undefined.
+# The identities that every surface point X meets, one row each: the name of
+# its verify check, the key of its mesh diagnostic, and a kernel(frame, x)
+# that maps a GridFrame and the points x on it to the absolute error, the
+# relative error (denominator 1 + |reference|) and where the identity is left
+# unchecked.  C is NaN where the profile ratio is undefined.
 
-def support_residual(x, normal, psi) -> tuple:
-    err = abs(np.vecdot(x, normal) - psi)  # <X, N> = psi
-    return err, err / (1.0 + abs(psi)), False
-
-
-def distance_residual(x, lam) -> tuple:
-    err = abs(np.vecdot(x, x) - lam)  # <X, X> = lam = |grad_L h|^2 + h^2
-    return err, err / (1.0 + abs(lam)), False
+def _residual(value, reference, unchecked=False) -> tuple:
+    err = abs(value - reference)
+    return err, err / (1.0 + abs(reference)), unchecked
 
 
-def weingarten_residual(psi, lam, c, h_over_k) -> tuple:
-    """H/K = C (-lam/(2 psi) + psi/2) - psi where C is defined and |psi| >
-    PSI_EPS."""
-    err = abs(h_over_k - (c * (-lam / (2.0 * psi) + psi / 2.0) - psi))
-    return (err, err / (1.0 + abs(h_over_k)),
-            np.isnan(c) | (abs(psi) <= geometry.PSI_EPS))
-
-
-def pde_residual(psi, trace_v, c, grad_sq) -> tuple:
-    lhs = psi * (trace_v - 2.0 * psi)  # psi Lap_L h = C |grad_L h|^2
-    err = abs(lhs - c * grad_sq)
-    return err, err / (1.0 + abs(lhs)), np.isnan(c)
-
-
-def _residuals(frame: GridFrame, x: np.ndarray) -> dict:
-    """Relative residuals of the points ``x``, NaN where left unchecked."""
-    return {key: np.where(unchecked, np.nan, rel) for key, (_, rel, unchecked) in (
-        ("support_residual", support_residual(x, frame.normal, frame.psi)),
-        ("distance_residual", distance_residual(x, frame.lam)),
-        ("weingarten_residual", weingarten_residual(
-            frame.psi, frame.lam, frame.c, frame.h_over_k)),
-        ("pde_residual", pde_residual(
-            frame.psi, frame.trace_v, frame.c, frame.grad_sq)))}
+IDENTITIES = (
+    # <X, N> = psi
+    ("support_identity", "support_residual",
+     lambda frame, x: _residual(np.vecdot(x, frame.normal), frame.psi)),
+    # <X, X> = lam = |grad_L h|^2 + h^2
+    ("quadratic_distance", "distance_residual",
+     lambda frame, x: _residual(np.vecdot(x, x), frame.lam)),
+    # H/K = C (-lam/(2 psi) + psi/2) - psi where C is defined and |psi| > PSI_EPS
+    ("weingarten_relation", "weingarten_residual", lambda frame, x: _residual(
+        frame.c * (-frame.lam / (2.0 * frame.psi) + frame.psi / 2.0) - frame.psi,
+        frame.h_over_k, np.isnan(frame.c) | (abs(frame.psi) <= geometry.PSI_EPS))),
+    # psi Lap_L h = C |grad_L h|^2 where C is defined
+    ("pde_lapla1", "pde_residual", lambda frame, x: _residual(
+        frame.c * frame.grad_sq, frame.psi * (frame.trace_v - 2.0 * frame.psi),
+        np.isnan(frame.c))),
+)
 
 
 def sample_blocks(spec: SurfaceSpec, kernel) -> dict:
@@ -315,7 +304,10 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -
     point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
     with np.errstate(all="ignore"):
         x = xyz_array(point_xyz, jets)
-        residuals = _residuals(frame, x)
+        residuals = {}
+        for _, key, kernel in IDENTITIES:  # NaN where left unchecked
+            _, rel, unchecked = kernel(frame, x)
+            residuals[key] = np.where(unchecked, np.nan, rel)
         vertices = {"vertices": x}
         if rotation_a is not None:
             vertices = {"closed_form": x, "vertices": np.stack(
@@ -330,7 +322,7 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -
         **vertices).items()}
     points.update({key: where(computed, getattr(frame, key))
                    for key in ("psi", "lam", "c", "det_v")})
-    points.update(valid=valid, regular=valid.copy())
+    points["valid"] = valid
     return points
 
 
@@ -348,7 +340,6 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceM
     return SurfaceMesh(u1=spec.grid_u1(), u2=spec.grid_u2(),
                        vertices=grid.pop("vertices"),
                        normals=grid.pop("normals"), valid=valid,
-                       vertex_index=vertex_index,
                        faces=quads, closed_form=grid.pop("closed_form", None),
                        diagnostics=MeshDiagnostics(**grid))
 

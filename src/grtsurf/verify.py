@@ -10,7 +10,8 @@ by point, until perfbench can time a job shorter than its 50 ms sampling
 period (ROADMAP, item A).  convergence_order compares the oracle with the
 closed-form frame of one array pass.  CHECKS lists every check: algebraic
 identities hold to near machine precision, finite-difference comparisons
-carry an O(step^2) floor and a looser tolerance.
+carry an O(step^2) floor and a looser tolerance.  Its rows 2-5 are the rows
+of surface.IDENTITIES, whose kernels also give the mesh diagnostics.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -264,14 +265,8 @@ CLASS_TOLERANCES = {ALGEBRAIC: 1e-9, FD: 1e-4}
 CHECKS = (
     Check("param_equivalence", ALGEBRAIC, lambda b: _distance(
         b.x, surface.xyz_array(surface._direct_xyz, b.jets))),
-    Check("support_identity", ALGEBRAIC, lambda b: surface.support_residual(
-        b.x, b.frame.normal, b.frame.psi)),
-    Check("quadratic_distance", ALGEBRAIC, lambda b: surface.distance_residual(
-        b.x, b.frame.lam)),
-    Check("weingarten_relation", ALGEBRAIC, lambda b: surface.weingarten_residual(
-        b.frame.psi, b.frame.lam, b.frame.c, b.frame.h_over_k)),
-    Check("pde_lapla1", ALGEBRAIC, lambda b: surface.pde_residual(
-        b.frame.psi, b.frame.trace_v, b.frame.c, b.frame.grad_sq)),
+    *(Check(name, ALGEBRAIC, lambda b, kernel=kernel: kernel(b.frame, b.x))
+      for name, _, kernel in surface.IDENTITIES),
     Check("forms_vs_fd", FD, lambda b: _vs_fd(b, b.frame.forms, slice(0, 6))),
     Check("curvature_vs_fd", FD, lambda b: _vs_fd(
         b, np.stack((b.frame.mean, b.frame.gauss), axis=-1), slice(6, 8))),

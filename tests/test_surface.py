@@ -406,7 +406,6 @@ def reference_mesh(spec, rotation=None):
 def assert_matches_reference(mesh, reference):
     valid, vertices, normals, diag, faces = reference
     assert np.array_equal(mesh.valid, valid)
-    assert np.array_equal(mesh.diagnostics.regular, valid)
     assert np.array_equal(mesh.faces, np.array(faces, dtype=int).reshape(-1, 4))
     pairs = [("vertices", mesh.vertices, vertices), ("normals", mesh.normals, normals)]
     pairs += [(name, getattr(mesh.diagnostics, name), diag[name]) for name in DIAGNOSTICS]

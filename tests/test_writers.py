@@ -97,7 +97,7 @@ def reference_mesh_json(mesh):
             "distance_residual": scalar(diag.distance_residual),
             "weingarten_residual": scalar(diag.weingarten_residual),
             "pde_residual": scalar(diag.pde_residual),
-            "regular": [[bool(v) for v in row] for row in diag.regular],
+            "regular": [[bool(v) for v in row] for row in mesh.valid],
         },
     }
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
@@ -157,11 +157,10 @@ def _hand_built_mesh(faces):
     vertices[0, 2] = (1e-4, 9.99e-5, 1e16)
     vertices[1, 0] = (1e17, 1e300, 5e-324)
     vertices[~valid] = math.nan
-    index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
-    diag = MeshDiagnostics(*(field() for _ in range(10)), regular=valid.copy())
+    diag = MeshDiagnostics(*(field() for _ in range(10)))
     return SurfaceMesh(u1=np.array([-0.0, 1.0]), u2=np.array([0.1, 0.2, 1e22]),
                        vertices=vertices, normals=-vertices, valid=valid,
-                       vertex_index=index, faces=faces, diagnostics=diag)
+                       faces=faces, diagnostics=diag)
 
 
 def test_non_finite_values_match_reference(tmp_path):
@@ -180,11 +179,10 @@ def test_mesh_without_faces_matches_reference(tmp_path):
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0)], ids=["no-rows", "empty-rows"])
 def test_empty_grid_matches_reference(tmp_path, shape):
     empty = np.zeros(shape)
-    diag = MeshDiagnostics(*(empty for _ in range(10)), regular=empty.astype(bool))
+    diag = MeshDiagnostics(*(empty for _ in range(10)))
     mesh = SurfaceMesh(u1=np.zeros(shape[0]), u2=np.zeros(shape[1]),
                        vertices=np.zeros(shape + (3,)), normals=np.zeros(shape + (3,)),
-                       valid=empty.astype(bool), vertex_index=empty.astype(int),
-                       faces=[], diagnostics=diag)
+                       valid=empty.astype(bool), faces=[], diagnostics=diag)
     assert_writers_match(mesh, tmp_path)
 
 
@@ -204,10 +202,10 @@ def _masked_mesh(valid, seed=0, vertices=None, diagnostics=None):
              if all(valid[c] for c in corners)]
     if diagnostics is None:
         diagnostics = rng.standard_normal((10,) + valid.shape)
-    diag = MeshDiagnostics(*diagnostics, regular=valid.copy())
+    diag = MeshDiagnostics(*diagnostics)
     return SurfaceMesh(u1=np.linspace(-1.0, 1.0, nu1), u2=np.linspace(0.0, 1.0, nu2),
                        vertices=vertices, normals=-vertices, valid=valid,
-                       vertex_index=index, faces=faces, diagnostics=diag)
+                       faces=faces, diagnostics=diag)
 
 
 # 0-based (PLY, JSON) and 1-based (OBJ) indices on either side of each power
@@ -273,8 +271,7 @@ def test_mesh_json_formats_only_printed_values(tmp_path, monkeypatch):
     spec = SurfaceSpec.from_strings("z", "z", "log(t+0.5)", u1_range=(-1.0, 1.0),
                                     u2_range=(-math.pi, math.pi), nu1=32, nu2=32)
     mesh = surface.sample_mesh(spec)
-    diagnostics = [getattr(mesh.diagnostics, f.name) for f in fields(MeshDiagnostics)
-                   if f.name != "regular"]
+    diagnostics = [getattr(mesh.diagnostics, f.name) for f in fields(MeshDiagnostics)]
     assert not mesh.valid.all() and np.isnan(diagnostics).any()
     received, repr_table = [], cli._repr_table
 
