@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import types
 from dataclasses import fields
 
 import numpy as np
@@ -52,10 +53,10 @@ DEFAULT_U2 = (-math.pi, math.pi)
 # Mesh writers (single writer, after computation completes).  Numbers come
 # from NUL-padded ASCII tables built with numpy: face indices (_index_table),
 # floats in '%.17g' for OBJ and PLY (_g17_table) and in repr for mesh JSON
-# (_repr_table).  _index_text gathers OBJ and PLY lines between the literal
-# bytes of a line template; _write_json_cells gathers mesh JSON cells between
-# constant rows of brackets, commas and indentation.  Files are opened in
-# binary mode and get these bytes with the NULs dropped.
+# (_repr_table), both from the tables of _lookup.  _join lays rows of such
+# tables out between the literal bytes of a template: OBJ and PLY lines
+# (_write_blocks) and mesh JSON cells (_write_json_cells).  Files are opened
+# in binary mode and get these bytes with the NULs dropped.
 # ---------------------------------------------------------------------------
 
 def _index_table(n: int) -> np.ndarray:
@@ -68,15 +69,13 @@ def _index_table(n: int) -> np.ndarray:
     return table
 
 
-def _index_text(template: str, table: np.ndarray, indices: np.ndarray) -> bytes:
-    """``template`` once per row of ``indices``, each '{k}' as the row
-    indices[:, k] of ``table``, NUL-padded ASCII, with the NULs dropped."""
-    pieces = re.split(r"\{(\d)\}", template)
-    text = np.concatenate(
-        [_rows(table, indices[:, int(piece)]) if i % 2 else np.broadcast_to(
-            np.frombuffer(piece.encode(), np.uint8), (len(indices), len(piece)))
-         for i, piece in enumerate(pieces) if piece], axis=1)
-    return text.tobytes().translate(None, b"\0")
+def _join(template: str, slots) -> np.ndarray:
+    """``template`` once per row of the 2-d uint8 arrays ``slots``, each '{k}'
+    as that row of slots[k], in one uint8 row per line."""
+    return np.concatenate(
+        [slots[int(piece)] if i % 2 else np.broadcast_to(
+            np.frombuffer(piece.encode(), np.uint8), (len(slots[0]), len(piece)))
+         for i, piece in enumerate(re.split(r"\{(\d)\}", template)) if piece], axis=1)
 
 
 def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -96,50 +95,39 @@ _POWERS = 300
 
 
 @functools.cache
-def _g17_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_g17_table's tables, built on first use, shared with _repr_table:
+def _lookup() -> types.SimpleNamespace:
+    """The tables of _g17_table and _repr_table, built on first use: powers,
     10^q for |q| <= _POWERS as hi + lo, hi the nearest double and lo the
-    nearest to 10^q - hi (0 for q in 0..22); 0..9999 as 4-byte digit words
-    and the count of their trailing zeros (4 for 0); and per (sign, E + 4,
-    kept digits - 1) the columns of _spell's source row that spell '%.17g'."""
+    nearest to 10^q - hi (0 for q in 0..22); digits4 and zeros4, 0..9999 as
+    4-byte digit words and their trailing zeros (4 for 0); suffixes, 'e+XX'
+    per E + 400 in 8 bytes; specials, the rows of 0.0, -0.0, inf, -inf, nan
+    and nan; layouts, per (style, sign, slot, kept digits - 1) the columns of
+    _spell's source row that spell '%.17g' (style 0) or repr (style 1), slot
+    E + 4 in fixed notation, E from -4 to 16, or 21 for d.ddd and the suffix."""
     powers = np.empty((2, 2 * _POWERS + 1))
     for q in range(-_POWERS, _POWERS + 1):
         a, b = 10 ** max(q, 0), 10 ** max(-q, 0)
         hi = a / b  # int / int is correctly rounded
         num, den = hi.as_integer_ratio()
         powers[:, _POWERS + q] = hi, (a * den - num * b) / (b * den)
-    layouts = np.zeros((2, 21, 17, 24), dtype=np.uint8)
-    for neg, e, k in np.ndindex(2, 21, 17):
-        e, k = e - 4, k + 1
-        digits = list(range(7, 7 + max(k, e + 1)))
-        columns = [1] * neg + ([2, 3] + [4] * (-e - 1) + digits if e < 0 else
-                               digits[:e + 1] + [3] * (k > e + 1) + digits[e + 1:])
-        layouts[neg, e + 4, k - 1, :len(columns)] = columns
-    digits4 = np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel()
-    zeros4 = sum((np.arange(10**4) % 10**k == 0).astype(np.uint8) for k in range(1, 5))
-    return powers, digits4, zeros4, layouts
-
-
-@functools.cache
-def _repr_lookup() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_repr_table's own tables, built on first use: per (sign, E + 4, or 20
-    for exponent notation, kept digits - 1) the columns of _spell's source
-    row that spell repr, the suffix 'e+XX' per E + 400 as 8 bytes, and the
-    rows of 0.0, -0.0, inf, -inf, nan and nan."""
-    layouts = np.zeros((2, 21, 17, 24), dtype=np.uint8)
+    layouts = np.zeros((2, 2, 22, 17, 24), dtype=np.uint8)
     digits = list(range(7, 24))
-    for neg, slot, k in np.ndindex(2, 21, 17):
+    for style, neg, slot, k in np.ndindex(2, 2, 22, 17):
         e, k = slot - 4, k + 1
-        if slot == 20:  # d.ddd, then the suffix
+        if slot == 21:  # d.ddd, then the suffix
             columns = digits[:1] + [3] * (k > 1) + digits[1:k] + list(range(24, 29))
         elif e < 0:
             columns = [2, 3] + [4] * (-e - 1) + digits[:k]
-        else:  # an integer ends in '.0'
-            columns = digits[:e + 1] + [3] + (digits[e + 1:k] or [2])
-        layouts[neg, slot, k - 1, :neg + len(columns)] = [1] * neg + columns
-    suffixes = np.array([b"e%+03d" % e for e in range(-400, 401)], dtype="S8")
-    return (layouts, suffixes.view(np.uint64),
-            _text_rows(["0.0", "-0.0", "inf", "-inf", "nan", "nan"]))
+        else:  # a repr integer ends in '.0'
+            fraction = digits[e + 1:k] or [2] * style
+            columns = digits[:e + 1] + [3] * bool(fraction) + fraction
+        layouts[style, neg, slot, k - 1, :neg + len(columns)] = [1] * neg + columns
+    suffixes = np.array([b"e%+03d" % e for e in range(-400, 401)], "S8").view(np.uint64)
+    return types.SimpleNamespace(
+        powers=powers, layouts=layouts, suffixes=suffixes,
+        digits4=np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel(),
+        zeros4=sum((np.arange(10**4) % 10**k == 0).astype(np.uint8) for k in range(1, 5)),
+        specials=_text_rows(["0.0", "-0.0", "inf", "-inf", "nan", "nan"]))
 
 
 def _rint_product(x: np.ndarray, c: np.ndarray,
@@ -160,7 +148,10 @@ def _rint_product(x: np.ndarray, c: np.ndarray,
 def _round17(size: np.ndarray, e: np.ndarray, powers: np.ndarray):
     """D17 = size*10^q rounded half to even, with q = 16 - E so that D17 has 17
     digits, its residual size*10^q - D17, and E, from the estimate ``e`` of
-    E moved by one where D17 falls outside [10^16, 10^17)."""
+    E moved by one where D17 falls outside [10^16, 10^17).  Once 10^q is
+    inexact, E can be one too high, with D17 = 10^16, for a double just below
+    a power of ten ('%.17g' 9.9999999999999996e-281 would read 1e-280); no
+    double in _g17_table's fixed range is that close to one."""
     n, r = _rint_product(size, *np.take(powers, _POWERS + 16 - e, axis=1))
     redo = (n < 10**16) | (n >= 10**17)
     if redo.any():
@@ -170,12 +161,12 @@ def _round17(size: np.ndarray, e: np.ndarray, powers: np.ndarray):
     return n, r, e
 
 
-def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, layouts: np.ndarray,
+def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
            suffix=0) -> np.ndarray:
-    """Rows of 24 ASCII bytes, NUL-padded: layouts[neg, slot, kept digits - 1]
-    gathered from the source row b'\\0-0.000', the 17 digits of n (10^16 <=
-    n < 10^17, trailing zeros not kept), then 8 bytes of ``suffix``."""
-    _, digits4, zeros4, _ = _g17_lookup()
+    """Rows of 24 ASCII bytes, NUL-padded: _lookup's layouts[style, neg, slot,
+    kept digits - 1] gathered from the source row b'\\0-0.000', the 17 digits
+    of n (10^16 <= n < 10^17, trailing zeros not kept), then 8 bytes of suffix."""
+    lookup = _lookup()
     source = np.empty((len(n), 32), dtype=np.uint8)
     words = source.view(np.uint32)
     words[:, 0] = np.frombuffer(b"\0-0.", np.uint32)
@@ -184,16 +175,17 @@ def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, layouts: np.ndarray
         top = n // 10**4
         groups.append(n - top * 10**4)
         n = top
-    words[:, 1] = digits4[n]
+    words[:, 1] = lookup.digits4[n]
     zeros = 0
     for column, group in enumerate(groups[::-1], 2):
-        words[:, column] = digits4[group]
-        zeros = zeros4[group] + (group == 0) * zeros
+        words[:, column] = lookup.digits4[group]
+        zeros = lookup.zeros4[group] + (group == 0) * zeros
     source.view(np.uint64)[:, 3] = suffix
-    key = (neg * 21 + slot) * 17 + 16 - zeros
+    key = (neg * 22 + slot) * 17 + 16 - zeros
+    layouts = lookup.layouts[style].reshape(-1, 24)
     text = np.empty((len(key), 24), dtype=np.uint8)
     for start in range(0, len(key), 1024):  # the gather's index array stays small
-        columns = np.take(layouts.reshape(-1, 24), key[start:start + 1024], axis=0)
+        columns = np.take(layouts, key[start:start + 1024], axis=0)
         text[start:start + 1024] = source.ravel()[
             columns + np.arange(32 * start, 32 * (start + len(columns)), 32)[:, None]]
     return text
@@ -203,14 +195,13 @@ def _g17_table(values: np.ndarray) -> np.ndarray:
     """Each of ``values`` as '%.17g', a NUL-padded row of 24 ASCII bytes.  On
     1e-4 <= |x| < 1e17 (fixed notation) the digits are D17 (_round17), with
     10^q exact; every other value is '%.17g' % x."""
-    powers, _, _, layouts = _g17_lookup()
     x = np.ravel(values)
     fixed = (abs(x) >= 1e-4) & (abs(x) < 1e17)
     size = abs(x[fixed])
     e = np.clip(np.floor(np.log10(size)), -4, 16).astype(np.intp)
-    n, _, e = _round17(size, e, powers)
+    n, _, e = _round17(size, e, _lookup().powers)
     table = np.empty((len(x), 24), dtype=np.uint8)
-    table[fixed] = _spell(n, np.signbit(x[fixed]), e + 4, layouts)
+    table[fixed] = _spell(n, np.signbit(x[fixed]), e + 4, 0)
     table[~fixed] = _text_rows(["%.17g" % v for v in x[~fixed].tolist()])
     return table
 
@@ -233,7 +224,7 @@ def _shortest(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     D < 2**53 and |s| <= 22, reading D*10^s back is one correctly rounded
     operation (Clinger's fast path); otherwise |D*10^m - |x|*10^q|, m digits
     dropped, is compared with half an ulp of x times 10^q."""
-    powers = _g17_lookup()[0]
+    powers = _lookup().powers
     n, r, e = _round17(size, np.floor(np.log10(size)).astype(np.intp), powers)
     hi, lo = np.take(powers, _POWERS + 16 - e, axis=1)
     inexact = lo != 0
@@ -266,18 +257,18 @@ def _repr_table(values: np.ndarray) -> np.ndarray:
     _shortest's digits.  '%r' % x spells powers of two (their rounding
     interval is asymmetric), |x| outside [1e-280, 1e280] and decisions
     within _MARGIN; ±0, ±inf and NaN come from a table."""
-    layouts, suffixes, specials = _repr_lookup()
+    lookup = _lookup()
     x = np.ravel(values)
     size = abs(x)
     fast = (size >= 1e-280) & (size <= 1e280) & (x.view(np.int64) & (2**52 - 1) != 0)
     size[~fast] = 1.5  # a stand-in, its row replaced below
     n, e, unsure = _shortest(size)
-    slot = np.where((e >= -4) & (e <= 15), e + 4, 20)
-    table = _spell(n, np.signbit(x), slot, layouts, suffixes[e + 400])
+    slot = np.where((e >= -4) & (e <= 15), e + 4, 21)
+    table = _spell(n, np.signbit(x), slot, 1, lookup.suffixes[e + 400])
     special = ~np.isfinite(x) | (x == 0)
     if special.any():
         v = x[special]
-        table[special] = specials[2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
+        table[special] = lookup.specials[2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
     others = (~fast | unsure) & ~special
     if others.any():
         table[others] = _text_rows(["%r" % v for v in x[others].tolist()])
@@ -285,14 +276,14 @@ def _repr_table(values: np.ndarray) -> np.ndarray:
 
 
 def _write_blocks(fh, template: str, *columns: np.ndarray, table=None) -> None:
-    """_index_text of the rows of ``columns`` joined side by side, by
-    surface.BLOCK_POINTS rows: indices into ``table``, or without a table
-    floats, in '%.17g'."""
+    """_join of ``template`` over the rows of ``columns`` side by side, by
+    surface.BLOCK_POINTS rows, '{k}' as the k-th number of a row: an index
+    into ``table``, or without a table a float, in '%.17g'."""
     for start in range(0, len(columns[0]), surface.BLOCK_POINTS):
         block = np.hstack([c[start:start + surface.BLOCK_POINTS] for c in columns])
-        fh.write(_index_text(template, table, block) if table is not None else
-                 _index_text(template, _g17_table(block),
-                             np.arange(block.size).reshape(block.shape)))
+        slots = ([_rows(table, column) for column in block.T] if table is not None
+                 else _g17_table(block).reshape(*block.shape, 24).swapaxes(0, 1))
+        fh.write(_join(template, slots).tobytes().translate(None, b"\0"))
 
 
 def _write_faces(fh, template: str, faces: np.ndarray, base: int = 0) -> None:
@@ -331,15 +322,14 @@ def _json_list(items: list[str], level: int) -> str:
 
 
 def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
-                      cell: str = "{0}", valid=None, other: str = "null") -> None:
+                      cell: str = "{0}{1}", valid=None, other: str = "null") -> None:
     """The cells of ``values`` (one per row) as json.dump(indent=1) lays out,
     at ``level``, a list of ``rows`` lists (a flat list where ``rows`` is 0).
-    A cell is ``cell`` with '{k}' as the repr of its k-th value, null where
-    that is not finite, and ``other`` where ``valid`` is False.  Blocks of at
-    most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none)
-    are joined from byte rows: the separator and brackets chosen by grid
-    position, then the cell's literals and values.  Only the values printed
-    as numbers are formatted, into a block of null rows."""
+    A cell is ``cell``, '{0}' as the separator and indentation set by its grid
+    position and '{k}' as the repr of its k-th value (null if not finite), or
+    the separator and ``other`` where ``valid`` is False.  Each block of at
+    most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none) is
+    one _join; only the values printed as numbers are formatted."""
     count, width = values.shape
     if not count:
         fh.write(_json_list(["[]"] * rows, level).encode())
@@ -350,11 +340,7 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     prefixes = ["[" + pad + "[" + inner if rows else "[" + inner,
                 pad + "]," + pad + "[" + inner, "," + inner]
     prefixes = _text_rows(prefixes, max(map(len, prefixes)))
-    pieces = [np.frombuffer(piece.encode(), np.uint8) if i % 2 == 0 else int(piece)
-              for i, piece in enumerate(re.split(r"\{(\d)\}", cell)) if piece]
-    length = sum(24 if isinstance(p, int) else len(p) for p in pieces)
-    blank = np.frombuffer(other.encode().ljust(length, b"\0"), np.uint8)
-    pieces.append(np.zeros(len(blank) - length, np.uint8))  # room for ``other``
+    other = np.frombuffer(other.encode(), np.uint8)
     valid = np.ones(count, bool) if valid is None else np.ravel(valid)
     null = _text_rows(["null"]).view("V24")[0, 0]
     cols = count // max(rows, 1)
@@ -366,12 +352,11 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
         printed = np.isfinite(block) & ok[:, None]
         text = np.full(block.shape, null)  # one 24-byte row per value
         text[printed] = _repr_table(block[printed]).view("V24")[:, 0]
-        text = text.view(np.uint8).reshape(block.shape + (24,))
-        body = np.concatenate(
-            [_rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))]
-            + [text[:, p] if isinstance(p, int) else
-               np.broadcast_to(p, (len(block), len(p))) for p in pieces], axis=1)
-        body[~ok, prefixes.shape[1]:] = blank
+        text = text.view(np.uint8).reshape(block.shape + (24,)).swapaxes(0, 1)
+        seps = _rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))
+        body = _join(cell + "\0" * len(other), [seps, *text])  # room for ``other``
+        body[~ok, prefixes.shape[1]:] = 0  # an invalid cell: its separator, ``other``
+        body[~ok, prefixes.shape[1]:prefixes.shape[1] + len(other)] = other
         fh.write(body.tobytes().translate(None, b"\0"))
     fh.write(((pad + "]" if rows else "") + pad[:-1] + "]").encode())
 
@@ -391,7 +376,7 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
         for key, grid in (("vertices", mesh.vertices), ("normals", mesh.normals)):
             fh.write(f',\n "{key}": '.encode())  # null at invalid vertices
             _write_json_cells(fh, grid.reshape(-1, 3), rows, 1,
-                              "[\n    {0},\n    {1},\n    {2}\n   ]", mesh.valid)
+                              "{0}[\n    {1},\n    {2},\n    {3}\n   ]", mesh.valid)
         fh.write(b',\n "faces": ' + (b"[" if mesh.face_count else b"[]"))
         _write_faces(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
         _write_faces(fh, quad, mesh.faces[1:])
@@ -402,7 +387,7 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
             _write_json_cells(fh, getattr(mesh.diagnostics, name).reshape(-1, 1), rows, 2)
             sep = ","
         fh.write(b',\n  "regular": ')  # cells without values: true, else false
-        _write_json_cells(fh, np.empty((mesh.valid.size, 0)), rows, 2, "true",
+        _write_json_cells(fh, np.empty((mesh.valid.size, 0)), rows, 2, "{0}true",
                           mesh.valid, "false")
         fh.write(b"\n }\n}\n")
 
@@ -575,9 +560,9 @@ def _window(args) -> dict:
 
 
 def _write_mesh(mesh: SurfaceMesh, args) -> None:
-    """Write in --format, else in the format of the --out extension, else OBJ."""
+    """Write in --format, else in that of the --out extension (any case), else OBJ."""
     fmt = args.format or next(
-        (fmt for fmt in _WRITERS if args.out.endswith("." + fmt)), "obj")
+        (fmt for fmt in _WRITERS if args.out.lower().endswith("." + fmt)), "obj")
     _WRITERS[fmt](mesh, args.out)
     print(f"wrote {args.out}: {mesh.vertex_count} vertices, "
           f"{2 * mesh.face_count} triangles "

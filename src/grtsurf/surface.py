@@ -216,8 +216,8 @@ class SurfaceMesh:
     vertices: np.ndarray            # (nu1, nu2, 3), NaN at invalid vertices
     normals: np.ndarray             # (nu1, nu2, 3)
     valid: np.ndarray               # (nu1, nu2) bool
-    faces: np.ndarray = ()          # (n_quads, 4) int compact indices of quad corners
-    diagnostics: MeshDiagnostics | None = None
+    faces: np.ndarray               # (n_quads, 4) int compact indices of quad corners
+    diagnostics: MeshDiagnostics
     closed_form: np.ndarray | None = None  # (nu1, nu2, 3) closed form of a rotation mesh
 
     def __post_init__(self):

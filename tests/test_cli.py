@@ -242,6 +242,15 @@ def test_format_flag_beats_extension(tmp_path, capsys):
     assert out.read_text().startswith("ply\n")
 
 
+@pytest.mark.parametrize("name, head", [("m.JSON", "{"), ("m.PLY", "ply")])
+def test_extension_picks_format_in_any_case(tmp_path, capsys, name, head):
+    out = tmp_path / name
+    code, _, _ = run(capsys, "generate", "--preset", "fig1", "--n", "6",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_text().split("\n")[0] == head
+
+
 def test_values_may_start_with_minus(tmp_path, capsys):
     code, _, stderr = run(capsys, "generate", "--f", "-z", "--g", "z",
                           "--ell", "-t^2+2", "--n", "4",

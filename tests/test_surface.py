@@ -9,7 +9,7 @@ from conftest import frame_at, rotation_at, xyz_at
 from grtsurf import surface
 from grtsurf.expr import EvalError, eval_jet2, parse_expr
 from grtsurf.geometry import PSI_EPS, inner
-from grtsurf.surface import (EmptyMeshError, SurfaceSpec, jets_at,
+from grtsurf.surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec, jets_at,
                              rotation_spec, sample_mesh, sample_rotation_mesh)
 
 TRIPLES = [
@@ -243,6 +243,16 @@ def test_mesh_faces_are_an_int_array():
         assert isinstance(m.faces, np.ndarray)
         assert np.issubdtype(m.faces.dtype, np.integer)
         assert m.faces.shape == (quads, 4)
+
+
+def test_mesh_requires_faces_and_diagnostics():
+    # the writers and min_abs_det_v read both; closed_form stays optional
+    grid = dict(u1=np.zeros(2), u2=np.zeros(2), vertices=np.zeros((2, 2, 3)),
+                normals=np.zeros((2, 2, 3)), valid=np.ones((2, 2), bool))
+    with pytest.raises(TypeError):
+        SurfaceMesh(**grid)
+    with pytest.raises(TypeError):
+        SurfaceMesh(**grid, faces=np.zeros((1, 4), int))
 
 
 def test_mesh_empty_when_g_constant():

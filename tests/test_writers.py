@@ -450,12 +450,11 @@ def test_repr_table_residual_like_values():
 def test_import_grtsurf_leaves_the_writers_unloaded():
     # the writers and their tables cost set-up time only when cli is used
     code = ("import sys, grtsurf; print('grtsurf.cli' in sys.modules); "
-            "from grtsurf import cli; print(cli._g17_lookup.cache_info().currsize, "
-            "cli._repr_lookup.cache_info().currsize)")
+            "from grtsurf import cli; print(cli._lookup.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(grtsurf.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout == "False\n0 0\n"
+    assert out.stdout == "False\n0\n"
 
 
 def _reject_constant(name):
