@@ -9,11 +9,18 @@ Grammar (whitespace insignificant):
     atom  := number | ident | '(' expr ')' | fn '(' expr ')'
     fn    := 'exp' | 'log' | 'sin' | 'cos' | 'sinh' | 'cosh'
 
-Numbers are unsigned decimals with optional fraction and exponent.  The
-identifiers ``i``, ``pi`` and ``e`` are built-in constants; ``i`` is rejected
-when parsing in the real context.  ``^`` takes a nonnegative integer literal
-exponent only; general powers must be spelled ``exp(c*log(z))``.  ``log`` uses
-the principal branch and fails exactly at 0 and on the cut (re <= 0, im = 0).
+Numbers are unsigned decimals with optional fraction and exponent that give
+a finite double (``1e999`` is a ParseError).  The identifiers ``i``, ``pi``
+and ``e`` are built-in constants; ``i`` is rejected when parsing in the real
+context.  ``^`` takes a nonnegative integer literal exponent of at most
+MAX_EXPONENT (1e150) only; general powers must be spelled ``exp(c*log(z))``.
+``log`` uses the principal branch and fails exactly at 0 and on the cut
+(re <= 0, im = 0).  Trees deeper than MAX_DEPTH are a ParseError, and
+``differentiate`` raises ValueError rather than build a derivative deeper
+than MAX_DERIVATIVE_DEPTH.  Every constant that the parser or the simplifier
+makes is finite: a fold that overflows stays unfolded.  The parser, the
+unparser and the simplifier read the four binary operators from one table,
+``_BINARY``.
 
 Evaluation produces 2-jets (value, first, second derivative) by second-order
 forward-mode arithmetic over the tree; it raises instead of returning
@@ -25,8 +32,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -118,6 +127,13 @@ class Fn:
 
 ExprNode = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow, Fn]
 
+# symbol -> (node class, precedence, constant fold); the precedence levels
+# are add/sub 1, mul/div 2, unary minus 3, pow 4, atoms 5
+_BINARY = {"+": (Add, 1, operator.add), "-": (Sub, 1, operator.sub),
+           "*": (Mul, 2, operator.mul), "/": (Div, 2, operator.truediv)}
+_BINARY_OF = {cls: (symbol, prec, fold)
+              for symbol, (cls, prec, fold) in _BINARY.items()}
+
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh")
 _CONSTANTS = {"i": 1j, "pi": complex(math.pi), "e": complex(math.e)}
 
@@ -146,6 +162,11 @@ _ATOM_EXPECTED = ("number", "identifier", "'('", "'-'")
 # recursive passes (parser, evaluators, derivative, unparser) stay well
 # inside Python's recursion limit.
 MAX_DEPTH = 100
+# Deepest unsimplified derivative built.  Each rule adds at most three levels,
+# and a chain of MAX_DEPTH quotients has a second derivative of 595.
+MAX_DERIVATIVE_DEPTH = 6 * MAX_DEPTH
+# Largest ``^`` exponent n: the jet rules need n*(n-1) as a finite double.
+MAX_EXPONENT = 1e150
 
 
 def _byte_offset(source: str, pos: int) -> int:
@@ -235,25 +256,19 @@ class _Parser:
             self.error(
                 f"unexpected {value!r} after complete expression",
                 pos,
-                ("'+'", "'-'", "'*'", "'/'", "end of input"),
+                tuple(f"'{symbol}'" for symbol in _BINARY) + ("end of input",),
             )
         return node
 
-    def expr(self) -> tuple[ExprNode, int]:
-        node, depth = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def expr(self, prec: int = 1) -> tuple[ExprNode, int]:
+        """Operands joined left to right by the operators of precedence
+        ``prec``; an operand is the next level in, a unary after level 2."""
+        operand = partial(self.expr, prec + 1) if prec < 2 else self.unary
+        node, depth = operand()
+        while self.peek()[0] in _BINARY and _BINARY[self.peek()[0]][1] == prec:
             op, _, pos = self.advance()
-            rhs, rhs_depth = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-            depth = self.limit(max(depth, rhs_depth) + 1, pos)
-        return node, depth
-
-    def term(self) -> tuple[ExprNode, int]:
-        node, depth = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
-            rhs, rhs_depth = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            rhs, rhs_depth = operand()
+            node = _BINARY[op][0](node, rhs)
             depth = self.limit(max(depth, rhs_depth) + 1, pos)
         return node, depth
 
@@ -273,6 +288,8 @@ class _Parser:
             if kind != "num" or not value.isdigit():
                 self.error(f"exponent must be an integer literal, got "
                            f"{_shown(kind, value)}", pos, ("integer",))
+            if float(value) > MAX_EXPONENT:
+                self.error(f"exponent out of range, above {MAX_EXPONENT:g}", pos)
             self.advance()
             node, depth = Pow(node, int(value)), self.limit(depth + 1, op_pos)
         return node, depth
@@ -281,6 +298,8 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
+            if not math.isfinite(float(value)):
+                self.error("number out of range of a double", pos)
             return Const(complex(float(value))), 1
         if kind == "(":
             self.advance()
@@ -348,28 +367,39 @@ def _is_const(node: ExprNode, value=None) -> bool:
     return value is None or node.value == value
 
 
+def _fold(node: ExprNode, fold, *operands: ExprNode) -> ExprNode:
+    """``Const(fold(...))`` of the operands' values when all of them are
+    constants and the fold neither raises nor gives a non-finite value;
+    ``node`` otherwise."""
+    if not all(isinstance(x, Const) for x in operands):
+        return node
+    try:
+        value = fold(*(x.value for x in operands))
+    except ArithmeticError:
+        return node
+    return Const(value) if _finite(value) else node
+
+
 def simplify(node: ExprNode) -> ExprNode:
     """Constant folding plus 0/1 elimination; applied bottom-up."""
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Neg):
         a = simplify(node.arg)
-        if isinstance(a, Const):
-            return Const(-a.value)
         if isinstance(a, Neg):
             return a.arg
-        return Neg(a)
+        return _fold(Neg(a), operator.neg, a)
     if isinstance(node, Pow):
         b = simplify(node.base)
         if node.exponent == 0:
             return Const(complex(1.0))
         if node.exponent == 1:
             return b
-        if isinstance(b, Const):
-            return Const(b.value ** node.exponent)
-        return Pow(b, node.exponent)
+        return _fold(Pow(b, node.exponent), partial(pow, exp=node.exponent), b)
     if isinstance(node, Fn):
         return Fn(node.name, simplify(node.arg))
+    if type(node) not in _BINARY_OF:
+        raise TypeError(f"not an expression node: {node!r}")
     left = simplify(node.left)
     right = simplify(node.right)
     if isinstance(node, Add):
@@ -377,36 +407,24 @@ def simplify(node: ExprNode) -> ExprNode:
             return right
         if _is_const(right, 0):
             return left
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value + right.value)
-        return Add(left, right)
-    if isinstance(node, Sub):
+    elif isinstance(node, Sub):
         if _is_const(right, 0):
             return left
         if _is_const(left, 0):
             return simplify(Neg(right))
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value - right.value)
-        return Sub(left, right)
-    if isinstance(node, Mul):
+    elif isinstance(node, Mul):
         if _is_const(left, 0) or _is_const(right, 0):
             return Const(complex(0.0))
         if _is_const(left, 1):
             return right
         if _is_const(right, 1):
             return left
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value * right.value)
-        return Mul(left, right)
-    if isinstance(node, Div):
+    else:
         if _is_const(left, 0):
             return Const(complex(0.0))
         if _is_const(right, 1):
             return left
-        if isinstance(left, Const) and isinstance(right, Const) and right.value != 0:
-            return Const(left.value / right.value)
-        return Div(left, right)
-    raise TypeError(f"not an expression node: {node!r}")
+    return _fold(type(node)(left, right), _BINARY_OF[type(node)][2], left, right)
 
 
 # The derivative rules of the functions other than log: fn' is the function
@@ -421,10 +439,8 @@ def _diff(node: ExprNode) -> ExprNode:
         return Const(complex(0.0))
     if isinstance(node, Var):
         return Const(complex(1.0))
-    if isinstance(node, Add):
-        return Add(_diff(node.left), _diff(node.right))
-    if isinstance(node, Sub):
-        return Sub(_diff(node.left), _diff(node.right))
+    if isinstance(node, (Add, Sub)):
+        return type(node)(_diff(node.left), _diff(node.right))
     if isinstance(node, Neg):
         return Neg(_diff(node.arg))
     if isinstance(node, Mul):
@@ -449,9 +465,28 @@ def _diff(node: ExprNode) -> ExprNode:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _depth(node: ExprNode) -> int:
+    """Depth of the tree, level by level with shared subtrees counted once
+    per level, so without recursion."""
+    deepest, level = 0, [node]
+    while level:
+        deepest += 1
+        level = list({id(child): child for x in level
+                      for child in map(vars(x).get, ("left", "right", "arg", "base"))
+                      if child is not None}.values())
+    return deepest
+
+
 def differentiate(node: ExprNode) -> ExprNode:
-    """Symbolic derivative; total over the AST, output is itself valid input."""
-    return simplify(_diff(node))
+    """Symbolic derivative; output is itself valid input.
+
+    Raises ValueError where the unsimplified derivative would be deeper than
+    :data:`MAX_DERIVATIVE_DEPTH`, before the recursive passes over it.
+    """
+    derivative = _diff(node)
+    if _depth(derivative) > MAX_DERIVATIVE_DEPTH:
+        raise ValueError(f"derivative nested deeper than {MAX_DERIVATIVE_DEPTH} levels")
+    return simplify(derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -483,50 +518,31 @@ def _fmt_const(value: complex) -> tuple[str, int]:
     return f"({_fmt_real(re_)}{sign}{_fmt_real(abs(im))}*i)", 5
 
 
-# precedence levels: add/sub 1, mul/div 2, unary minus 3, pow 4, atoms 5
-def _unparse(node: ExprNode, variable: str) -> tuple[str, int]:
+def _unparse(node: ExprNode, variable: str, min_prec: int = 0) -> str:
+    """The source of ``node``, parenthesised if it binds looser than
+    ``min_prec`` (the precedence levels are those of ``_BINARY``)."""
     if isinstance(node, Const):
-        return _fmt_const(node.value)
-    if isinstance(node, Var):
-        return variable, 5
-    if isinstance(node, Add):
-        l, _ = _wrap(node.left, 1, variable)
-        r, _ = _wrap(node.right, 2, variable)
-        return f"{l}+{r}", 1
-    if isinstance(node, Sub):
-        l, _ = _wrap(node.left, 1, variable)
-        r, _ = _wrap(node.right, 2, variable)
-        return f"{l}-{r}", 1
-    if isinstance(node, Mul):
-        l, _ = _wrap(node.left, 2, variable)
-        r, _ = _wrap(node.right, 3, variable)
-        return f"{l}*{r}", 2
-    if isinstance(node, Div):
-        l, _ = _wrap(node.left, 2, variable)
-        r, _ = _wrap(node.right, 3, variable)
-        return f"{l}/{r}", 2
-    if isinstance(node, Neg):
-        a, _ = _wrap(node.arg, 3, variable)
-        return f"-{a}", 3
-    if isinstance(node, Pow):
-        b, _ = _wrap(node.base, 5, variable)
-        return f"{b}^{node.exponent}", 4
-    if isinstance(node, Fn):
-        a, _ = _unparse(node.arg, variable)
-        return f"{node.name}({a})", 5
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _wrap(node: ExprNode, min_prec: int, variable: str) -> tuple[str, int]:
-    text, prec = _unparse(node, variable)
-    if prec < min_prec:
-        return f"({text})", 5
-    return text, prec
+        text, prec = _fmt_const(node.value)
+    elif isinstance(node, Var):
+        text, prec = variable, 5
+    elif type(node) in _BINARY_OF:
+        symbol, prec, _ = _BINARY_OF[type(node)]
+        text = (_unparse(node.left, variable, prec) + symbol
+                + _unparse(node.right, variable, prec + 1))
+    elif isinstance(node, Neg):
+        text, prec = "-" + _unparse(node.arg, variable, 3), 3
+    elif isinstance(node, Pow):
+        text, prec = f"{_unparse(node.base, variable, 5)}^{node.exponent}", 4
+    elif isinstance(node, Fn):
+        text, prec = f"{node.name}({_unparse(node.arg, variable)})", 5
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    return f"({text})" if prec < min_prec else text
 
 
 def unparse(node: ExprNode, variable: str = "z") -> str:
     """Render an AST back to source; parsing the result reproduces the tree."""
-    return _unparse(node, variable)[0]
+    return _unparse(node, variable)
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +555,8 @@ def _finite(x) -> bool:
     return math.isfinite(x)
 
 
-_COMPLEX_FNS = {
-    "exp": cmath.exp, "log": cmath.log, "sin": cmath.sin,
-    "cos": cmath.cos, "sinh": cmath.sinh, "cosh": cmath.cosh,
-}
-_REAL_FNS = {
-    "exp": math.exp, "log": math.log, "sin": math.sin,
-    "cos": math.cos, "sinh": math.sinh, "cosh": math.cosh,
-}
-
-
-_ARRAY_FNS = {name: getattr(np, name) for name in FUNCTIONS}
+_COMPLEX_FNS, _REAL_FNS, _ARRAY_FNS = ({name: getattr(library, name) for name in FUNCTIONS}
+                                      for library in (cmath, math, np))
 
 
 class _JetEvaluator:

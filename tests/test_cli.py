@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import gen_source
 from grtsurf.cli import main
+from grtsurf.expr import MAX_DEPTH
 from grtsurf.surface import MAX_GRID_POINTS
 from grtsurf.verify import FD_CHECKS
 
@@ -546,6 +547,71 @@ def test_too_deep_expression_exits_2(tmp_path, capsys, ell):
                           "--out", str(tmp_path / "deep.obj"))
     assert code == 2
     assert "nested deeper than" in stderr and "offset" in stderr
+
+
+_NINES = "t^" + "9" * 400  # an exponent that no double holds
+
+
+@pytest.mark.parametrize("argv, offset", [
+    (("info", "--ell", "1e999"), 0),
+    (("verify", "--ell", "1e999", "--n", "4"), 0),
+    (("info", "--ell", _NINES), 2),
+    (("verify", "--f", "z", "--g", "z", "--ell", _NINES, "--n", "4"), 2),
+    (("generate", "--f", "z", "--g", "z", "--ell", _NINES, "--n", "4"), 2),
+    (("rotate", "--a", "1", "--b", "0", "--ell", _NINES, "--n", "4"), 2),
+], ids=["info-literal", "verify-literal", "info-exponent", "verify-exponent",
+        "generate-exponent", "rotate-exponent"])
+def test_out_of_range_literal_exits_2(tmp_path, capsys, argv, offset):
+    out = tmp_path / "p.obj"
+    extra = ("--out", str(out)) if argv[0] in ("generate", "rotate") else ()
+    code, stdout, stderr = run(capsys, *argv, *extra)
+    assert code == 2
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert f"offset {offset}:" in stderr and "out of range" in stderr
+    assert not out.exists() and stdout == ""
+
+
+@pytest.mark.parametrize("ell, ell_prime", [("1e308*10*t", "1e+308*10"),
+                                            ("(1e200)^2*t", "1e+200^2")])
+def test_info_leaves_an_overflowing_fold_unfolded(capsys, ell, ell_prime):
+    code, stdout, stderr = run(capsys, "info", "--ell", ell)
+    assert code == 0 and stderr == ""
+    assert f"ell'(t)  = {ell_prime}\n" in stdout
+
+
+def test_info_differentiates_a_max_depth_quotient_chain(capsys):
+    # t/t/.../t = t^(2 - MAX_DEPTH): its second derivative, 595 levels deep
+    # unsimplified, is the deepest found for a tree of MAX_DEPTH levels
+    code, stdout, stderr = run(capsys, "info", "--ell", "/".join(["t"] * MAX_DEPTH),
+                               "--json")
+    assert code == 0 and stderr == ""
+    n = 2 - MAX_DEPTH
+    assert json.loads(stdout)["c_value"] == pytest.approx((n - 1) / n, rel=1e-9)
+
+
+_ADVERSARIAL_ELL = ["1e999", _NINES, "t^" + "9" * 150, "1e308*10*t", "(1e200)^2*t",
+                    "(1e308+1e308)*t", "1/1e-320*t", "1e-999*t", "1/0*t", "0^0",
+                    "t^0", "log(0)*t", "exp(1e300)*t", "(" * 101 + "t" + ")" * 101,
+                    "+".join(["t"] * 1000), "-" * MAX_DEPTH + "t"]
+
+
+def _info_exits_cleanly(capsys, ell):
+    code, _, stderr = run(capsys, "info", "--ell", ell)
+    assert code in (0, 2), ell
+    assert stderr.count("\n") <= 1, (ell, stderr)
+
+
+@pytest.mark.parametrize("ell", _ADVERSARIAL_ELL, ids=lambda ell: ell[:24])
+def test_adversarial_info_exits_cleanly(capsys, ell):
+    _info_exits_cleanly(capsys, ell)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**48))
+def test_generated_info_exits_cleanly(capsys, seed):
+    rng = random.Random(seed)
+    _info_exits_cleanly(capsys, gen_source(rng, rng.randint(1, 6), real=True))
 
 
 def test_overflowed_frames_are_singular_points(tmp_path, capsys):

@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import central_d1, central_d2, draw_sample, gen_source
-from grtsurf.expr import (MAX_DEPTH, Add, Const, Div, EvalError, Mul, Neg,
-                          ParseError, Pow, Sub, UnknownIdentifierError, Var,
+from grtsurf.expr import (MAX_DEPTH, MAX_DERIVATIVE_DEPTH, Add, Const, Div,
+                          EvalError, Mul, Neg, ParseError, Pow, Sub,
+                          UnknownIdentifierError, Var, _JetEvaluator,
                           differentiate, eval_jet2, eval_jet2_array, evaluate,
                           parse_expr, simplify, unparse)
 
@@ -51,6 +52,34 @@ def test_parse_numbers():
     assert parse_expr("2e3", "z") == Const(2000 + 0j)
     assert parse_expr("1.5e-2", "z") == Const(0.015 + 0j)
     assert parse_expr("0.25", "z") == Const(0.25 + 0j)
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("t+1e999", 2), ("9" * 400 + "*t", 0), ("t^" + "9" * 400, 2),
+    ("t^2000000000000000000000000000000000000000000000000000000000000000000000000"
+     "000000000000000000000000000000000000000000000000000000000000000000000000000"
+     "0000", 2),
+], ids=["exponent-notation", "long-literal", "long-exponent", "exponent-2e151"])
+def test_out_of_range_literal_rejected_at_its_offset(src, offset):
+    with pytest.raises(ParseError) as err:
+        parse_expr(src, "t", real=True)
+    assert err.value.offset == offset
+    # an underflowing literal is a finite double: zero
+    assert parse_expr("1e-999", "t") == Const(0j)
+    assert parse_expr("t^" + "9" * 150, "t").exponent == int("9" * 150)
+
+
+@pytest.mark.parametrize("make, crossing", [
+    (lambda k: "(" * k + "t" + ")" * k, lambda k: k - 1),
+    (lambda k: "-" * (k - 1) + "t", lambda k: 0),  # the outermost minus
+    (lambda k: "/".join(["t"] * k), lambda k: 2 * k - 3),
+], ids=["parentheses", "unary-minus", "left-associated-chain"])
+def test_parse_accepts_exactly_max_depth(make, crossing):
+    parse_expr(make(MAX_DEPTH), "t")
+    with pytest.raises(ParseError) as err:
+        parse_expr(make(MAX_DEPTH + 1), "t")
+    assert err.value.offset == crossing(MAX_DEPTH + 1)
+    assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
 
 
 def test_parse_constants():
@@ -140,6 +169,28 @@ def test_derivative_table():
 def test_second_derivative_constant():
     d2 = differentiate(differentiate(parse_expr("t^2+t+1", "t")))
     assert d2 == Const(2 + 0j)
+
+
+@pytest.mark.parametrize("src", ["1e308*10*t", "(1e308+1e308)*t", "(1e200)^2*t",
+                                 "1/1e-320*t", "1/0*t"])
+def test_constant_fold_that_overflows_stays_unfolded(src):
+    node = parse_expr(src, "t")
+    assert simplify(node) == node
+    assert differentiate(node) == node.left
+    assert parse_expr(unparse(differentiate(node), "t"), "t") == node.left
+
+
+def test_constant_folds_follow_the_operator_table():
+    assert simplify(parse_expr("(2+3)*(7-4)/(2*3)-2^3", "t")) == Const(-5.5 + 0j)
+    assert simplify(parse_expr("-(2*i)", "z")) == Const(-2j)
+
+
+def test_derivative_deeper_than_the_bound_raises():
+    node = Var()
+    for _ in range(MAX_DERIVATIVE_DEPTH // 3 + 1):
+        node = Div(node, Var())
+    with pytest.raises(ValueError, match=f"deeper than {MAX_DERIVATIVE_DEPTH} "):
+        differentiate(node)
 
 
 def test_differentiation_total_over_nested_trees():
@@ -315,9 +366,64 @@ _COMPLEX_GRID = (np.linspace(-2.0, 2.0, 17)[:, None]
                  + 1j * np.array([-1.0, -0.25, 0.0, 0.5])[None, :])
 
 
+# Relative steps of 0.5 to 8 ulps either way: each rounding of a number by
+# 1 to 4 ulps is one of them, whatever its place in its binade.
+_STEPS = [j * 2.0**-53 for j in range(-8, 9) if j]
+
+
+class _Perturbed(_JetEvaluator):
+    """The scalar jet rules with part ``k`` of the jet of the node
+    ``target`` scaled by ``1 + step``."""
+
+    def __init__(self, point, variable, target, k, step):
+        super().__init__(point, variable)
+        self.target, self.k, self.step = target, k, step
+
+    def run(self, node):
+        jet = list(super().run(node))
+        if node is self.target:
+            jet[self.k] *= 1 + self.step
+        return tuple(jet)
+
+
+def _subtrees(node):
+    yield node
+    for name in ("left", "right", "arg", "base"):
+        if hasattr(node, name):
+            yield from _subtrees(getattr(node, name))
+
+
+def _rounded_runs(node, point, variable):
+    """For each node of the tree, the scalar jets with one part of that
+    node's jet rounded off by each step, None where the run raises.  In
+    complex arithmetic a rounding may also turn a value.  Rounding a leaf
+    stands for rounding an operand inside the operation that reads it."""
+    steps = _STEPS + [1j * step for step in _STEPS] if isinstance(point, complex) else _STEPS
+    runs = []
+    for target in _subtrees(node):
+        runs.append([])
+        for k in range(3):
+            for step in steps:
+                evaluator = _Perturbed(point, variable, target, k, step)
+                try:
+                    runs[-1].append(evaluator.check(node, evaluator.run(node)))
+                except EvalError:
+                    runs[-1].append(None)
+    return runs
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**48), st.booleans())
+@example(seed=11459, real=True)  # sin(cosh((4/t))): cosh(-16) differs by an ulp
+@example(seed=98981, real=True)  # cos(sinh((e)^4)): an ulp of 2.6e23 turns cos
+@example(seed=26089, real=False)  # cosh(z/z+sinh(4)): z/z is 1 in cmath only,
+@example(seed=27396, real=False)  # so (z/z)' is 0 and pi/pi-z/z fails there
 def test_array_jets_match_scalar_evaluator(seed, real):
+    # Where the evaluators disagree by more than 1e-10 relative, the gap must
+    # be one that rounding each node by up to 4 ulps can make: summed over
+    # the nodes, the largest change of the scalar jet when one node rounds
+    # off.  A mask may differ only where such a rounding tips the scalar
+    # evaluation over a failure.
     rng = random.Random(seed)
     var = "t" if real else "z"
     src = gen_source(rng, depth=rng.randint(1, 3), real=real)
@@ -326,16 +432,24 @@ def test_array_jets_match_scalar_evaluator(seed, real):
     jet, ok = eval_jet2_array(node, points, variable=var)
     assert ok.shape == points.shape
     for index in np.ndindex(points.shape):
+        point = points[index].item()
         try:
-            ref = eval_jet2(node, points[index].item(), variable=var)
+            ref = eval_jet2(node, point, variable=var)
         except EvalError:
-            assert not ok[index], (src, points[index])
+            ref = None
+        if (ref is not None) != ok[index]:
+            assert any((run is not None) == ok[index]
+                       for runs in _rounded_runs(node, point, var) for run in runs), \
+                (src, point)
             continue
-        assert ok[index], (src, points[index])
-        for got, want in zip((jet.value, jet.d1, jet.d2),
-                             (ref.value, ref.d1, ref.d2)):
-            assert abs(got[index] - want) <= 1e-10 * (1 + abs(want)), \
-                (src, points[index], got[index], want)
+        for k in range(3) if ref is not None else ():
+            got, want = (jet.value, jet.d1, jet.d2)[k][index], (ref.value, ref.d1, ref.d2)[k]
+            gap = abs(got - want)
+            if gap > 1e-10 * (1 + abs(want)):
+                bound = sum(max((abs(run[k] - want) for run in runs if run is not None),
+                                default=0.0)
+                            for runs in _rounded_runs(node, point, var))
+                assert gap <= bound, (src, point, got, want, bound)
 
 
 def test_array_evaluation_masks_each_failure_kind():
