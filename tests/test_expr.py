@@ -260,6 +260,25 @@ def test_overflow_is_an_error_not_inf():
         eval_jet2(node, 1e4, variable="t")
 
 
+# (source, point, which of value, d1, d2 are finite): the value is finite at
+# each point and a derivative is not
+@pytest.mark.parametrize("src, point, finite", [
+    ("1/t", 1e-120, (True, True, False)),  # d1 = -1e240, d2 = 2e360
+    ("1/t", 1e-200, (True, False, False)),
+    ("1/z", 1e-120 + 0j, (True, True, False)),
+    ("1/z", 1e-200 + 0j, (True, False, False)),
+    ("1e308*(t+t)", 0.5, (True, False, True)),  # d1 = 2e308, d2 = 0
+])
+def test_non_finite_derivative_is_an_error(src, point, finite):
+    var = "z" if isinstance(point, complex) else "t"
+    node = parse_expr(src, var)
+    with pytest.raises(EvalError, match="non-finite result$"):
+        eval_jet2(node, point, var)
+    jet, ok = eval_jet2_array(node, np.array([point]), var)
+    assert not ok[0]
+    assert tuple(bool(np.isfinite(c[0])) for c in (jet.value, jet.d1, jet.d2)) == finite
+
+
 def test_complex_constant_rejected_in_real_evaluation():
     node = parse_expr("i*z", "z")
     with pytest.raises(EvalError):
