@@ -7,8 +7,9 @@ Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
 or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
 failure or insufficient coverage.  Mesh and report outputs are byte-identical
 for identical inputs; OBJ and PLY numbers carry 17 significant digits and
-mesh JSON floats are shortest repr, so all round-trip.  Mesh files are
-written as bytes, with '\\n' line endings on every platform.
+mesh JSON floats are shortest repr, so all round-trip, and one numpy
+formatter (_float_table) spells both.  Mesh files are written as bytes, with
+'\\n' line endings on every platform.
 """
 from __future__ import annotations
 
@@ -51,12 +52,12 @@ DEFAULT_U2 = (-math.pi, math.pi)
 
 # ---------------------------------------------------------------------------
 # Mesh writers (single writer, after computation completes).  Numbers come
-# from NUL-padded ASCII tables built with numpy: face indices (_index_table),
-# floats in '%.17g' for OBJ and PLY (_g17_table) and in repr for mesh JSON
-# (_repr_table), both from the tables of _lookup.  _join lays rows of such
-# tables out between the literal bytes of a template: OBJ and PLY lines
-# (_write_blocks) and mesh JSON cells (_write_json_cells).  Files are opened
-# in binary mode and get these bytes with the NULs dropped.
+# from NUL-padded ASCII tables built with numpy: face indices (_index_table)
+# and floats (_float_table, from the tables of _lookup), in '%.17g' for OBJ
+# and PLY and in repr for mesh JSON.  _join lays rows of such tables out
+# between the literal bytes of a template: OBJ and PLY lines (_write_blocks)
+# and mesh JSON cells (_write_json_cells).  Files are opened in binary mode
+# and get these bytes with the NULs dropped.
 # ---------------------------------------------------------------------------
 
 def _index_table(n: int) -> np.ndarray:
@@ -96,14 +97,15 @@ _POWERS = 300
 
 @functools.cache
 def _lookup() -> types.SimpleNamespace:
-    """The tables of _g17_table and _repr_table, built on first use: powers,
-    10^q for |q| <= _POWERS as hi + lo, hi the nearest double and lo the
-    nearest to 10^q - hi (0 for q in 0..22); digits4 and zeros4, 0..9999 as
-    4-byte digit words and their trailing zeros (4 for 0); suffixes, 'e+XX'
-    per E + 400 in 8 bytes; specials, the rows of 0.0, -0.0, inf, -inf, nan
-    and nan; layouts, per (style, sign, slot, kept digits - 1) the columns of
-    _spell's source row that spell '%.17g' (style 0) or repr (style 1), slot
-    E + 4 in fixed notation, E from -4 to 16, or 21 for d.ddd and the suffix."""
+    """The tables of _float_table, built on first use: powers, 10^q for
+    |q| <= _POWERS as hi + lo, hi the nearest double and lo the nearest to
+    10^q - hi (0 for q in 0..22); digits4 and zeros4, 0..9999 as 4-byte digit
+    words and their trailing zeros (4 for 0); suffixes, 'e+XX' per E + 400 in
+    8 bytes; specials, per style the rows of 0, -0, inf, -inf, nan and nan
+    (0.0 and -0.0 in repr); layouts, per (style, sign, slot, kept digits - 1)
+    the columns of _spell's source row that spell '%.17g' (style 0) or repr
+    (style 1), slot E + 4 in fixed notation, E from -4 to 16, or 21 for d.ddd
+    and the suffix."""
     powers = np.empty((2, 2 * _POWERS + 1))
     for q in range(-_POWERS, _POWERS + 1):
         a, b = 10 ** max(q, 0), 10 ** max(-q, 0)
@@ -127,7 +129,8 @@ def _lookup() -> types.SimpleNamespace:
         powers=powers, layouts=layouts, suffixes=suffixes,
         digits4=np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel(),
         zeros4=sum((np.arange(10**4) % 10**k == 0).astype(np.uint8) for k in range(1, 5)),
-        specials=_text_rows(["0.0", "-0.0", "inf", "-inf", "nan", "nan"]))
+        specials=_text_rows(["0", "-0", "inf", "-inf", "nan", "nan",
+                             "0.0", "-0.0", "inf", "-inf", "nan", "nan"]).reshape(2, 6, 24))
 
 
 def _rint_product(x: np.ndarray, c: np.ndarray,
@@ -145,13 +148,13 @@ def _rint_product(x: np.ndarray, c: np.ndarray,
     return p.astype(np.int64) + rounded.astype(np.int64), err - rounded
 
 
-def _round17(size: np.ndarray, e: np.ndarray, powers: np.ndarray):
+def _round17(size: np.ndarray, powers: np.ndarray):
     """D17 = size*10^q rounded half to even, with q = 16 - E so that D17 has 17
-    digits, its residual size*10^q - D17, and E, from the estimate ``e`` of
-    E moved by one where D17 falls outside [10^16, 10^17).  Once 10^q is
-    inexact, E can be one too high, with D17 = 10^16, for a double just below
-    a power of ten ('%.17g' 9.9999999999999996e-281 would read 1e-280); no
-    double in _g17_table's fixed range is that close to one."""
+    digits, its residual size*10^q - D17, and E, floor(log10(size)) moved by
+    one where D17 falls outside [10^16, 10^17).  E can still be one too high,
+    with D17 = 10^16 and a negative residual, for a double just below a power
+    of ten; _digits catches that case."""
+    e = np.floor(np.log10(size)).astype(np.intp)
     n, r = _rint_product(size, *np.take(powers, _POWERS + 16 - e, axis=1))
     redo = (n < 10**16) | (n >= 10**17)
     if redo.any():
@@ -162,7 +165,7 @@ def _round17(size: np.ndarray, e: np.ndarray, powers: np.ndarray):
 
 
 def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
-           suffix=0) -> np.ndarray:
+           suffix: np.ndarray) -> np.ndarray:
     """Rows of 24 ASCII bytes, NUL-padded: _lookup's layouts[style, neg, slot,
     kept digits - 1] gathered from the source row b'\\0-0.000', the 17 digits
     of n (10^16 <= n < 10^17, trailing zeros not kept), then 8 bytes of suffix."""
@@ -191,44 +194,32 @@ def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
     return text
 
 
-def _g17_table(values: np.ndarray) -> np.ndarray:
-    """Each of ``values`` as '%.17g', a NUL-padded row of 24 ASCII bytes.  On
-    1e-4 <= |x| < 1e17 (fixed notation) the digits are D17 (_round17), with
-    10^q exact; every other value is '%.17g' % x."""
-    x = np.ravel(values)
-    fixed = (abs(x) >= 1e-4) & (abs(x) < 1e17)
-    size = abs(x[fixed])
-    e = np.clip(np.floor(np.log10(size)), -4, 16).astype(np.intp)
-    n, _, e = _round17(size, e, _lookup().powers)
-    table = np.empty((len(x), 24), dtype=np.uint8)
-    table[fixed] = _spell(n, np.signbit(x[fixed]), e + 4, 0)
-    table[~fixed] = _text_rows(["%.17g" % v for v in x[~fixed].tolist()])
-    return table
-
-
-# The double-double decisions of _repr_table are off by less than 1e-13 in
-# units of D17's last digit; one closer than this to its threshold is left
-# to '%r'.
+# The double-double decisions of _digits are off by less than 1e-13 in units
+# of D17's last digit; one closer than this to its threshold is left to Python.
 _MARGIN = 1e-9
 
 
-def _shortest(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The digits of repr(x) for each of ``size`` (|x|, finite, not 0): N in
-    [10^16, 10^17) whose leading digits they are, E, and where a decision
-    came within _MARGIN of its threshold.
+def _digits(size: np.ndarray, style: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of '%.17g' (style 0) or repr (style 1) for each of ``size``
+    (|x|, finite, not 0): N in [10^16, 10^17) whose leading digits they are,
+    E, and where a decision came within _MARGIN of its threshold or, for
+    style 0, where D17 = 10^16 with a negative residual puts E one too high
+    (9.9999999999999995e-07 would read 1e-06).
 
     D17 comes from _round17 with 10^q as a double-double.  D16 and D15 are
     its roundings half to even; where its last digits are a tie (5, 50), the
-    sign of the residual decides.  The shortest candidate D that reads back
-    as x is kept, D15 with trailing zeros dropped, else D16, else D17.  For
-    D < 2**53 and |s| <= 22, reading D*10^s back is one correctly rounded
+    sign of the residual decides.  Repr keeps the shortest candidate D that
+    reads back as x, D15 with trailing zeros dropped, else D16, else D17.
+    For D < 2**53 and |s| <= 22, reading D*10^s back is one correctly rounded
     operation (Clinger's fast path); otherwise |D*10^m - |x|*10^q|, m digits
     dropped, is compared with half an ulp of x times 10^q."""
     powers = _lookup().powers
-    n, r, e = _round17(size, np.floor(np.log10(size)).astype(np.intp), powers)
+    n, r, e = _round17(size, powers)
     hi, lo = np.take(powers, _POWERS + 16 - e, axis=1)
     inexact = lo != 0
     unsure = inexact & (abs(r) > 0.5 - _MARGIN)
+    if style == 0:
+        return n, e, unsure | (n == 10**16) & (r < 0)
     near_tie = inexact & (abs(r) <= _MARGIN)
     half_ulp = (size.view(np.int64) & 0x7ff << 52).view(float) * 2.0**-53
     sign, exact = np.sign(r), r == 0
@@ -252,43 +243,45 @@ def _shortest(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, e + carry, unsure
 
 
-def _repr_table(values: np.ndarray) -> np.ndarray:
-    """Each of ``values`` as repr(), a NUL-padded row of 24 ASCII bytes, from
-    _shortest's digits.  '%r' % x spells powers of two (their rounding
-    interval is asymmetric), |x| outside [1e-280, 1e280] and decisions
-    within _MARGIN; ±0, ±inf and NaN come from a table."""
+def _float_table(values: np.ndarray, style: int) -> np.ndarray:
+    """Each of ``values`` in '%.17g' (style 0: OBJ, PLY) or repr (style 1: mesh
+    JSON), a NUL-padded row of 24 ASCII bytes from _digits's digits: fixed
+    notation for E from -4 to 16 - style, else d.ddde+XX.  Python spells |x|
+    outside [1e-280, 1e280], repr's powers of two (their rounding interval is
+    asymmetric) and _digits's unsure values; ±0, ±inf, NaN come from a table."""
     lookup = _lookup()
     x = np.ravel(values)
     size = abs(x)
-    fast = (size >= 1e-280) & (size <= 1e280) & (x.view(np.int64) & (2**52 - 1) != 0)
+    fast = (size >= 1e-280) & (size <= 1e280)
+    if style:
+        fast &= x.view(np.int64) & (2**52 - 1) != 0
     size[~fast] = 1.5  # a stand-in, its row replaced below
-    n, e, unsure = _shortest(size)
-    slot = np.where((e >= -4) & (e <= 15), e + 4, 21)
-    table = _spell(n, np.signbit(x), slot, 1, lookup.suffixes[e + 400])
+    n, e, unsure = _digits(size, style)
+    slot = np.where((e >= -4) & (e <= 16 - style), e + 4, 21)
+    table = _spell(n, np.signbit(x), slot, style, lookup.suffixes[e + 400])
     special = ~np.isfinite(x) | (x == 0)
     if special.any():
         v = x[special]
-        table[special] = lookup.specials[2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
+        table[special] = lookup.specials[style][
+            2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
     others = (~fast | unsure) & ~special
     if others.any():
-        table[others] = _text_rows(["%r" % v for v in x[others].tolist()])
+        fmt = ("%.17g", "%r")[style]
+        table[others] = _text_rows([fmt % v for v in x[others].tolist()])
     return table
 
 
-def _write_blocks(fh, template: str, *columns: np.ndarray, table=None) -> None:
+def _write_blocks(fh, template: str, *columns: np.ndarray) -> None:
     """_join of ``template`` over the rows of ``columns`` side by side, by
-    surface.BLOCK_POINTS rows, '{k}' as the k-th number of a row: an index
-    into ``table``, or without a table a float, in '%.17g'."""
+    surface.BLOCK_POINTS rows, '{k}' as the k-th number of a row: a face
+    index (integer columns, from _index_table) or a float in '%.17g'."""
+    indices = columns[0].dtype.kind == "i"
+    table = _index_table(int(columns[0].max(initial=0)) + 1) if indices else None
     for start in range(0, len(columns[0]), surface.BLOCK_POINTS):
         block = np.hstack([c[start:start + surface.BLOCK_POINTS] for c in columns])
-        slots = ([_rows(table, column) for column in block.T] if table is not None
-                 else _g17_table(block).reshape(*block.shape, 24).swapaxes(0, 1))
+        slots = ([_rows(table, column) for column in block.T] if indices
+                 else _float_table(block, 0).reshape(*block.shape, 24).swapaxes(0, 1))
         fh.write(_join(template, slots).tobytes().translate(None, b"\0"))
-
-
-def _write_faces(fh, template: str, faces: np.ndarray, base: int = 0) -> None:
-    table = _index_table(int(faces.max(initial=0)) + 1 + base)[base:]
-    _write_blocks(fh, template, faces, table=table)
 
 
 def write_obj(mesh: SurfaceMesh, path: str) -> None:
@@ -298,8 +291,8 @@ def write_obj(mesh: SurfaceMesh, path: str) -> None:
         _write_blocks(fh, "v {0} {1} {2}\n", verts)
         _write_blocks(fh, "vn {0} {1} {2}\n", normals)
         # triangles (a, b, c) and (a, c, d) of each quad, 1-based, as i//i
-        _write_faces(fh, "f {0}//{0} {1}//{1} {2}//{2}\n"
-                     "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces, base=1)
+        _write_blocks(fh, "f {0}//{0} {1}//{1} {2}//{2}\n"
+                      "f {0}//{0} {2}//{2} {3}//{3}\n", mesh.faces + 1)
 
 
 def write_ply(mesh: SurfaceMesh, path: str) -> None:
@@ -312,7 +305,7 @@ def write_ply(mesh: SurfaceMesh, path: str) -> None:
                  f"element face {2 * mesh.face_count}\n"
                  "property list uchar int vertex_indices\nend_header\n".encode())
         _write_blocks(fh, "{0} {1} {2} {3} {4} {5}\n", verts, normals)
-        _write_faces(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
+        _write_blocks(fh, "3 {0} {1} {2}\n3 {0} {2} {3}\n", mesh.faces)
 
 
 def _json_list(items: list[str], level: int) -> str:
@@ -351,7 +344,7 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
         ok = valid[start:start + len(block)]
         printed = np.isfinite(block) & ok[:, None]
         text = np.full(block.shape, null)  # one 24-byte row per value
-        text[printed] = _repr_table(block[printed]).view("V24")[:, 0]
+        text[printed] = _float_table(block[printed], 1).view("V24")[:, 0]
         text = text.view(np.uint8).reshape(block.shape + (24,)).swapaxes(0, 1)
         seps = _rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))
         body = _join(cell + "\0" * len(other), [seps, *text])  # room for ``other``
@@ -378,8 +371,8 @@ def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
             _write_json_cells(fh, grid.reshape(-1, 3), rows, 1,
                               "{0}[\n    {1},\n    {2},\n    {3}\n   ]", mesh.valid)
         fh.write(b',\n "faces": ' + (b"[" if mesh.face_count else b"[]"))
-        _write_faces(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
-        _write_faces(fh, quad, mesh.faces[1:])
+        _write_blocks(fh, quad[1:], mesh.faces[:1])  # its ',' is the '[' above
+        _write_blocks(fh, quad, mesh.faces[1:])
         fh.write(b"\n ]" if mesh.face_count else b"")
         sep = ',\n "diagnostics": {'
         for name in (f.name for f in fields(mesh.diagnostics)):

@@ -151,9 +151,9 @@ class Jet2:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = "+-*/^()"
+# a token after optional whitespace: a number, an identifier or an operator
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)"
+                       r"|([-+*/^()]))")
 
 _ATOM_EXPECTED = ("number", "identifier", "'('", "'-'")
 
@@ -176,33 +176,15 @@ def _byte_offset(source: str, pos: int) -> int:
 def _tokenize(source: str) -> list[tuple[str, object, int]]:
     """Return (kind, value, char_pos) triples; kind is 'num', 'ident', an
     operator character, or 'end'."""
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(source, pos)
-        if m and ch.isdigit():
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(source, pos)
-        if m:
-            tokens.append(("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", _byte_offset(source, pos)
-        )
-    tokens.append(("end", None, n))
-    return tokens
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(source, pos):
+        kind = m.lastindex
+        tokens.append((("num", "ident", m[3])[kind - 1], m[kind], m.start(kind)))
+        pos = m.end()
+    pos = len(source) - len(source[pos:].lstrip())
+    if pos < len(source):
+        raise ParseError(f"unexpected character {source[pos]!r}", _byte_offset(source, pos))
+    return tokens + [("end", None, len(source))]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +343,8 @@ def parse_expr(source: str, variable_name: str, real: bool = False) -> ExprNode:
 # Symbolic differentiation with light simplification
 # ---------------------------------------------------------------------------
 
-def _is_const(node: ExprNode, value=None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
+def _is_const(node: ExprNode, value) -> bool:
+    return isinstance(node, Const) and node.value == value
 
 
 def _fold(node: ExprNode, fold, *operands: ExprNode) -> ExprNode:
@@ -529,31 +509,52 @@ def _fmt_const(value: complex) -> tuple[str, int]:
     return f"({_fmt_real(re_)}{sign}{_fmt_real(abs(im))}*i)", 5
 
 
-def _unparse(node: ExprNode, variable: str, min_prec: int = 0) -> str:
+def _shared(node: ExprNode) -> dict:
+    """None under id() of each subtree that ``node`` holds more than once.
+    _unparse keeps the source of these alone: the nested sources of every
+    subtree can add up to hundreds of times the text of the whole tree."""
+    seen, shared, stack = set(), {}, [node]
+    while stack:
+        node = stack.pop()
+        for child in filter(None, map(vars(node).get, ("left", "right", "arg", "base"))):
+            if id(child) in seen:
+                shared[id(child)] = None
+            else:
+                seen.add(id(child))
+                stack.append(child)
+    return shared
+
+
+def _unparse(node: ExprNode, variable: str, shared: dict, min_prec: int = 0) -> str:
     """The source of ``node``, parenthesised if it binds looser than
-    ``min_prec`` (the precedence levels are those of ``_BINARY``)."""
-    if isinstance(node, Const):
+    ``min_prec`` (the precedence levels are those of ``_BINARY``).  The first
+    visit of each subtree in ``shared`` (_shared's) stores its source there."""
+    if found := shared.get(id(node)):
+        text, prec = found
+    elif isinstance(node, Const):
         text, prec = _fmt_const(node.value)
     elif isinstance(node, Var):
         text, prec = variable, 5
     elif type(node) in _BINARY_OF:
         symbol, prec, _ = _BINARY_OF[type(node)]
-        text = (_unparse(node.left, variable, prec) + symbol
-                + _unparse(node.right, variable, prec + 1))
+        text = (_unparse(node.left, variable, shared, prec) + symbol
+                + _unparse(node.right, variable, shared, prec + 1))
     elif isinstance(node, Neg):
-        text, prec = "-" + _unparse(node.arg, variable, 3), 3
+        text, prec = "-" + _unparse(node.arg, variable, shared, 3), 3
     elif isinstance(node, Pow):
-        text, prec = f"{_unparse(node.base, variable, 5)}^{node.exponent}", 4
+        text, prec = f"{_unparse(node.base, variable, shared, 5)}^{node.exponent}", 4
     elif isinstance(node, Fn):
-        text, prec = f"{node.name}({_unparse(node.arg, variable)})", 5
+        text, prec = f"{node.name}({_unparse(node.arg, variable, shared)})", 5
     else:
         raise TypeError(f"not an expression node: {node!r}")
+    if id(node) in shared:
+        shared[id(node)] = text, prec
     return f"({text})" if prec < min_prec else text
 
 
 def unparse(node: ExprNode, variable: str = "z") -> str:
     """Render an AST back to source; parsing the result reproduces the tree."""
-    return _unparse(node, variable)
+    return _unparse(node, variable, _shared(node))
 
 
 # ---------------------------------------------------------------------------

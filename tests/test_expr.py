@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import central_d1, central_d2, draw_sample, gen_source
+from grtsurf import expr
 from grtsurf.expr import (MAX_DEPTH, MAX_DERIVATIVE_DEPTH, Add, Const, Div,
-                          EvalError, Mul, Neg, ParseError, Pow, Sub,
+                          EvalError, Fn, Mul, Neg, ParseError, Pow, Sub,
                           UnknownIdentifierError, Var, _JetEvaluator,
                           differentiate, eval_jet2, eval_jet2_array, evaluate,
                           parse_expr, simplify, unparse)
@@ -309,6 +310,34 @@ def test_parse_unparse_parse_identity_generated(seed, real):
     var = "t" if real else "z"
     first = parse_expr(src, var, real=real)
     assert parse_expr(unparse(first, var), var, real=real) == first
+
+
+def _levels(depth, shared):
+    """A tree of ``depth`` levels, each holding the level below twice: as one
+    shared subtree, or as two built apart."""
+    if depth == 0:
+        return Var()
+    below = _levels(depth - 1, shared)
+    other = below if shared else _levels(depth - 1, shared)
+    if depth % 2:
+        return Div(Neg(below), Fn("sin", other))
+    return Sub(below, Pow(other, 2))
+
+
+def test_unparse_spells_a_shared_subtree_once(monkeypatch):
+    # the shared subtree is asked for in different precedence contexts
+    calls, inner = [], expr._unparse
+
+    def spy(node, *args):
+        calls.append(node)
+        return inner(node, *args)
+
+    monkeypatch.setattr(expr, "_unparse", spy)
+    text = unparse(_levels(12, True), "t")
+    assert len(calls) <= 4 * 12 + 1  # at most four a level; the tree has 2^12 leaves
+    monkeypatch.undo()
+    assert text == unparse(_levels(12, False), "t")
+    assert parse_expr(text, "t") == _levels(12, False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
 nested Python lists for mesh JSON.  The batch writers must produce the same
 bytes, also with blocks of 5 and of 1 point that split grid rows.  Both
 format the same mesh, so nothing here pins ulps across numpy versions.
-The numpy float tables, cli._g17_table ('%.17g', OBJ and PLY) and
-cli._repr_table (shortest repr, mesh JSON), are checked against '%.17g' % x
-and '%r' % x value by value.
+The numpy float table, cli._float_table in style 0 ('%.17g', OBJ and PLY)
+and style 1 (shortest repr, mesh JSON), is checked against '%.17g' % x and
+'%r' % x value by value.
 """
 import json
 import math
@@ -273,13 +273,14 @@ def test_mesh_json_formats_only_printed_values(tmp_path, monkeypatch):
     mesh = surface.sample_mesh(spec)
     diagnostics = [getattr(mesh.diagnostics, f.name) for f in fields(MeshDiagnostics)]
     assert not mesh.valid.all() and np.isnan(diagnostics).any()
-    received, repr_table = [], cli._repr_table
+    received, float_table = [], cli._float_table
 
-    def spy(values):
+    def spy(values, style):
+        assert style == 1
         received.append(np.ravel(values).copy())
-        return repr_table(values)
+        return float_table(values, style)
 
-    monkeypatch.setattr(cli, "_repr_table", spy)
+    monkeypatch.setattr(cli, "_float_table", spy)
     cli.write_mesh_json(mesh, str(tmp_path / "masked.json"))
     formatted = np.concatenate(received)
     assert np.isfinite(formatted).all()
@@ -315,13 +316,13 @@ def test_random_masks_match_reference(tmp_path, monkeypatch, data, nu1, nu2, fin
 # The float tables: '%.17g' of OBJ and PLY, shortest repr of mesh JSON
 # ---------------------------------------------------------------------------
 
-TABLES = ((cli._g17_table, "%.17g"), (cli._repr_table, "%r"))
+TABLES = ((0, "%.17g"), (1, "%r"))  # (style, Python's format)
 
 
 def assert_tables_exact(values, tables=TABLES):
     values = np.asarray(values, dtype=float)
-    for table, fmt in tables:
-        rows = table(values)
+    for style, fmt in tables:
+        rows = cli._float_table(values, style)
         assert rows.shape == (values.size, 24)
         # NULs only after the text
         got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
@@ -370,6 +371,20 @@ def test_g17_table_ties_round_half_even():
 def test_g17_table_rounding_up_to_a_power_of_ten():
     assert_tables_exact([99999999999999999.0, np.nextafter(1e-4, 0.0), 1e-4,
                          9999999999999998.0, 0.099999999999999992])
+
+
+def test_float_table_boundaries():
+    # every power of ten and its neighbours, where E is one too high if
+    # D17 = 10^16 is taken at face value (9.9999999999999995e-07), every
+    # power of two, the edges of fixed notation and of the fast range
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = 2.0 ** np.arange(-1074, 1024)
+    edges = np.array([5e-324, 1e-280, 1e280, 1e-4, 1e16, 1e17])
+    values = np.concatenate([tens, twos, edges])
+    values = np.concatenate([values, np.nextafter(values, 0.0),
+                             np.nextafter(values, np.inf)])
+    assert 9.9999999999999995e-07 in values
+    assert_tables_exact(np.concatenate([values, -values]))
 
 
 def test_repr_table_powers_of_two():
