@@ -533,14 +533,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
     """Fill each flag of ``names`` left unset (None, or an empty expression)
-    from --preset, and --out with '<preset>.obj'; raise ValueError naming
-    every input still missing."""
+    from --preset, and --out with '<preset>.<format>' (OBJ without
+    --format); raise ValueError naming every input still missing."""
     if args.preset:
         for name in names:
             if getattr(args, name) in (None, ""):
                 setattr(args, name, presets[args.preset][name])
         if args.out is None:
-            args.out = f"{args.preset}.obj"
+            args.out = f"{args.preset}.{args.format or 'obj'}"
     missing = [f"--{name}" for name in (*names, "out") if getattr(args, name) is None]
     if missing:
         raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
@@ -576,12 +576,12 @@ def _profile_c(ell, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C = ell*ell''/ell'^2 at each of ``mus``, and where ell evaluates.  C
     is NaN where ell fails, ell'^2 is 0 (also by underflow) or C is not
     finite."""
-    jet, ok = eval_jet2_array(ell, mus, variable="t")
+    jet = eval_jet2_array(ell, mus, variable="t")
     with np.errstate(all="ignore"):
         d1_sq = jet.d1 * jet.d1
         c = jet.value * jet.d2 / d1_sq
-    c[~ok | (d1_sq == 0.0) | ~np.isfinite(c)] = np.nan
-    return c, ok
+    c[(d1_sq == 0.0) | ~np.isfinite(c)] = np.nan
+    return c, np.isfinite(jet.value)
 
 
 def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
@@ -601,9 +601,8 @@ def _classify_profile(spec: SurfaceSpec) -> dict:
     ell evaluate, with the special-case label."""
     z = surface.grid_points(np.linspace(*spec.u1_range, 9),
                             np.linspace(*spec.u2_range, 9))
-    f_jet, f_ok = eval_jet2_array(spec.f, z)
-    c, _ = _profile_c(spec.ell, f_jet.value.real)
-    constant, value, label = _label_c(c[f_ok & ~np.isnan(c)].tolist())
+    c, _ = _profile_c(spec.ell, eval_jet2_array(spec.f, z).value.real)
+    constant, value, label = _label_c(c[~np.isnan(c)].tolist())
     return {"profile_c_constant": constant, "profile_c": value,
             "profile_label": label}
 

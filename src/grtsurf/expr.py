@@ -25,7 +25,7 @@ unparser and the simplifier read the four binary operators from one table,
 Evaluation produces 2-jets (value, first, second derivative) by second-order
 forward-mode arithmetic over the tree; it raises instead of returning
 non-finite values.  ``eval_jet2_array`` applies the same rules to an array of
-points at once and returns a mask where the pointwise evaluation would raise.
+points at once and returns NaN where the pointwise evaluation would raise.
 ASTs are immutable and safe to share across threads.
 """
 from __future__ import annotations
@@ -624,12 +624,9 @@ class _JetEvaluator:
             a = self.run(node.left)
             b = self.run(node.right)
             self.fail_where(node, b[0] == 0, "division by zero")
-            try:
-                w0 = a[0] / b[0]
-                w1 = (a[1] - w0 * b[1]) / b[0]
-                w2 = (a[2] - 2 * w1 * b[1] - w0 * b[2]) / b[0]
-            except OverflowError:
-                self.fail(node, "overflow")
+            w0 = a[0] / b[0]
+            w1 = (a[1] - w0 * b[1]) / b[0]
+            w2 = (a[2] - 2 * w1 * b[1] - w0 * b[2]) / b[0]
             return self.check(node, (w0, w1, w2))
         if isinstance(node, Pow):
             u = self.run(node.base)
@@ -676,11 +673,11 @@ class _JetEvaluator:
 
 
 class _ArrayJetEvaluator(_JetEvaluator):
-    """The same rules over an array of points; a failing rule clears ``ok``
-    at the points where it fails instead of raising.  Run under
-    ``np.errstate(all="ignore")``: failed points carry garbage onwards.
-    Constants are numpy scalars, so constant subtrees follow numpy's
-    arithmetic too instead of raising like Python floats."""
+    """The same rules over an array of points; ``ok`` starts False at the
+    points that are not finite, and a failing rule clears it where it fails
+    instead of raising.  Run under ``np.errstate(all="ignore")``: failed
+    points carry garbage onwards.  Constants are numpy scalars, so constant
+    subtrees follow numpy's arithmetic too instead of raising like floats."""
 
     def __init__(self, points: np.ndarray, variable: str):
         super().__init__(points, variable)
@@ -688,7 +685,7 @@ class _ArrayJetEvaluator(_JetEvaluator):
         self.fns = _ARRAY_FNS
         self.number = np.complex128 if self.is_complex else np.float64
         self.one, self.zero = self.number(1), self.number(0)
-        self.ok = np.ones(points.shape, dtype=bool)
+        self.ok = np.isfinite(points)
 
     def const(self, node: Const):
         return tuple(map(self.number, super().const(node)))
@@ -712,23 +709,22 @@ def eval_jet2(node: ExprNode, point, variable: str = "z") -> Jet2:
     return Jet2(*evaluator.check(node, evaluator.run(node)))
 
 
-def eval_jet2_array(node: ExprNode, points, variable: str = "z") -> tuple[Jet2, np.ndarray]:
-    """2-jets at every element of the array ``points``, plus a validity mask.
+def eval_jet2_array(node: ExprNode, points, variable: str = "z") -> Jet2:
+    """2-jets at every element of the array ``points``, as arrays shaped
+    like ``points``.
 
     Applies the rules of :func:`eval_jet2` elementwise, complex arithmetic
-    for a complex array and real otherwise.  The mask is False where
+    for a complex array and real otherwise.  Every component is NaN where
     eval_jet2 would raise (division by zero, the log cut, a non-finite
-    result, a complex constant in a real expression), and the jet values
-    there are unspecified.  The two can disagree beside a failure: numpy's
-    complex z/z can be one ulp off Python's exact 1.  The jet components are
-    arrays shaped like ``points``.
+    result, a complex constant in a real expression) or the point is not
+    finite, and finite elsewhere, so ``np.isfinite(jet.value)`` is where the
+    expression evaluates.  That mask can disagree with eval_jet2 beside a
+    failure: numpy's complex z/z can be one ulp off Python's exact 1.
     """
-    points = np.asarray(points)
-    evaluator = _ArrayJetEvaluator(points, variable)
+    evaluator = _ArrayJetEvaluator(np.asarray(points), variable)
     with np.errstate(all="ignore"):
         jet = evaluator.check(node, evaluator.run(node))
-    return Jet2(*(np.full(points.shape, c) if np.ndim(c) == 0 else c
-                  for c in jet)), evaluator.ok
+    return Jet2(*(np.where(evaluator.ok, c, np.nan) for c in jet))
 
 
 def evaluate(node: ExprNode, point, variable: str = "z"):

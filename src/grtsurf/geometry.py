@@ -39,11 +39,12 @@ def inner(a, b) -> float:
 class GridFrame(NamedTuple):
     """The frame quantities a mesh and verify need, over an array of points.
 
-    ``exists`` is False where no frame exists (|g'| at most eps, or T^2
-    overflowed so that the metric factor is not positive and finite),
-    ``regular`` adds the det V threshold, ``c`` is NaN where the profile
-    ratio is undefined.  Other values are unspecified where ``exists`` is
-    False, and ``mean`` and ``gauss`` where ``regular`` is False.
+    ``exists`` is False where no frame exists (|g'| at most eps, T^2
+    overflowed so that the metric factor is not positive and finite, or a
+    NaN jet of g), ``regular`` adds the det V threshold (which a NaN jet of
+    f or ell fails), ``c`` is NaN where the profile ratio is undefined.
+    Other values are unspecified where ``exists`` is False, and ``mean``
+    and ``gauss`` where ``regular`` is False.
     """
 
     exists: np.ndarray

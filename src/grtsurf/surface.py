@@ -123,14 +123,12 @@ def jets_at(spec: SurfaceSpec, z: complex) -> tuple[Jet2, Jet2, Jet2]:
     return f_jet, g_jet, ell_jet
 
 
-def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple:
-    """jets_at over the array z: the jets, the mask of the points where f, g
-    and ell all evaluate, and the mask where f alone does (the Laplacian of
-    Re f needs only f)."""
-    f_jet, f_ok = eval_jet2_array(spec.f, z)
-    g_jet, g_ok = eval_jet2_array(spec.g, z)
-    ell_jet, ell_ok = eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
-    return (f_jet, g_jet, ell_jet), f_ok & g_ok & ell_ok, f_ok
+def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
+    """jets_at over the array z; each of the three jets is NaN where it does
+    not evaluate, and the jet of ell also where f does not."""
+    f_jet = eval_jet2_array(spec.f, z)
+    g_jet = eval_jet2_array(spec.g, z)
+    return f_jet, g_jet, eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
 
 
 # The point formulas return the three coordinates of X elementwise over jet
@@ -292,15 +290,14 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -
     """The per-point kernel of the mesh: every per-vertex array at the points
     ``z``, elementwise, with z's shape first.
 
-    A vertex is computed where f, g and ell evaluate and a frame exists, and
-    valid where its frame is also regular; diagnostics are NaN elsewhere.
-    With ``rotation_a`` the vertices come from the rotation formula, and the
-    closed-form ones are kept as ``closed_form``.
+    A vertex is valid where its frame is regular (so f, g and ell evaluate);
+    diagnostics are NaN elsewhere, but psi, lam, C and det V are kept where
+    a frame exists, and so are NaN there only where f or ell fails or C is
+    undefined.  With ``rotation_a`` the vertices come from the rotation
+    formula, and the closed-form ones are kept as ``closed_form``.
     """
-    jets, ok, _ = jets_array(spec, z)
+    jets = jets_array(spec, z)
     frame = geometry.grid_frame(*jets, spec.regularity_eps)
-    computed = ok & frame.exists
-    valid = computed & frame.regular
     point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
     with np.errstate(all="ignore"):
         x = xyz_array(point_xyz, jets)
@@ -317,12 +314,12 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
         return np.where(mask, value, np.nan)
 
-    points = {key: where(valid, value) for key, value in dict(
+    points = {key: where(frame.regular, value) for key, value in dict(
         residuals, mean=frame.mean, gauss=frame.gauss, normals=frame.normal,
         **vertices).items()}
-    points.update({key: where(computed, getattr(frame, key))
+    points.update({key: where(frame.exists, getattr(frame, key))
                    for key in ("psi", "lam", "c", "det_v")})
-    points["valid"] = valid
+    points["valid"] = frame.regular
     return points
 
 

@@ -143,21 +143,19 @@ def _rel(err, ref):
     return abs(err) / (1.0 + abs(ref))
 
 
-def _centre_jets(spec: SurfaceSpec, z: np.ndarray) -> tuple:
+def _centre_jets(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
     """surface.jets_at at each point of the array z, stacked into Jet2
-    arrays shaped like z, and the mask of the points where f, g and ell all
-    evaluate; the jets are NaN where they do not."""
-    ok = np.ones(z.size, dtype=bool)
+    arrays shaped like z; all three jets are NaN where one does not
+    evaluate."""
     table = np.full((z.size, 9), math.nan, dtype=complex)
     for k, w in enumerate(map(complex, z.flat)):
         try:
             f, g, ell = surface.jets_at(spec, w)
             table[k] = (f.value, f.d1, f.d2, g.value, g.d1, g.d2, ell.value, ell.d1, ell.d2)
         except EvalError:
-            ok[k] = False
+            pass
     table = np.moveaxis(table.reshape(z.shape + (3, 3)), -1, 0)
-    f_jet, g_jet = (Jet2(*table[..., i]) for i in (0, 1))
-    return (f_jet, g_jet, Jet2(*table[..., 2].real)), ok.reshape(z.shape)
+    return Jet2(*table[..., 0]), Jet2(*table[..., 1]), Jet2(*table[..., 2].real)
 
 
 def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
@@ -166,20 +164,19 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
     z + step, z - step, z + i*step and z - i*step.  Returns arrays shaped
     like z: ``forms``, E, F, G, e, f, g, H_fd and K_fd along a last axis, and
     ``ok``, False exactly where the stencil leaves the window, a stencil
-    point fails or is irregular, or E G - F^2 = 0; ``f_values``, Re f at the
-    four points along a last axis, and ``f_ok``, False where f fails there.
+    point is irregular (a point where a jet fails is), or E G - F^2 = 0;
+    ``f_values``, Re f at the four points along a last axis, NaN where f
+    fails there, and ``f_ok``, False where one of them is NaN.
     H follows the closed-form sign (H = -trace(V)/(2 det V))."""
     (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
     ok = ((lo1 <= z.real - step) & (z.real + step <= hi1)
           & (lo2 <= z.imag - step) & (z.imag + step <= hi2))
-    f_ok = np.ones(z.shape, dtype=bool)
     xs, ns, f_values = [], [], []
     with np.errstate(all="ignore"):
         for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
-            jets, jets_ok, f_ok_w = surface.jets_array(spec, w)
+            jets = surface.jets_array(spec, w)
             frame = geometry.grid_frame(*jets, spec.regularity_eps)
-            ok &= jets_ok & frame.regular
-            f_ok &= f_ok_w
+            ok &= frame.regular
             xs.append(surface.xyz_array(surface._closed_form_xyz, jets))
             ns.append(frame.normal)
             f_values.append(jets[0].value.real)
@@ -191,8 +188,9 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
         ok &= det_i != 0.0  # else the step is below the resolution of the window
         k_fd = (e * g - f * f) / det_i
         h_fd = -(e * G - 2.0 * f * F + g * E) / (2.0 * det_i)
+    f_values = np.stack(f_values, axis=-1)
     return {"forms": np.stack((E, F, G, e, f, g, h_fd, k_fd), axis=-1), "ok": ok,
-            "f_values": np.stack(f_values, axis=-1), "f_ok": f_ok}
+            "f_values": f_values, "f_ok": np.isfinite(f_values).all(axis=-1)}
 
 
 def _laplacian(f_values, mu, step: float):
@@ -283,16 +281,16 @@ ALGEBRAIC_CHECKS, FD_CHECKS = (tuple(c.name for c in CHECKS if c.tolerance_class
 
 def _check_block(spec: SurfaceSpec, z: np.ndarray, step: float) -> dict:
     """Every row of CHECKS over the grid centres z, along a last axis: the
-    ``abs`` and ``rel`` errors, and ``counted``, True where the jets evaluate,
-    the frame is regular and the row does not exclude the centre."""
-    jets, ok = _centre_jets(spec, z)
+    ``abs`` and ``rel`` errors, and ``counted``, True where the frame is
+    regular (so the jets evaluate) and the row does not exclude the centre."""
+    jets = _centre_jets(spec, z)
     frame = geometry.grid_frame(*jets, spec.regularity_eps)
     block = _Block(jets, frame, surface.xyz_array(surface._closed_form_xyz, jets),
                    fd_oracle(spec, z, step), step)
     abs_err, rel_err, excluded = zip(*(row.kernel(block) for row in CHECKS))
-    regular = ok & frame.regular
     return {"abs": np.stack(abs_err, axis=-1), "rel": np.stack(rel_err, axis=-1),
-            "counted": np.stack([regular & ~np.asarray(e) for e in excluded], axis=-1)}
+            "counted": np.stack([frame.regular & ~np.asarray(e) for e in excluded],
+                                axis=-1)}
 
 
 @np.errstate(all="ignore")  # overflow makes a residual inf, not a warning
@@ -344,14 +342,13 @@ def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
     vs = np.linspace(lo2 + margin + 0.05 * (hi2 - lo2),
                      hi2 - margin - 0.05 * (hi2 - lo2), CONVERGENCE_SAMPLES)
     z = us[:, None] + 1j * vs
-    jets, ok, _ = surface.jets_array(spec, z)
-    frame = geometry.grid_frame(*jets, spec.regularity_eps)
+    frame = geometry.grid_frame(*surface.jets_array(spec, z), spec.regularity_eps)
     closed = np.concatenate((frame.forms, np.stack((frame.mean, frame.gauss), axis=-1)),
                             axis=-1)
     residuals = []
     for step in CONVERGENCE_STEPS:
         oracle = fd_oracle(spec, z, step)
-        counted = ok & frame.regular & oracle["ok"]
+        counted = frame.regular & oracle["ok"]
         if not counted.any():
             raise ValueError("no regular sample point for convergence study")
         residuals.append(float(np.mean(_rel(oracle["forms"] - closed, closed)[counted])))

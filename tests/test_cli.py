@@ -227,12 +227,19 @@ def test_flag_overrides_preset(tmp_path, capsys):
 
 
 def test_preset_without_out_writes_preset_obj(tmp_path, capsys, monkeypatch):
+    """The default --out is '<preset>.<format>', '<preset>.obj' without
+    --format."""
     monkeypatch.chdir(tmp_path)
-    for argv in (("generate", "--preset", "fig1"), ("rotate", "--preset", "fig3")):
-        code, stdout, _ = run(capsys, *argv, "--n", "6")
+    for subcommand, preset, fmt, head in (("generate", "fig1", None, "# generated"),
+                                          ("rotate", "fig3", None, "# generated"),
+                                          ("generate", "fig1", "ply", "ply\n"),
+                                          ("rotate", "fig3", "json", "{")):
+        code, stdout, _ = run(capsys, subcommand, "--preset", preset, "--n", "6",
+                              *(("--format", fmt) if fmt else ()))
+        name = f"{preset}.{fmt or 'obj'}"
         assert code == 0
-        assert stdout.startswith(f"wrote {argv[-1]}.obj: 36 vertices")
-        assert (tmp_path / f"{argv[-1]}.obj").read_text().startswith("# generated")
+        assert stdout.startswith(f"wrote {name}: 36 vertices")
+        assert (tmp_path / name).read_text().startswith(head)
 
 
 def test_format_flag_beats_extension(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import frame_at, rotation_at, xyz_at
 from grtsurf import surface
-from grtsurf.expr import EvalError, eval_jet2, parse_expr
+from grtsurf.expr import EvalError, eval_jet2, eval_jet2_array, parse_expr
 from grtsurf.geometry import PSI_EPS, inner
 from grtsurf.surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec, jets_at,
                              rotation_spec, sample_mesh, sample_rotation_mesh)
@@ -224,6 +224,28 @@ def test_mesh_isolated_singular_vertex_excluded():
     for quad in mesh.faces:
         assert all(idx >= 0 for idx in quad)
     assert mesh.face_count == 4 * 4 - 4  # the four quads touching the center
+
+
+def test_nan_marks_the_points_where_a_jet_fails():
+    # log(z) fails at the 17 points of the 33x33 grid with u2 = 0, u1 <= 0:
+    # the jets of f and ell are NaN exactly there, ell's although ell is a
+    # constant, and so is every diagnostic that needs f; g = z evaluates
+    spec = spec_for("log(z)", "z", "1", nu1=33, nu2=33)
+    z = surface.grid_points(spec.grid_u1(), spec.grid_u2())
+    fails = (z.imag == 0.0) & (z.real <= 0.0)
+    assert fails.sum() == 17
+    f_jet, g_jet, ell_jet = surface.jets_array(spec, z)
+    for jet, nan in ((f_jet, fails), (g_jet, False), (ell_jet, fails)):
+        for component in (jet.value, jet.d1, jet.d2):
+            assert (np.isnan(component) == nan).all()
+    mesh = sample_mesh(spec)
+    for key in ("psi", "lam", "c", "det_v"):
+        assert np.isnan(getattr(mesh.diagnostics, key)[fails]).all(), key
+    assert not mesh.valid[fails].any() and mesh.valid[~fails].all()
+    # a constant is NaN at a point that is not finite
+    jet = eval_jet2_array(parse_expr("1", "t", real=True),
+                          np.array([math.nan, math.inf, 0.5]), "t")
+    assert np.isnan(jet.value[:2]).all() and jet.value[2] == 1.0
 
 
 def test_mesh_minimal_grid():

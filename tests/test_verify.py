@@ -116,11 +116,12 @@ def test_package_exports_resolve():
 def array_point(spec, w):
     """The jets of f, g and ell, whether they all evaluate, the frame, the
     closed-form point and the normal at the point w by the array path."""
-    jets, ok, _ = surface.jets_array(spec, np.array([w]))
+    jets = surface.jets_array(spec, np.array([w]))
     frame = geometry.grid_frame(*jets, spec.regularity_eps)
     array_x = np.stack(surface._closed_form_xyz(
         *jets, *geometry._sphere(jets[1])), axis=-1)
-    return jets, ok[0], frame, array_x[0], frame.normal[0]
+    ok = all(np.isfinite(jet.value[0]) for jet in jets)
+    return jets, ok, frame, array_x[0], frame.normal[0]
 
 
 # A regularity decision is clear where its value lies beyond its threshold by
