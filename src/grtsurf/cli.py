@@ -209,10 +209,10 @@ def _digits(size: np.ndarray, style: int) -> tuple[np.ndarray, np.ndarray, np.nd
     D17 comes from _round17 with 10^q as a double-double.  D16 and D15 are
     its roundings half to even; where its last digits are a tie (5, 50), the
     sign of the residual decides.  Repr keeps the shortest candidate D that
-    reads back as x, D15 with trailing zeros dropped, else D16, else D17.
-    For D < 2**53 and |s| <= 22, reading D*10^s back is one correctly rounded
-    operation (Clinger's fast path); otherwise |D*10^m - |x|*10^q|, m digits
-    dropped, is compared with half an ulp of x times 10^q."""
+    reads back as x, D15 with trailing zeros dropped, else D16, else D17.  D,
+    m digits dropped, reads back where its gap, |D*10^m - |x|*10^q| less half
+    an ulp of x times 10^q, is negative; a gap within _MARGIN of 0 is left to
+    Python (a D exactly half an ulp away reads back to even)."""
     powers = _lookup().powers
     n, r, e = _round17(size, powers)
     hi, lo = np.take(powers, _POWERS + 16 - e, axis=1)
@@ -231,13 +231,9 @@ def _digits(size: np.ndarray, style: int) -> tuple[np.ndarray, np.ndarray, np.nd
         # up above half, and at half as r says, or to even where r is 0
         d += 2 * rest + sign + exact * (d & 1) > unit
         unsure |= near_tie & (rest == unit // 2)
-        s = e - 16 + m  # D*10^s is the candidate
-        ten = np.take(powers[0], _POWERS + np.minimum(abs(s), 22))
-        clinger = (abs(s) <= 22) & (d < 2**53)
         gap = (abs(d * unit - n - r) - half_ulp * hi) - half_ulp * lo
-        unsure |= ~clinger & (abs(gap) <= _MARGIN)
-        back = np.where(clinger, np.where(s >= 0, d * ten, d / ten) == size, gap < 0)
-        best = np.where(back, d * unit, best)
+        unsure |= abs(gap) <= _MARGIN
+        best = np.where(gap < 0, d * unit, best)
     carry = best == 10**17
     best[carry] = 10**16
     return best, e + carry, unsure
@@ -322,7 +318,8 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     position and '{k}' as the repr of its k-th value (null if not finite), or
     the separator and ``other`` where ``valid`` is False.  Each block of at
     most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none) is
-    one _join; only the values printed as numbers are formatted."""
+    one _join.  null, 0.0 and -0.0 come from a table; of the other printed
+    values, a run of bit-equal neighbours is formatted once."""
     count, width = values.shape
     if not count:
         fh.write(_json_list(["[]"] * rows, level).encode())
@@ -336,6 +333,7 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     other = np.frombuffer(other.encode(), np.uint8)
     valid = np.ones(count, bool) if valid is None else np.ravel(valid)
     null = _text_rows(["null"]).view("V24")[0, 0]
+    zeros = _lookup().specials[1, :2].view("V24")[:, 0]  # 0.0, -0.0
     cols = count // max(rows, 1)
     step = max(3 * surface.BLOCK_POINTS // max(width, 1), 1)
     for start in range(0, count, step):
@@ -344,12 +342,22 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
         ok = valid[start:start + len(block)]
         printed = np.isfinite(block) & ok[:, None]
         text = np.full(block.shape, null)  # one 24-byte row per value
-        text[printed] = _float_table(block[printed], 1).view("V24")[:, 0]
+        zero = printed & (block == 0)
+        text[zero] = zeros[np.signbit(block[zero]).astype(np.intp)]
+        printed &= ~zero
+        bits = block[printed].view(np.int64)
+        heads = np.ones(len(bits), bool)  # the first value of each run
+        heads[1:] = bits[1:] != bits[:-1]
+        spelled = _float_table(bits[heads].view(float), 1).view("V24")[:, 0]
+        text[printed] = spelled[np.cumsum(heads) - 1]
         text = text.view(np.uint8).reshape(block.shape + (24,)).swapaxes(0, 1)
         seps = _rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))
-        body = _join(cell + "\0" * len(other), [seps, *text])  # room for ``other``
-        body[~ok, prefixes.shape[1]:] = 0  # an invalid cell: its separator, ``other``
-        body[~ok, prefixes.shape[1]:prefixes.shape[1] + len(other)] = other
+        if ok.all():
+            body = _join(cell, [seps, *text])
+        else:  # with room for ``other``
+            body = _join(cell + "\0" * len(other), [seps, *text])
+            body[~ok, prefixes.shape[1]:] = 0  # an invalid cell: its separator, ``other``
+            body[~ok, prefixes.shape[1]:prefixes.shape[1] + len(other)] = other
         fh.write(body.tobytes().translate(None, b"\0"))
     fh.write(((pad + "]" if rows else "") + pad[:-1] + "]").encode())
 

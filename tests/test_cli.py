@@ -90,6 +90,21 @@ def test_fig1_outputs_match_recorded_digests(tmp_path, capsys, method, fmt):
     assert digest == FIG1_N32_SHA256[method, fmt]
 
 
+# sha256 of the masked mesh JSON at 33², as written while every printed
+# float went through the float table: null cells, 1,291 zero diagnostics
+# (33 of them -0.0), and psi and C constant along each row.  ell calls log,
+# so, as for the exp sweep below, the digest holds for the numpy 2.4 build on
+# x86-64 Linux it was recorded with.
+MASKED_N33_SHA256 = "cf2e76d87f5b9b373f0986c0a208b1d418144e8060f2d5a5650a1512931b7695"
+
+
+def test_masked_mesh_json_matches_recorded_digest(tmp_path, capsys):
+    out = tmp_path / "masked.json"
+    assert run(capsys, "generate", "--f", "z", "--g", "z", "--ell", "log(t+0.5)",
+               "--n", "33", "--format", "json", "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MASKED_N33_SHA256
+
+
 # sha256 of the `verify --n 64 --out` reports of the three acceptance sweeps,
 # keyed by test id, and of `rotate --preset fig5 --n 32 --cross-check` with
 # its stdout, as written while the cross-check sampled its own window.  The

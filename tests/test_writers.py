@@ -267,6 +267,35 @@ def test_width_one_blocks_match_reference(tmp_path, count):
     assert_writers_match(mesh, tmp_path)
 
 
+# mesh JSON takes 0.0 and -0.0 from a table and spells a run of bit-equal
+# printed neighbours once.  The grid is wide enough that a block edge of the
+# diagnostics (every 3 * BLOCK_POINTS cells) falls in row 1, so a row-constant
+# run crosses it; vertices and normals are one constant run, which crosses
+# every vertex block edge.
+@pytest.mark.parametrize("block_points", [DEFAULT_BLOCK_POINTS, 5, 1])
+def test_runs_and_zeros_match_reference(tmp_path, monkeypatch, block_points):
+    monkeypatch.setattr(surface, "BLOCK_POINTS", block_points)
+    nu2 = 3 * block_points // 2 + 7
+    valid = np.ones((2, nu2), dtype=bool)
+    valid[:, 3::11] = False
+    column = np.arange(nu2)
+    rows = np.random.default_rng(block_points).standard_normal((10, 2, 1))
+    diagnostics = np.broadcast_to(rows, (10, 2, nu2)).copy()  # constant along rows
+    diagnostics[1] = np.where(column % 2, -0.0, 0.0)  # zeros alternating
+    diagnostics[2] = np.where(column // 4 % 2, -0.0, 0.0)  # and in runs of 4
+    diagnostics[3, :, 5::9] = math.nan  # row runs broken by NaN
+    diagnostics[4, 0], diagnostics[4, 1] = 0.0, -0.0
+    diagnostics[5, 1] = diagnostics[5, 0]  # one run over both rows
+    mesh = _masked_mesh(valid, diagnostics=diagnostics)
+    # one run, broken by the invalid vertices: the printed values on either
+    # side of one are neighbours
+    mesh.vertices = np.where(valid[..., None], np.array([1.5, 1.5, -0.0]), 7.0)
+    mesh.normals = np.where(valid[..., None], np.array([-0.0, 0.0, 0.0]), -7.0)
+    path = tmp_path / "runs.json"
+    cli.write_mesh_json(mesh, str(path))
+    assert path.read_bytes() == reference_mesh_json(mesh).encode()
+
+
 def test_mesh_json_formats_only_printed_values(tmp_path, monkeypatch):
     spec = SurfaceSpec.from_strings("z", "z", "log(t+0.5)", u1_range=(-1.0, 1.0),
                                     u2_range=(-math.pi, math.pi), nu1=32, nu2=32)
@@ -282,12 +311,16 @@ def test_mesh_json_formats_only_printed_values(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_float_table", spy)
     cli.write_mesh_json(mesh, str(tmp_path / "masked.json"))
-    formatted = np.concatenate(received)
-    assert np.isfinite(formatted).all()
+    # zeros come from a table and a run of bit-equal neighbours is formatted
+    # once, so each call sees finite, nonzero values, no two neighbours equal
+    for values in received:
+        assert np.isfinite(values).all() and (values != 0).all()
+        bits = values.view(np.int64)
+        assert (bits[1:] != bits[:-1]).all()
     at_valid = np.concatenate([mesh.vertices[mesh.valid], mesh.normals[mesh.valid]])
     printed = (np.isfinite(at_valid).sum() + np.isfinite(diagnostics).sum()
                + mesh.u1.size + mesh.u2.size)
-    assert formatted.size == printed
+    assert sum(values.size for values in received) < printed
 
 
 @settings(max_examples=60, deadline=None,
@@ -460,6 +493,20 @@ def test_repr_table_residual_like_values():
     values = np.concatenate([k * 2.0 ** -53, k * 2.0 ** -60, k * 2.0 ** -45,
                              (k + 0.5) * 2.0 ** -52])
     assert_repr_exact(np.concatenate([values, -values]))
+
+
+def test_repr_table_short_decimals():
+    # doubles read from decimals of 1 to 16 significant digits, d.ddd * 10^E
+    # with E from -25 to 25: their short candidates read back, most of them
+    # with D < 2^53 and 10^|s| an exact double
+    rng = np.random.default_rng(2025)
+    count = 100_000
+    digits = rng.integers(1, 17, count)
+    mantissas = rng.integers(10 ** (digits - 1), 10 ** digits)
+    exponents = rng.integers(-25, 26, count) - (digits - 1)
+    signs = rng.choice(["", "-"], count)
+    assert_repr_exact([float(f"{s}{m}e{e}") for s, m, e in
+                       zip(signs.tolist(), mantissas.tolist(), exponents.tolist())])
 
 
 def test_import_grtsurf_leaves_the_writers_unloaded():
