@@ -1,8 +1,10 @@
 """Command-line front end: generate, verify, rotate, info.
 
-Each subcommand reads the parsed flags.  Each numeric check sits in the
-argparse type of its flag, so a bad value exits 2 before any evaluation with
-'error: argument --flag: ...'; a value may start with '-' (--ell -t).
+Each subcommand reads the parsed flags, calls the library and prints; the
+pointwise maths, C and its class included, lives in geometry, surface and
+verify.  Each numeric check sits in the argparse type of its flag, so a bad
+value exits 2 before any evaluation with 'error: argument --flag: ...'; a
+value may start with '-' (--ell -t).
 Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
 or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
 failure or insufficient coverage.  Mesh and report outputs are byte-identical
@@ -580,46 +582,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _profile_c(ell, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C = ell*ell''/ell'^2 at each of ``mus``, and where ell evaluates.  C
-    is NaN where ell fails, ell'^2 is 0 (also by underflow) or C is not
-    finite."""
-    jet = eval_jet2_array(ell, mus, variable="t")
-    with np.errstate(all="ignore"):
-        d1_sq = jet.d1 * jet.d1
-        c = jet.value * jet.d2 / d1_sq
-    c[(d1_sq == 0.0) | ~np.isfinite(c)] = np.nan
-    return c, np.isfinite(jet.value)
-
-
-def _label_c(cs: list[float]) -> tuple[bool, float | None, str | None]:
-    """Whether sampled C values are constant, the constant, and its label:
-    Appell for C = 0, TR-surface for C = 1."""
-    if not cs or max(cs) - min(cs) >= 1e-9:
-        return False, None, None
-    value = cs[0] + 0.0  # folds away -0.0
-    for label, target in (("Appell", 0.0), ("TR-surface", 1.0)):
-        if abs(value - target) <= 1e-9:
-            return True, value, label
-    return True, value, None
-
-
-def _classify_profile(spec: SurfaceSpec) -> dict:
-    """C(mu) sampled over the window's mu values on a 9x9 grid, where f and
-    ell evaluate, with the special-case label."""
-    z = surface.grid_points(np.linspace(*spec.u1_range, 9),
-                            np.linspace(*spec.u2_range, 9))
-    c, _ = _profile_c(spec.ell, eval_jet2_array(spec.f, z).value.real)
-    constant, value, label = _label_c(c[~np.isnan(c)].tolist())
-    return {"profile_c_constant": constant, "profile_c": value,
-            "profile_label": label}
-
-
 def _cmd_verify(args) -> int:
     spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, **_window(args))
     tolerances = {cls: getattr(args, f"tol_{cls}") for cls in verify.CLASS_TOLERANCES}
     report = verify.run_checks(spec, step=args.fd_step, tolerances=tolerances)
-    report.spec_summary.update(_classify_profile(spec))
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -659,10 +625,11 @@ def _cmd_info(args) -> int:
     d1 = differentiate(ell)
     d2 = differentiate(d1)
     mus = np.linspace(args.mu_range[0], args.mu_range[1], args.samples)
-    c, ok = _profile_c(ell, mus)
+    jet = eval_jet2_array(ell, mus, variable="t")
+    c = geometry.profile_ratio(jet)
     cs = c[~np.isnan(c)].tolist()
-    degenerate = int(ok.sum()) - len(cs)
-    errors = int(ok.size - ok.sum())
+    errors = int(np.isnan(jet.value).sum())
+    degenerate = mus.size - errors - len(cs)
     result = {
         "ell": unparse(ell, "t"),
         "ell_prime": unparse(d1, "t"),
@@ -674,7 +641,7 @@ def _cmd_info(args) -> int:
     }
     if cs:
         result.update({"c_min": min(cs), "c_max": max(cs)})
-    constant, c_value, label = _label_c(cs)
+    constant, c_value, label = geometry.profile_class(cs)
     result.update({"c_constant": constant, "c_value": c_value, "label": label})
     if not cs:
         result["note"] = ("C undefined on the sampled range (ell' = 0 "

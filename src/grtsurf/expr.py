@@ -215,8 +215,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message: str, pos: int, expected: tuple[str, ...] = ()):
-        raise ParseError(message, _byte_offset(self.source, pos), expected)
+    def error(self, message: str, pos: int, expected: tuple[str, ...] = (),
+              cls: type[ParseError] = ParseError):
+        raise cls(message, _byte_offset(self.source, pos), expected)
+
+    def close(self, what: str) -> None:
+        """Consume the ')' that closes ``what``, else a ParseError at the token."""
+        kind, value, pos = self.advance()
+        if kind != ")":
+            self.error(f"unclosed {what}, got {_shown(kind, value)}", pos, ("')'",))
 
     def limit(self, depth: int, pos: int) -> int:
         """``depth`` if it is within MAX_DEPTH, else a ParseError at ``pos``."""
@@ -286,28 +293,17 @@ class _Parser:
         if kind == "(":
             self.advance()
             node, depth = self.nested(self.expr, pos)
-            kind, value, pos = self.peek()
-            if kind != ")":
-                self.error(f"unclosed parenthesis, got {_shown(kind, value)}",
-                           pos, ("')'",))
-            self.advance()
+            self.close("parenthesis")
             return node, depth
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "(":
                 if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(
-                        f"unknown function {value!r}",
-                        _byte_offset(self.source, pos),
-                        FUNCTIONS,
-                    )
+                    self.error(f"unknown function {value!r}", pos, FUNCTIONS,
+                               cls=UnknownIdentifierError)
                 self.advance()
                 arg, depth = self.nested(self.expr, pos)
-                kind2, value2, pos2 = self.peek()
-                if kind2 != ")":
-                    self.error(f"unclosed function call, got "
-                               f"{_shown(kind2, value2)}", pos2, ("')'",))
-                self.advance()
+                self.close("function call")
                 return Fn(value, arg), self.limit(depth + 1, pos)
             if value == self.variable:
                 return Var(), 1
@@ -317,15 +313,10 @@ class _Parser:
                 )
             if value in _CONSTANTS:
                 if self.real and value == "i":
-                    raise UnknownIdentifierError(
-                        "constant 'i' is not available in a real expression",
-                        _byte_offset(self.source, pos),
-                    )
+                    self.error("constant 'i' is not available in a real expression",
+                               pos, cls=UnknownIdentifierError)
                 return Const(_CONSTANTS[value]), 1
-            raise UnknownIdentifierError(
-                f"unknown identifier {value!r}",
-                _byte_offset(self.source, pos),
-            )
+            self.error(f"unknown identifier {value!r}", pos, cls=UnknownIdentifierError)
         self.error(f"unexpected {_shown(kind, value)}", pos, _ATOM_EXPECTED)
 
 

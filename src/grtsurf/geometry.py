@@ -6,7 +6,9 @@ a holomorphic g through inverse stereographic projection; the sphere metric
 it induces is conformal with factor L11 = 4|g'|^2 / (1+|g|^2)^2.  The
 support function is h = ell(mu) with mu = Re f, and the matrix V (inverse
 of the Weingarten matrix W) encodes the shape operator, curvatures and
-fundamental forms.
+fundamental forms.  The paper's profile ratio C = ell*ell''/ell'^2 is
+written once, in :func:`profile_ratio`, and :func:`profile_class` names its
+special cases (Appell for C = 0, TR-surface for C = 1).
 
 All inner products of complex numbers use <a,b> = Re(a)Re(b) + Im(a)Im(b),
 implemented once in :func:`inner`.
@@ -115,6 +117,28 @@ def _forms(v11, v12, v22, l11) -> tuple:
             (v22 * v22 + v12 * v12) * l11, v11 * l11, v12 * l11, v22 * l11)
 
 
+def profile_ratio(ell_jet: Jet2) -> np.ndarray:
+    """The paper's C = ell*ell''/ell'^2 elementwise over a jet of arrays,
+    NaN where ell fails, ell'^2 is 0 (also by underflow) or C is not finite."""
+    with np.errstate(all="ignore"):
+        d1_sq = ell_jet.d1 * ell_jet.d1
+        c = ell_jet.value * ell_jet.d2 / d1_sq
+    c[(d1_sq == 0.0) | ~np.isfinite(c)] = np.nan
+    return c
+
+
+def profile_class(cs: list[float]) -> tuple[bool, float | None, str | None]:
+    """Whether the defined values ``cs`` of C are constant (within 1e-9),
+    the constant, and its class: Appell for C = 0, TR-surface for C = 1."""
+    if not cs or max(cs) - min(cs) >= 1e-9:
+        return False, None, None
+    value = cs[0] + 0.0  # folds away -0.0
+    for label, target in (("Appell", 0.0), ("TR-surface", 1.0)):
+        if abs(value - target) <= 1e-9:
+            return True, value, label
+    return True, value, None
+
+
 def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
                eps: float = REGULARITY_EPS) -> GridFrame:
     """Every frame quantity that a mesh and verify need, elementwise over
@@ -127,10 +151,9 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
         trace, det = v11 + v22, v11 * v22 - v12 * v12
         l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
         _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
-        # C = ell ell''/ell'^2, undefined where ell' = 0 or |C| > PROFILE_RATIO_MAX
-        c = l * l2 / (l1 * l1)
-        c[~((l1 * l1 != 0.0) & (abs(l * l2) <= PROFILE_RATIO_MAX * l1 * l1)
-            & np.isfinite(c))] = np.nan
+        # the checks' policy: C is also undefined where |C| > PROFILE_RATIO_MAX
+        c = profile_ratio(ell_jet)
+        c[~(abs(l * l2) <= PROFILE_RATIO_MAX * l1 * l1)] = np.nan
         h_over_k = -0.5 * trace
         return GridFrame(
             exists=exists, regular=exists & (abs(det) > eps * (1.0 + trace * trace)),

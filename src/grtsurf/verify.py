@@ -13,7 +13,9 @@ compares the oracle with the closed-form frame of one array pass.  CHECKS
 lists every check: algebraic identities hold to near machine precision,
 finite-difference comparisons carry an O(step^2) floor and a looser
 tolerance.  Its rows 2-5 are the rows of surface.IDENTITIES, whose kernels
-also give the mesh diagnostics.
+also give the mesh diagnostics.  run_checks writes the whole report, the
+spec's profile class (geometry.profile_class of C at a 9x9 sample of the
+window) included, so it is the report that `grtsurf verify` prints.
 
 Relative residuals use the denominator 1 + |reference| so they stay stable
 near zeros of the reference quantity.  Points excluded from a check (small
@@ -306,10 +308,13 @@ def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
                                   abs_err, rel_err, counted)
                for row, abs_err, rel_err, counted in zip(CHECKS, *(
                    np.moveaxis(grid[key], -1, 0) for key in ("abs", "rel", "counted")))]
-
-    summary = spec.summary()
-    summary["fd_step"] = step
-    return ResidualReport(spec_summary=summary, checks=results)
+    # the class of C over the window's mu values, sampled on a 9x9 grid
+    z = surface.grid_points(*(np.linspace(*r, 9) for r in (spec.u1_range, spec.u2_range)))
+    c = geometry.profile_ratio(surface.jets_array(spec, z)[2])
+    constant, value, label = geometry.profile_class(c[~np.isnan(c)].tolist())
+    return ResidualReport({**spec.summary(), "fd_step": step,
+                           "profile_c_constant": constant, "profile_c": value,
+                           "profile_label": label}, results)
 
 
 @np.errstate(all="ignore")  # an overflowed vertex gives inf or NaN

@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import gen_source
 from grtsurf.cli import main
 from grtsurf.expr import MAX_DEPTH
-from grtsurf.surface import MAX_GRID_POINTS
-from grtsurf.verify import FD_CHECKS
+from grtsurf.surface import MAX_GRID_POINTS, SurfaceSpec
+from grtsurf.verify import FD_CHECKS, run_checks
 
 
 def run(capsys, *argv):
@@ -411,6 +411,36 @@ def test_verify_deterministic(tmp_path, capsys):
     run(capsys, "verify", "--n", "8", "--out", str(a))
     run(capsys, "verify", "--n", "8", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("f, g, ell", [
+    ("z", "z", "t^2+t+1"), ("z", "z", "cos(t)"), ("z^2", "exp(z)", "t^2+1"),
+    ("z", "z", "t"), ("z", "z", "exp(t)"),
+])
+def test_library_report_is_the_cli_report(capsys, f, g, ell):
+    # the profile class included: run_checks writes the whole report
+    spec = SurfaceSpec.from_strings(f, g, ell, u1_range=(-1.0, 1.0),
+                                    u2_range=(-1.0, 1.0), nu1=16, nu2=16)
+    _, stdout, _ = run(capsys, "verify", "--f", f, "--g", g, "--ell", ell, "--n", "16")
+    assert stdout == run_checks(spec).to_json() + "\n"
+
+
+def test_profile_ratio_cap_belongs_to_the_checks(tmp_path, capsys):
+    # C = -cot(mu)^2 is about -1e8 at mu = 1e-4: info prints it, while the
+    # mesh, like the checks, leaves C undefined beyond PROFILE_RATIO_MAX
+    code, stdout, _ = run(capsys, "info", "--ell", "cos(t)", "--mu-range", "1e-4:2e-4",
+                          "--samples", "3", "--json")
+    data = json.loads(stdout)
+    assert code == 0 and data["degenerate_points"] == 0
+    assert round(data["c_min"], 2) == -99999999.33
+    out = tmp_path / "m.json"
+    code, _, _ = run(capsys, "generate", "--f", "z", "--g", "z", "--ell", "cos(t)",
+                     "--u1", "1e-4:2e-4", "--u2", "0:1", "--n", "2",
+                     "--format", "json", "--out", str(out))
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    assert code == 0
+    assert diagnostics["c"] == [[None, None], [None, None]]
+    assert diagnostics["regular"] == [[True, True], [True, True]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Geometry module: frame, V matrix, scalar fields, fundamental forms.
 
 Each test reaches one point through conftest.frame_at, grid_frame at one
-point.  The independent oracle for the V matrix rebuilds it from finite
-differences of the support function h = ell(Re f) and the closed-form
-Christoffel symbols, i.e. through the defining formula rather than through
-the jet expressions under test.
+point, except that profile_ratio is compared with grid_frame over a grid.
+The independent oracle for the V matrix rebuilds it from finite differences
+of the support function h = ell(Re f) and the closed-form Christoffel
+symbols, i.e. through the defining formula rather than through the jet
+expressions under test.
 """
 import math
 import random
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import frame_at
+from grtsurf import surface
 from grtsurf.expr import Jet2, eval_jet2, parse_expr
-from grtsurf.geometry import _forms, _sphere, _xi, inner
+from grtsurf.geometry import _forms, _sphere, _xi, grid_frame, inner, profile_ratio
+from grtsurf.surface import SurfaceSpec
 
 UNIT_JET = Jet2(0j, 1 + 0j, 0j)
 # A profile jet with ell, ell', ell'' nonzero, for frames that need only g
@@ -285,6 +288,18 @@ def test_power_profile_constant_c():
             jet = eval_jet2(ell, float(mu), variable="t")
             c = jet.value * jet.d2 / (jet.d1 * jet.d1)
             assert abs(c - (p - 1) / p) <= 1e-12
+
+
+def test_profile_ratio_is_the_frame_c_below_the_cap():
+    # grid_frame takes C from profile_ratio, bit for bit, and adds the cap
+    for triple in SAMPLE_TRIPLES[:3]:
+        spec = SurfaceSpec.from_strings(*triple, u1_range=(-1.0, 1.0),
+                                        u2_range=(-1.0, 1.0), nu1=64, nu2=64)
+        jets = surface.jets_array(spec, surface.grid_points(spec.grid_u1(), spec.grid_u2()))
+        frame_c, c = grid_frame(*jets).c, profile_ratio(jets[2])
+        kept = ~np.isnan(frame_c)
+        assert kept.any()
+        assert np.array_equal(c[kept].view(np.int64), frame_c[kept].view(np.int64))
 
 
 def test_degenerate_profile_raises():

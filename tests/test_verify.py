@@ -697,7 +697,8 @@ def test_report_json_schema():
     assert set(data) == {"spec", "checks", "pass"}
     # no "method": run_checks checks both parameterizations
     assert set(data["spec"]) == {"f", "g", "ell", "u1", "u2", "nu1", "nu2",
-                                 "regularity_eps", "fd_step"}
+                                 "regularity_eps", "fd_step", "profile_c_constant",
+                                 "profile_c", "profile_label"}
     assert data["pass"] is True
     assert data["spec"]["f"] == "z"
     assert data["spec"]["ell"] == "t^2+t+1"
