@@ -9,7 +9,7 @@ meshes, and verifies the defining identities numerically against an
 independent finite-difference oracle.
 """
 
-from .expr import (EvalError, ExprError, Jet2, ParseError,
+from .expr import (EvalError, ExprError, InputError, Jet2, ParseError,
                    UnknownIdentifierError, differentiate, eval_jet2, evaluate,
                    parse_expr, simplify, unparse)
 from .geometry import inner
@@ -20,7 +20,8 @@ from .verify import ResidualReport, convergence_order, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalError", "ExprError", "Jet2", "ParseError", "UnknownIdentifierError",
+    "EvalError", "ExprError", "InputError", "Jet2", "ParseError",
+    "UnknownIdentifierError",
     "differentiate", "eval_jet2", "evaluate", "parse_expr", "simplify",
     "unparse",
     "inner",

@@ -7,11 +7,14 @@ value exits 2 before any evaluation with 'error: argument --flag: ...'; a
 value may start with '-' (--ell -t).
 Exit codes: 0 ok, 2 expression/usage parse error, invalid or missing input,
 or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
-failure or insufficient coverage.  Mesh and report outputs are byte-identical
-for identical inputs; OBJ and PLY numbers carry 17 significant digits and
-mesh JSON floats are shortest repr, so all round-trip, and one numpy
-formatter (_float_table) spells both.  Mesh files are written as bytes, with
-'\\n' line endings on every platform.
+failure or insufficient coverage, 6 an internal error (any other exception,
+one stderr line 'internal error: <type>: <message>').  Input checks raise
+InputError.  Mesh and report outputs are byte-identical for identical
+inputs; OBJ and PLY numbers carry 17 significant digits and mesh JSON floats
+are shortest repr, so all round-trip, and one numpy formatter (_float_table)
+spells both, 0.0, -0.0 and non-finite values included.  Mesh files are
+written as bytes and the verify report with newline='\\n', so both end
+lines in '\\n' on every platform.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import geometry, surface, verify
-from .expr import (ParseError, differentiate, eval_jet2_array, parse_expr,
-                   unparse)
+from .expr import (InputError, ParseError, differentiate, eval_jet2_array,
+                   parse_expr, unparse)
 from .surface import EmptyMeshError, SurfaceMesh, SurfaceSpec
 
 EXIT_OK = 0
@@ -36,6 +39,7 @@ EXIT_PARSE = 2
 EXIT_EMPTY = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6
 
 # Figure-reproduction presets: the captioned parameter sets on the default
 # window [-1,1] x [-pi,pi] at 128x128 (a reproduction convention; the source
@@ -79,13 +83,6 @@ def _join(template: str, slots) -> np.ndarray:
         [slots[int(piece)] if i % 2 else np.broadcast_to(
             np.frombuffer(piece.encode(), np.uint8), (len(slots[0]), len(piece)))
          for i, piece in enumerate(re.split(r"\{(\d)\}", template)) if piece], axis=1)
-
-
-def _rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[index] for a C-contiguous 2-d uint8 ``table``, each row moved as
-    one item of a void view rather than byte by byte."""
-    width = table.shape[1]
-    return table.view(f"V{width}")[index, 0].view(np.uint8).reshape(len(index), width)
 
 
 def _text_rows(texts: list[str], width: int = 24) -> np.ndarray:
@@ -277,7 +274,7 @@ def _write_blocks(fh, template: str, *columns: np.ndarray) -> None:
     table = _index_table(int(columns[0].max(initial=0)) + 1) if indices else None
     for start in range(0, len(columns[0]), surface.BLOCK_POINTS):
         block = np.hstack([c[start:start + surface.BLOCK_POINTS] for c in columns])
-        slots = ([_rows(table, column) for column in block.T] if indices
+        slots = ([table.take(column, axis=0) for column in block.T] if indices
                  else _float_table(block, 0).reshape(*block.shape, 24).swapaxes(0, 1))
         fh.write(_join(template, slots).tobytes().translate(None, b"\0"))
 
@@ -320,8 +317,8 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     position and '{k}' as the repr of its k-th value (null if not finite), or
     the separator and ``other`` where ``valid`` is False.  Each block of at
     most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none) is
-    one _join.  null, 0.0 and -0.0 come from a table; of the other printed
-    values, a run of bit-equal neighbours is formatted once."""
+    one _join.  A run of bit-equal neighbours is formatted once; null then
+    replaces each value that is not finite."""
     count, width = values.shape
     if not count:
         fh.write(_json_list(["[]"] * rows, level).encode())
@@ -334,26 +331,20 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     prefixes = _text_rows(prefixes, max(map(len, prefixes)))
     other = np.frombuffer(other.encode(), np.uint8)
     valid = np.ones(count, bool) if valid is None else np.ravel(valid)
-    null = _text_rows(["null"]).view("V24")[0, 0]
-    zeros = _lookup().specials[1, :2].view("V24")[:, 0]  # 0.0, -0.0
+    null = _text_rows(["null"])[0]
     cols = count // max(rows, 1)
     step = max(3 * surface.BLOCK_POINTS // max(width, 1), 1)
     for start in range(0, count, step):
         block = values[start:start + step]
         cells = np.arange(start, start + len(block))
         ok = valid[start:start + len(block)]
-        printed = np.isfinite(block) & ok[:, None]
-        text = np.full(block.shape, null)  # one 24-byte row per value
-        zero = printed & (block == 0)
-        text[zero] = zeros[np.signbit(block[zero]).astype(np.intp)]
-        printed &= ~zero
-        bits = block[printed].view(np.int64)
+        bits = np.ravel(block).view(np.int64)
         heads = np.ones(len(bits), bool)  # the first value of each run
         heads[1:] = bits[1:] != bits[:-1]
-        spelled = _float_table(bits[heads].view(float), 1).view("V24")[:, 0]
-        text[printed] = spelled[np.cumsum(heads) - 1]
-        text = text.view(np.uint8).reshape(block.shape + (24,)).swapaxes(0, 1)
-        seps = _rows(prefixes, np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)))
+        text = _float_table(bits[heads].view(float), 1).take(np.cumsum(heads) - 1, axis=0)
+        text[~np.isfinite(bits.view(float))] = null
+        text = text.reshape(block.shape + (24,)).swapaxes(0, 1)
+        seps = prefixes.take(np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)), axis=0)
         if ok.all():
             body = _join(cell, [seps, *text])
         else:  # with room for ``other``
@@ -544,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
     """Fill each flag of ``names`` left unset (None, or an empty expression)
     from --preset, and --out with '<preset>.<format>' (OBJ without
-    --format); raise ValueError naming every input still missing."""
+    --format); raise InputError naming every input still missing."""
     if args.preset:
         for name in names:
             if getattr(args, name) in (None, ""):
@@ -553,7 +544,7 @@ def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
             args.out = f"{args.preset}.{args.format or 'obj'}"
     missing = [f"--{name}" for name in (*names, "out") if getattr(args, name) is None]
     if missing:
-        raise ValueError(f"{args.subcommand} requires {', '.join(missing)}")
+        raise InputError(f"{args.subcommand} requires {', '.join(missing)}")
 
 
 def _window(args) -> dict:
@@ -588,7 +579,7 @@ def _cmd_verify(args) -> int:
     report = verify.run_checks(spec, step=args.fd_step, tolerances=tolerances)
     text = report.to_json() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         for check in report.checks:
             print(f"{check.name}: {check.status} "
@@ -690,15 +681,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.subcommand](args)
-    except (ParseError, ValueError) as exc:
-        error, code = exc, EXIT_PARSE
+    except (ParseError, InputError) as exc:
+        message, code = f"error: {exc}", EXIT_PARSE
     except MemoryError as exc:  # the grid does not fit: an input too large
-        error, code = f"out of memory: {exc}", EXIT_PARSE
+        message, code = f"error: out of memory: {exc}", EXIT_PARSE
     except EmptyMeshError as exc:
-        error, code = exc, EXIT_EMPTY
+        message, code = f"error: {exc}", EXIT_EMPTY
     except OSError as exc:
-        error, code = exc, EXIT_IO
-    print(f"error: {error}", file=sys.stderr)
+        message, code = f"error: {exc}", EXIT_IO
+    except Exception as exc:  # a fault of the program, not of its input
+        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+    print(message, file=sys.stderr)
     return code
 
 

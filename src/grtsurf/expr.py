@@ -16,7 +16,7 @@ context.  ``^`` takes a nonnegative integer literal exponent of at most
 MAX_EXPONENT (1e150) only; general powers must be spelled ``exp(c*log(z))``.
 ``log`` uses the principal branch and fails exactly at 0 and on the cut
 (re <= 0, im = 0).  Trees deeper than MAX_DEPTH are a ParseError, and
-``differentiate`` raises ValueError rather than build a derivative deeper
+``differentiate`` raises InputError rather than build a derivative deeper
 than MAX_DERIVATIVE_DEPTH.  Every constant that the parser or the simplifier
 makes is finite: a fold that overflows stays unfolded.  The parser, the
 unparser and the simplifier read the four binary operators from one table,
@@ -59,6 +59,11 @@ class ParseError(ExprError):
 
 class UnknownIdentifierError(ParseError):
     """An identifier that is neither the variable, a constant, nor a function."""
+
+
+class InputError(ValueError):
+    """An input the library rejects before computing with it: a range, a grid,
+    a derivative too deep, a sample without a regular point."""
 
 
 class EvalError(ExprError):
@@ -462,12 +467,12 @@ def _depth(node: ExprNode) -> int:
 def differentiate(node: ExprNode) -> ExprNode:
     """Symbolic derivative; output is itself valid input.
 
-    Raises ValueError where the unsimplified derivative would be deeper than
+    Raises InputError where the unsimplified derivative would be deeper than
     :data:`MAX_DERIVATIVE_DEPTH`, before the recursive passes over it.
     """
     derivative = _diff(node)
     if _depth(derivative) > MAX_DERIVATIVE_DEPTH:
-        raise ValueError(f"derivative nested deeper than {MAX_DERIVATIVE_DEPTH} levels")
+        raise InputError(f"derivative nested deeper than {MAX_DERIVATIVE_DEPTH} levels")
     return simplify(derivative)
 
 

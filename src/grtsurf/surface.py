@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .expr import (Add, Const, ExprNode, Fn, Jet2, Mul, Var, eval_jet2,
-                   eval_jet2_array, parse_expr, unparse)
+from .expr import (Add, Const, ExprNode, Fn, InputError, Jet2, Mul, Var,
+                   eval_jet2, eval_jet2_array, parse_expr, unparse)
 from .geometry import inner
 
 # Grid points evaluated together: sample_blocks hands its kernel at most this
@@ -50,9 +50,9 @@ class EmptyMeshError(Exception):
 
 
 def check_range(name: str, lo: float, hi: float) -> None:
-    """Raise ValueError unless lo < hi with a finite width (no NaN, no inf)."""
+    """Raise InputError unless lo < hi with a finite width (no NaN, no inf)."""
     if not (lo < hi and math.isfinite(hi - lo)):
-        raise ValueError(f"{name} range must be finite with lo < hi, "
+        raise InputError(f"{name} range must be finite with lo < hi, "
                          f"got {lo!r}:{hi!r}")
 
 
@@ -74,15 +74,15 @@ class SurfaceSpec:
         check_range("u1", *self.u1_range)
         check_range("u2", *self.u2_range)
         if self.nu1 < 2 or self.nu2 < 2:
-            raise ValueError("resolution must be at least 2 in each direction")
+            raise InputError("resolution must be at least 2 in each direction")
         if self.nu1 * self.nu2 > MAX_GRID_POINTS:
-            raise ValueError(f"grid of {self.nu1} x {self.nu2} points exceeds "
+            raise InputError(f"grid of {self.nu1} x {self.nu2} points exceeds "
                              f"the limit of {MAX_GRID_POINTS} points")
         if not (0.0 <= self.regularity_eps < math.inf):
-            raise ValueError(f"regularity eps must be finite and >= 0, "
+            raise InputError(f"regularity eps must be finite and >= 0, "
                              f"got {self.regularity_eps!r}")
         if self.method not in ("closed_form", "direct"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InputError(f"unknown method {self.method!r}")
 
     @classmethod
     def from_strings(cls, f: str, g: str, ell: str, **kwargs) -> "SurfaceSpec":

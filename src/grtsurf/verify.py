@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, surface
-from .expr import EvalError, Jet2
+from .expr import EvalError, InputError, Jet2
 from .geometry import GridFrame, inner
 from .surface import SurfaceMesh, SurfaceSpec
 
@@ -355,7 +355,7 @@ def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
         oracle = fd_oracle(spec, z, step)
         counted = frame.regular & oracle["ok"]
         if not counted.any():
-            raise ValueError("no regular sample point for convergence study")
+            raise InputError("no regular sample point for convergence study")
         residuals.append(float(np.mean(_rel(oracle["forms"] - closed, closed)[counted])))
     slope = np.polyfit(np.log(CONVERGENCE_STEPS), np.log(residuals), 1)[0]
     return float(slope), residuals

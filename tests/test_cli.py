@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import gen_source
+from grtsurf import cli
 from grtsurf.cli import main
 from grtsurf.expr import MAX_DEPTH
 from grtsurf.surface import MAX_GRID_POINTS, SurfaceSpec
@@ -178,6 +179,26 @@ def test_generate_io_error_exit_4(tmp_path, capsys):
                           "--ell", "t", "--n", "4",
                           "--out", str(tmp_path / "missing" / "x.obj"))
     assert code == 4
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply", "json"])
+def test_writer_fault_exits_6(tmp_path, capsys, monkeypatch, fmt):
+    # a ValueError of the program's own, here after the writer's first
+    # block, is not a bad input: exit 6, with one line that names its type
+    join, calls = cli._join, []
+
+    def faulty_join(template, slots):
+        calls.append(template)
+        if len(calls) > 1:
+            raise ValueError("shape mismatch")
+        return join(template, slots)
+
+    monkeypatch.setattr(cli, "_join", faulty_join)
+    code, stdout, stderr = run(capsys, "generate", "--preset", "fig1", "--n", "8",
+                               "--format", fmt, "--out", str(tmp_path / "x"))
+    assert len(calls) == 2
+    assert code == 6 and stdout == ""
+    assert stderr == "internal error: ValueError: shape mismatch\n"
 
 
 def test_grid_too_large_for_memory_exit_2(tmp_path):
