@@ -14,7 +14,8 @@ inputs; OBJ and PLY numbers carry 17 significant digits and mesh JSON floats
 are shortest repr, so all round-trip, and one numpy formatter (_float_table)
 spells both, 0.0, -0.0 and non-finite values included.  Mesh files are
 written as bytes and the verify report with newline='\\n', so both end
-lines in '\\n' on every platform.
+lines in '\\n' on every platform.  generate and rotate sample the mesh
+diagnostics only for mesh JSON, the one format that writes them.
 """
 from __future__ import annotations
 
@@ -360,7 +361,9 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 
 
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
-    """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite."""
+    """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite.
+    The mesh must carry all its diagnostics (sampled with the default
+    ``diagnostics=True``)."""
     rows = len(mesh.valid)
     quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)
     with open(path, "wb") as fh:
@@ -553,11 +556,15 @@ def _window(args) -> dict:
                 nu2=args.nu2 or args.n, regularity_eps=args.eps)
 
 
-def _write_mesh(mesh: SurfaceMesh, args) -> None:
-    """Write in --format, else in that of the --out extension (any case), else OBJ."""
-    fmt = args.format or next(
+def _format(args) -> str:
+    """--format, else that of the --out extension (any case), else 'obj'."""
+    return args.format or next(
         (fmt for fmt in _WRITERS if args.out.lower().endswith("." + fmt)), "obj")
-    _WRITERS[fmt](mesh, args.out)
+
+
+def _write_mesh(mesh: SurfaceMesh, args) -> None:
+    """Write --out in _format(args), then print the mesh's summary line."""
+    _WRITERS[_format(args)](mesh, args.out)
     print(f"wrote {args.out}: {mesh.vertex_count} vertices, "
           f"{2 * mesh.face_count} triangles "
           f"({mesh.face_count} quads), "
@@ -569,7 +576,8 @@ def _cmd_generate(args) -> int:
     _fill_inputs(args, GENERATE_PRESETS, ("f", "g", "ell"))
     spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, method=args.method,
                                     **_window(args))
-    _write_mesh(surface.sample_mesh(spec), args)
+    # only mesh JSON writes the diagnostics beyond psi and det V
+    _write_mesh(surface.sample_mesh(spec, diagnostics=_format(args) == "json"), args)
     return EXIT_OK
 
 
@@ -595,7 +603,8 @@ def _cmd_verify(args) -> int:
 def _cmd_rotate(args) -> int:
     _fill_inputs(args, ROTATE_PRESETS, ("a", "b", "ell"))
     ell = parse_expr(args.ell, "t", real=True)
-    mesh = surface.sample_rotation_mesh(args.a, args.b, ell, **_window(args))
+    mesh = surface.sample_rotation_mesh(args.a, args.b, ell, **_window(args),
+                                        diagnostics=_format(args) == "json")
     _write_mesh(mesh, args)
     if args.a == 0.0:
         # psi = ell(Re f) = ell(b) at every vertex

@@ -46,23 +46,25 @@ class GridFrame(NamedTuple):
     NaN jet of g), ``regular`` adds the det V threshold (which a NaN jet of
     f or ell fails), ``c`` is NaN where the profile ratio is undefined.
     Other values are unspecified where ``exists`` is False, and ``mean``
-    and ``gauss`` where ``regular`` is False.
+    and ``gauss`` where ``regular`` is False.  The fields after ``det_v``
+    are None in a frame built without diagnostics: a mesh written to OBJ or
+    PLY reads none of them.
     """
 
     exists: np.ndarray
     regular: np.ndarray
     normal: np.ndarray          # (..., 3)
     psi: np.ndarray
-    grad_sq: np.ndarray
-    lam: np.ndarray
-    c: np.ndarray
-    v: np.ndarray               # (..., 3): V11, V12 = V21, V22
     trace_v: np.ndarray
     det_v: np.ndarray
-    h_over_k: np.ndarray
-    mean: np.ndarray
-    gauss: np.ndarray
-    forms: np.ndarray           # (..., 6): E, F, G, e, f, g
+    grad_sq: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    c: np.ndarray | None = None
+    v: np.ndarray | None = None           # (..., 3): V11, V12 = V21, V22
+    h_over_k: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    gauss: np.ndarray | None = None
+    forms: np.ndarray | None = None       # (..., 6): E, F, G, e, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +142,29 @@ def profile_class(cs: list[float]) -> tuple[bool, float | None, str | None]:
 
 
 def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-               eps: float = REGULARITY_EPS) -> GridFrame:
+               eps: float = REGULARITY_EPS, diagnostics: bool = True) -> GridFrame:
     """Every frame quantity that a mesh and verify need, elementwise over
-    jets whose components are arrays of one shape."""
+    jets whose components are arrays of one shape; without ``diagnostics``
+    only the fields up to det_v, and the others are not computed."""
     with np.errstate(all="ignore"):
         gp2, t, l11 = _sphere(g_jet)
         # |g'| above eps and L11 positive and finite (T^2 did not overflow)
         exists = (gp2 > eps * eps) & (l11 > 0.0) & (l11 < math.inf)
         v11, v12, v22 = _v_entries(ell_jet, f_jet, g_jet, gp2, t)
         trace, det = v11 + v22, v11 * v22 - v12 * v12
+        frame = GridFrame(
+            exists=exists, regular=exists & (abs(det) > eps * (1.0 + trace * trace)),
+            normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
+            psi=ell_jet.value, trace_v=trace, det_v=det)
+        if not diagnostics:
+            return frame
         l, l1, l2 = ell_jet.value, ell_jet.d1, ell_jet.d2
         _, _, grad_sq, lam = _gradient(f_jet, ell_jet, l11)
         # the checks' policy: C is also undefined where |C| > PROFILE_RATIO_MAX
         c = profile_ratio(ell_jet)
         c[~(abs(l * l2) <= PROFILE_RATIO_MAX * l1 * l1)] = np.nan
         h_over_k = -0.5 * trace
-        return GridFrame(
-            exists=exists, regular=exists & (abs(det) > eps * (1.0 + trace * trace)),
-            normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
-            psi=l, grad_sq=grad_sq, lam=lam, c=c,
-            v=np.stack((v11, v12, v22), axis=-1), trace_v=trace, det_v=det,
+        return frame._replace(
+            grad_sq=grad_sq, lam=lam, c=c, v=np.stack((v11, v12, v22), axis=-1),
             h_over_k=h_over_k, mean=h_over_k / det, gauss=1.0 / det,
-            forms=np.stack(_forms(v11, v12, v22, l11), axis=-1),
-        )
+            forms=np.stack(_forms(v11, v12, v22, l11), axis=-1))

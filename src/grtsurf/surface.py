@@ -15,12 +15,15 @@ det V numerically zero) and emit quad faces only over regular corners.  The
 grid is evaluated as numpy arrays by a per-point kernel, in flat chunks of
 at most BLOCK_POINTS points, whatever the grid's shape.  IDENTITIES holds
 the four identities every surface point meets, once for the mesh
-diagnostics and verify's checks alike.
+diagnostics and verify's checks alike.  Vertices, normals, psi and det V
+are sampled for every output format; the residuals of IDENTITIES and the
+mean, gauss, lam and C grids only with ``diagnostics`` (the default), which
+the CLI asks for only when it writes mesh JSON.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,11 +40,11 @@ BLOCK_POINTS = 2048
 # The most grid points, nu1 * nu2, that a SurfaceSpec accepts, so that a run
 # stays under 2 GiB.  Peak RSS grows linearly in the points and, with blocks
 # cut from the flattened grid, barely with its shape.  At 2^22 points, 2048^2
-# and 2 x 2^21, the worst peak of generate, rotate --cross-check, verify and
-# info was 1128 MiB: 282 bytes a point, in rotate --cross-check on 2048^2
-# (x86-64 Linux, numpy 2.4.6).  Mesh JSON, written in blocks of at most
-# 3 * BLOCK_POINTS numbers, peaks at 907 and 792 MiB.  2^23 points would take
-# about 2.2 GiB.
+# and 2 x 2^21, the worst peak of generate, rotate --cross-check and verify
+# was 1032 MiB: 258 bytes a point, in rotate --cross-check to mesh JSON on
+# 2048^2 (x86-64 Linux, numpy 2.4.6).  To OBJ it peaks at 964 MiB; generate
+# peaks at 868 (OBJ), 741 (PLY) and 906 MiB (mesh JSON; 760 on two rows),
+# verify at 876 MiB.  2^23 points would take about 2.1 GiB.
 MAX_GRID_POINTS = 2 ** 22
 
 
@@ -193,18 +196,22 @@ class MeshDiagnostics:
     The residual fields are named by the diagnostic keys of IDENTITIES.
     Residuals are relative with denominator 1 + |reference|; entries are NaN
     where a quantity is undefined (irregular vertex, degenerate profile).
+    Only mesh JSON writes them.  psi and det_v are always sampled (the CLI's
+    min|detV| and rotate's sphere radius read them); the other eight are
+    None on a mesh sampled with ``diagnostics=False``, as the CLI samples
+    for OBJ and PLY.
     """
 
     psi: np.ndarray
-    lam: np.ndarray
-    mean: np.ndarray
-    gauss: np.ndarray
-    c: np.ndarray
+    lam: np.ndarray | None
+    mean: np.ndarray | None
+    gauss: np.ndarray | None
+    c: np.ndarray | None
     det_v: np.ndarray
-    support_residual: np.ndarray
-    distance_residual: np.ndarray
-    weingarten_residual: np.ndarray
-    pde_residual: np.ndarray
+    support_residual: np.ndarray | None
+    distance_residual: np.ndarray | None
+    weingarten_residual: np.ndarray | None
+    pde_residual: np.ndarray | None
 
 
 @dataclass
@@ -286,7 +293,8 @@ def sample_blocks(spec: SurfaceSpec, kernel) -> dict:
             for key, values in flat.items()}
 
 
-def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -> dict:
+def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None,
+                   diagnostics: bool = True) -> dict:
     """The per-point kernel of the mesh: every per-vertex array at the points
     ``z``, elementwise, with z's shape first.
 
@@ -294,37 +302,41 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None) -
     diagnostics are NaN elsewhere, but psi, lam, C and det V are kept where
     a frame exists, and so are NaN there only where f or ell fails or C is
     undefined.  With ``rotation_a`` the vertices come from the rotation
-    formula, and the closed-form ones are kept as ``closed_form``.
+    formula, and the closed-form ones are kept as ``closed_form``.  Without
+    ``diagnostics`` only what OBJ, PLY and rotate read is sampled: vertices,
+    normals, valid, psi and det V (and closed_form); the frame stops at
+    det V, and the IDENTITIES kernels and the mean, gauss, lam and C grids,
+    which only mesh JSON writes, are skipped.
     """
     jets = jets_array(spec, z)
-    frame = geometry.grid_frame(*jets, spec.regularity_eps)
+    frame = geometry.grid_frame(*jets, spec.regularity_eps, diagnostics)
     point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
     with np.errstate(all="ignore"):
         x = xyz_array(point_xyz, jets)
-        residuals = {}
-        for _, key, kernel in IDENTITIES:  # NaN where left unchecked
-            _, rel, unchecked = kernel(frame, x)
-            residuals[key] = np.where(unchecked, np.nan, rel)
-        vertices = {"vertices": x}
+        regular = {"normals": frame.normal, "vertices": x}
         if rotation_a is not None:
-            vertices = {"closed_form": x, "vertices": np.stack(
-                _rotation_xyz(rotation_a, jets[2], z.real, z.imag), axis=-1)}
+            regular.update(closed_form=x, vertices=np.stack(
+                _rotation_xyz(rotation_a, jets[2], z.real, z.imag), axis=-1))
+        if diagnostics:
+            for _, key, kernel in IDENTITIES:  # NaN where left unchecked
+                _, rel, unchecked = kernel(frame, x)
+                regular[key] = np.where(unchecked, np.nan, rel)
+            regular.update(mean=frame.mean, gauss=frame.gauss)
 
     def where(mask, value):
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
         return np.where(mask, value, np.nan)
 
-    points = {key: where(frame.regular, value) for key, value in dict(
-        residuals, mean=frame.mean, gauss=frame.gauss, normals=frame.normal,
-        **vertices).items()}
-    points.update({key: where(frame.exists, getattr(frame, key))
-                   for key in ("psi", "lam", "c", "det_v")})
+    points = {key: where(frame.regular, value) for key, value in regular.items()}
+    points.update({key: where(frame.exists, getattr(frame, key)) for key in
+                   (("psi", "lam", "c", "det_v") if diagnostics else ("psi", "det_v"))})
     points["valid"] = frame.regular
     return points
 
 
-def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceMesh:
-    grid = sample_blocks(spec, lambda z: _sample_points(spec, z, rotation_a))
+def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None,
+                 diagnostics: bool = True) -> SurfaceMesh:
+    grid = sample_blocks(spec, lambda z: _sample_points(spec, z, rotation_a, diagnostics))
     valid = grid.pop("valid")
     if not valid.any():
         raise EmptyMeshError("no regular vertex in the sampled window")
@@ -338,30 +350,35 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None) -> SurfaceM
                        vertices=grid.pop("vertices"),
                        normals=grid.pop("normals"), valid=valid,
                        faces=quads, closed_form=grid.pop("closed_form", None),
-                       diagnostics=MeshDiagnostics(**grid))
+                       diagnostics=MeshDiagnostics(
+                           **{f.name: grid.get(f.name) for f in fields(MeshDiagnostics)}))
 
 
-def sample_mesh(spec: SurfaceSpec) -> SurfaceMesh:
+def sample_mesh(spec: SurfaceSpec, diagnostics: bool = True) -> SurfaceMesh:
     """Evaluate the spec on its uniform grid and assemble a quad mesh.
 
     Irregular vertices (g' = 0, det V below threshold, or evaluation errors)
     are flagged invalid and excluded from faces; the mesh is deterministic
-    for a given spec.
+    for a given spec.  Without ``diagnostics`` the MeshDiagnostics fields
+    other than psi and det_v are None and are not computed; everything else
+    is bit-identical.
     """
-    return _sample_grid(spec)
+    return _sample_grid(spec, diagnostics=diagnostics)
 
 
 def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
                          u1_range=(-1.0, 1.0), u2_range=(-math.pi, math.pi),
                          nu1: int = 128, nu2: int = 128,
-                         regularity_eps: float = geometry.REGULARITY_EPS) -> SurfaceMesh:
+                         regularity_eps: float = geometry.REGULARITY_EPS,
+                         diagnostics: bool = True) -> SurfaceMesh:
     """Mesh of the rotation family, with diagnostics from f = a*z + b, g = e^z.
 
     Vertices are evaluated by the rotation formula itself; normals and frame
     data come from the equivalent holomorphic pair, whose profile jets at
     mu = Re f = a*u1 + b the rotation formula reuses.  The pair's closed-form
     vertices are kept as ``closed_form``, for verify.rotation_match.
+    ``diagnostics`` is that of sample_mesh.
     """
     spec = rotation_spec(a, b, ell, u1_range=u1_range, u2_range=u2_range,
                          nu1=nu1, nu2=nu2, regularity_eps=regularity_eps)
-    return _sample_grid(spec, rotation_a=a)
+    return _sample_grid(spec, rotation_a=a, diagnostics=diagnostics)

@@ -1,4 +1,5 @@
 """CLI: subcommands, exit codes, file outputs, determinism."""
+import errno
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import gen_source
-from grtsurf import cli
+from grtsurf import cli, surface
 from grtsurf.cli import main
 from grtsurf.expr import MAX_DEPTH
 from grtsurf.surface import MAX_GRID_POINTS, SurfaceSpec
@@ -181,24 +182,66 @@ def test_generate_io_error_exit_4(tmp_path, capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("fmt", ["obj", "ply", "json"])
-def test_writer_fault_exits_6(tmp_path, capsys, monkeypatch, fmt):
-    # a ValueError of the program's own, here after the writer's first
-    # block, is not a bad input: exit 6, with one line that names its type
+def check_interrupted_write(tmp_path, capsys, monkeypatch, fmt, error):
+    """Run generate with cli._join raising ``error`` after the writer's
+    first block; return the exit code and stderr."""
     join, calls = cli._join, []
 
     def faulty_join(template, slots):
         calls.append(template)
         if len(calls) > 1:
-            raise ValueError("shape mismatch")
+            raise error
         return join(template, slots)
 
     monkeypatch.setattr(cli, "_join", faulty_join)
     code, stdout, stderr = run(capsys, "generate", "--preset", "fig1", "--n", "8",
                                "--format", fmt, "--out", str(tmp_path / "x"))
-    assert len(calls) == 2
-    assert code == 6 and stdout == ""
-    assert stderr == "internal error: ValueError: shape mismatch\n"
+    assert len(calls) == 2 and stdout == ""
+    return code, stderr
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply", "json"])
+def test_writer_fault_exits_6(tmp_path, capsys, monkeypatch, fmt):
+    # a ValueError of the program's own, here after the writer's first
+    # block, is not a bad input: exit 6, with one line that names its type
+    assert check_interrupted_write(tmp_path, capsys, monkeypatch, fmt,
+                                   ValueError("shape mismatch")) == (
+        6, "internal error: ValueError: shape mismatch\n")
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply", "json"])
+def test_writer_io_error_exits_4(tmp_path, capsys, monkeypatch, fmt):
+    # an OSError in mid-write, such as a full disk, is an I/O failure
+    assert check_interrupted_write(tmp_path, capsys, monkeypatch, fmt,
+                                   OSError(errno.ENOSPC, "No space left on device")) == (
+        4, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, called", [
+    (("generate", "--preset", "fig1", "--format", "obj"), False),
+    (("generate", "--preset", "fig1", "--format", "ply"), False),
+    (("rotate", "--preset", "fig3", "--cross-check"), False),
+    (("generate", "--preset", "fig1", "--format", "json"), True),
+    (("rotate", "--preset", "fig3", "--format", "json"), True),
+], ids=["generate-obj", "generate-ply", "rotate-cross-check", "generate-json",
+        "rotate-json"])
+def test_identity_kernels_run_only_for_mesh_json(tmp_path, capsys, monkeypatch,
+                                                 argv, called):
+    # OBJ and PLY hold vertices and normals alone, and the cross-check reads
+    # the closed-form vertices: only mesh JSON writes the identity residuals
+    calls = []
+
+    def spy(name, kernel):
+        def counted(frame, x):
+            calls.append(name)
+            return kernel(frame, x)
+        return counted
+
+    monkeypatch.setattr(surface, "IDENTITIES", tuple(
+        (name, key, spy(name, kernel)) for name, key, kernel in surface.IDENTITIES))
+    assert run(capsys, *argv, "--n", "8", "--out", str(tmp_path / "out"))[0] == 0
+    names = {name for name, _, _ in surface.IDENTITIES}
+    assert set(calls) == (names if called else set())
 
 
 def test_grid_too_large_for_memory_exit_2(tmp_path):

@@ -16,7 +16,8 @@ import pytest
 from conftest import frame_at
 from grtsurf import surface
 from grtsurf.expr import Jet2, eval_jet2, parse_expr
-from grtsurf.geometry import _forms, _sphere, _xi, grid_frame, inner, profile_ratio
+from grtsurf.geometry import (GridFrame, _forms, _sphere, _xi, grid_frame, inner,
+                              profile_ratio)
 from grtsurf.surface import SurfaceSpec
 
 UNIT_JET = Jet2(0j, 1 + 0j, 0j)
@@ -300,6 +301,20 @@ def test_profile_ratio_is_the_frame_c_below_the_cap():
         kept = ~np.isnan(frame_c)
         assert kept.any()
         assert np.array_equal(c[kept].view(np.int64), frame_c[kept].view(np.int64))
+
+
+def test_frame_without_diagnostics_is_the_first_fields_of_the_frame():
+    # bit for bit, NaN where g' = 0 (z^2 at z = 0) and where log fails
+    spec = SurfaceSpec.from_strings("z", "z^2", "log(t+0.5)", u1_range=(-1.0, 1.0),
+                                    u2_range=(-1.0, 1.0), nu1=33, nu2=33)
+    jets = surface.jets_array(spec, surface.grid_points(spec.grid_u1(), spec.grid_u2()))
+    full, lean = grid_frame(*jets), grid_frame(*jets, diagnostics=False)
+    kept = GridFrame._fields[:GridFrame._fields.index("det_v") + 1]
+    for name in GridFrame._fields:
+        if name in kept:
+            assert getattr(lean, name).tobytes() == getattr(full, name).tobytes(), name
+        else:
+            assert getattr(lean, name) is None and getattr(full, name) is not None, name
 
 
 def test_degenerate_profile_raises():

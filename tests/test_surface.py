@@ -1,4 +1,5 @@
 """Surface module: parameterizations, rotation family, mesh sampling."""
+import dataclasses
 import math
 import random
 
@@ -9,8 +10,9 @@ from conftest import frame_at, rotation_at, xyz_at
 from grtsurf import surface
 from grtsurf.expr import EvalError, eval_jet2, eval_jet2_array, parse_expr
 from grtsurf.geometry import PSI_EPS, inner
-from grtsurf.surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec, jets_at,
-                             rotation_spec, sample_mesh, sample_rotation_mesh)
+from grtsurf.surface import (EmptyMeshError, MeshDiagnostics, SurfaceMesh,
+                             SurfaceSpec, jets_at, rotation_spec, sample_mesh,
+                             sample_rotation_mesh)
 
 TRIPLES = [
     ("z", "z", "t^2+t+1"),
@@ -279,8 +281,13 @@ def test_mesh_requires_faces_and_diagnostics():
 
 def test_mesh_empty_when_g_constant():
     spec = spec_for("z", "1", "t^2+t+1", nu1=4, nu2=4)
-    with pytest.raises(EmptyMeshError):
-        sample_mesh(spec)
+    profile = parse_expr("log(t+0.5)", "t", real=True)  # fails where mu <= -0.5
+    for diagnostics in (True, False):
+        with pytest.raises(EmptyMeshError):
+            sample_mesh(spec, diagnostics=diagnostics)
+        with pytest.raises(EmptyMeshError):
+            sample_rotation_mesh(1.0, -5.0, profile, nu1=5, nu2=5,
+                                 diagnostics=diagnostics)
 
 
 def test_mesh_normals_match_gauss_map():
@@ -504,3 +511,48 @@ def test_sample_rotation_mesh_matches_pointwise_reference(a, b, ell):
     spec = rotation_spec(a, b, node, nu1=17, nu2=12, **WINDOW)
     mesh = sample_rotation_mesh(a, b, node, nu1=17, nu2=12, **WINDOW)
     assert_matches_reference(mesh, reference_mesh(spec, rotation=(a, b)))
+
+
+# The MeshDiagnostics fields that only mesh JSON writes: a mesh sampled
+# without diagnostics leaves them None, and every other array bit-identical.
+SKIPPED_DIAGNOSTICS = ("lam", "mean", "gauss", "c", "support_residual",
+                       "distance_residual", "weingarten_residual", "pde_residual")
+# 48^2 points fill more than one block
+LEAN_CASES = {
+    "fig1": ("z", "z", "t^2+t+1", {}),
+    "fig2": ("z", "z", "cos(t)", {}),
+    "masked": ("z", "z", "log(t+0.5)", {}),
+    "mixed": ("exp(z)*sin(z)+z^3", "cosh(z)/(z^2+3)", "exp(t)*cos(t)+2", {}),
+    "direct": ("z", "z", "cos(t)", {"method": "direct"}),
+    "fig3": (1.0, 0.0, "t^2+t+1", None),
+    "fig4": (0.0, 1.0, "t^2+t+1", None),
+    "fig5": (1.0, 0.0, "sinh(t)", None),
+}
+
+
+def lean_case_mesh(case, diagnostics):
+    first, second, ell, kw = case
+    if kw is None:
+        return sample_rotation_mesh(first, second, parse_expr(ell, "t", real=True),
+                                    nu1=48, nu2=48, diagnostics=diagnostics)
+    return sample_mesh(spec_for(first, second, ell, nu1=48, nu2=48,
+                                **dict(WINDOW, **kw)), diagnostics=diagnostics)
+
+
+@pytest.mark.parametrize("case", LEAN_CASES.values(), ids=LEAN_CASES.keys())
+def test_mesh_without_diagnostics_keeps_every_written_array(case):
+    full, lean = (lean_case_mesh(case, diagnostics) for diagnostics in (True, False))
+
+    def bits(a):
+        return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+    for name in ("vertices", "normals", "valid", "faces", "closed_form"):
+        assert bits(getattr(lean, name)) == bits(getattr(full, name)), name
+    for name in ("psi", "det_v"):
+        assert bits(getattr(lean.diagnostics, name)) == bits(
+            getattr(full.diagnostics, name)), name
+    assert {f.name for f in dataclasses.fields(MeshDiagnostics)} == {
+        "psi", "det_v", *SKIPPED_DIAGNOSTICS}
+    for name in SKIPPED_DIAGNOSTICS:
+        assert getattr(lean.diagnostics, name) is None, name
+        assert getattr(full.diagnostics, name).shape == full.valid.shape, name
