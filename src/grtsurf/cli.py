@@ -531,6 +531,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, which parse_args leaves unchanged, built at import:
+# built by a first call it lands amid that call's arrays (peak RSS +1-3 MB).
+_PARSER = _build_parser()
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -538,7 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
     """Fill each flag of ``names`` left unset (None, or an empty expression)
     from --preset, and --out with '<preset>.<format>' (OBJ without
-    --format); raise InputError naming every input still missing."""
+    --format); raise InputError naming every input still missing.  Then
+    fill --format, if unset, from the --out extension (any case), else 'obj'."""
     if args.preset:
         for name in names:
             if getattr(args, name) in (None, ""):
@@ -548,6 +554,8 @@ def _fill_inputs(args, presets: dict, names: tuple[str, ...]) -> None:
     missing = [f"--{name}" for name in (*names, "out") if getattr(args, name) is None]
     if missing:
         raise InputError(f"{args.subcommand} requires {', '.join(missing)}")
+    args.format = args.format or next(
+        (fmt for fmt in _WRITERS if args.out.lower().endswith("." + fmt)), "obj")
 
 
 def _window(args) -> dict:
@@ -556,15 +564,9 @@ def _window(args) -> dict:
                 nu2=args.nu2 or args.n, regularity_eps=args.eps)
 
 
-def _format(args) -> str:
-    """--format, else that of the --out extension (any case), else 'obj'."""
-    return args.format or next(
-        (fmt for fmt in _WRITERS if args.out.lower().endswith("." + fmt)), "obj")
-
-
 def _write_mesh(mesh: SurfaceMesh, args) -> None:
-    """Write --out in _format(args), then print the mesh's summary line."""
-    _WRITERS[_format(args)](mesh, args.out)
+    """Write --out in --format, then print the mesh's summary line."""
+    _WRITERS[args.format](mesh, args.out)
     print(f"wrote {args.out}: {mesh.vertex_count} vertices, "
           f"{2 * mesh.face_count} triangles "
           f"({mesh.face_count} quads), "
@@ -577,7 +579,7 @@ def _cmd_generate(args) -> int:
     spec = SurfaceSpec.from_strings(args.f, args.g, args.ell, method=args.method,
                                     **_window(args))
     # only mesh JSON writes the diagnostics beyond psi and det V
-    _write_mesh(surface.sample_mesh(spec, diagnostics=_format(args) == "json"), args)
+    _write_mesh(surface.sample_mesh(spec, diagnostics=args.format == "json"), args)
     return EXIT_OK
 
 
@@ -604,7 +606,7 @@ def _cmd_rotate(args) -> int:
     _fill_inputs(args, ROTATE_PRESETS, ("a", "b", "ell"))
     ell = parse_expr(args.ell, "t", real=True)
     mesh = surface.sample_rotation_mesh(args.a, args.b, ell, **_window(args),
-                                        diagnostics=_format(args) == "json")
+                                        diagnostics=args.format == "json")
     _write_mesh(mesh, args)
     if args.a == 0.0:
         # psi = ell(Re f) = ell(b) at every vertex
@@ -683,9 +685,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(argv))
+        args = _PARSER.parse_args(_normalize_argv(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

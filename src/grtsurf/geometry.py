@@ -1,14 +1,25 @@
 """Pointwise surface quantities from the jets of f, g and the profile.
 
 Everything here is a pure function of the 2-jets at parameter values
-z = u1 + i*u2, elementwise over arrays of them.  The unit normal comes from
-a holomorphic g through inverse stereographic projection; the sphere metric
-it induces is conformal with factor L11 = 4|g'|^2 / (1+|g|^2)^2.  The
+z = u1 + i*u2, elementwise over arrays of them, and each formula in the
+jets of f, g and ell is written here once.  The unit normal comes from a
+holomorphic g through inverse stereographic projection; the sphere metric
+it induces is conformal with factor L11 = 4|g'|^2 / T^2, T = 1 + |g|^2.  The
 support function is h = ell(mu) with mu = Re f, and the matrix V (inverse
 of the Weingarten matrix W) encodes the shape operator, curvatures and
-fundamental forms.  The paper's profile ratio C = ell*ell''/ell'^2 is
-written once, in :func:`profile_ratio`, and :func:`profile_class` names its
-special cases (Appell for C = 0, TR-surface for C = 1).
+fundamental forms.  The surface point X has two equivalent
+parameterizations: the closed form
+
+    X = ell'(mu)/(2|g'|^2) * (T g' conj(f') - 2 g <g', g f'>, -2 <g', g f'>)
+        + ell(mu) * (2g, 2-T)/T,
+
+which grid_frame returns as GridFrame.x, and the direct sum
+X = sum_j (h_,j / L_jj) N_,j + h N obtained by pushing the jets of g
+through the normal map, :func:`direct_xyz`.  Their pointwise agreement is
+one of the verification targets.  The paper's profile ratio
+C = ell*ell''/ell'^2 is written once, in :func:`profile_ratio`, and
+:func:`profile_class` names its special cases (Appell for C = 0,
+TR-surface for C = 1).
 
 All inner products of complex numbers use <a,b> = Re(a)Re(b) + Im(a)Im(b),
 implemented once in :func:`inner`.
@@ -44,16 +55,18 @@ class GridFrame(NamedTuple):
     ``exists`` is False where no frame exists (|g'| at most eps, T^2
     overflowed so that the metric factor is not positive and finite, or a
     NaN jet of g), ``regular`` adds the det V threshold (which a NaN jet of
-    f or ell fails), ``c`` is NaN where the profile ratio is undefined.
+    f or ell fails), ``x`` is the closed-form point X, ``c`` is NaN where
+    the profile ratio is undefined.
     Other values are unspecified where ``exists`` is False, and ``mean``
     and ``gauss`` where ``regular`` is False.  The fields after ``det_v``
     are None in a frame built without diagnostics: a mesh written to OBJ or
-    PLY reads none of them.
+    PLY and the FD oracle read none of them.
     """
 
     exists: np.ndarray
     regular: np.ndarray
     normal: np.ndarray          # (..., 3)
+    x: np.ndarray               # (..., 3)
     psi: np.ndarray
     trace_v: np.ndarray
     det_v: np.ndarray
@@ -68,10 +81,10 @@ class GridFrame(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise arithmetic.  The helpers before grid_frame take floats and
-# complex numbers or numpy arrays of them alike, for surface and the tests;
-# grid_frame applies them over arrays and turns the conditions under which
-# they are undefined into masks.
+# Pointwise arithmetic.  The private helpers take floats and complex
+# numbers or numpy arrays of them alike, for the tests; grid_frame and
+# direct_xyz apply them over arrays, and grid_frame turns the conditions
+# under which they are undefined into masks.
 # ---------------------------------------------------------------------------
 
 def _sphere(g_jet) -> tuple:
@@ -104,6 +117,18 @@ def _v_entries(ell_jet, f_jet, g_jet, gp2, t) -> tuple:
     return v11, v12, v22
 
 
+def _closed_form_xyz(f_jet, g_jet, ell_jet, gp2, t) -> tuple:
+    """The three coordinates of the closed-form X."""
+    g, g1 = g_jet.value, g_jet.d1
+    s = inner(g1, g * f_jet.d1)
+    w = t * g1 * f_jet.d1.conjugate() - 2.0 * g * s
+    l, l1 = ell_jet.value, ell_jet.d1
+    a = l1 / (2.0 * gp2)
+    return (a * w.real + l * 2.0 * g.real / t,
+            a * w.imag + l * 2.0 * g.imag / t,
+            a * (-2.0 * s) + l * (2.0 - t) / t)
+
+
 def _gradient(f_jet, ell_jet, l11) -> tuple:
     """h_,1 and h_,2 of h = ell(Re f), |grad_L h|^2 and lam = |grad_L h|^2 + h^2."""
     l, l1 = ell_jet.value, ell_jet.d1
@@ -117,6 +142,26 @@ def _forms(v11, v12, v22, l11) -> tuple:
     """E, F, G, e, f, g from the entries of V and the metric factor."""
     return ((v11 * v11 + v12 * v12) * l11, (v11 + v22) * v12 * l11,
             (v22 * v22 + v12 * v12) * l11, v11 * l11, v12 * l11, v22 * l11)
+
+
+def direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2) -> np.ndarray:
+    """The direct sum X = (h_,1 N_,1 + h_,2 N_,2) / L11 + h N elementwise
+    over jet arrays, with x, y, z along a last axis; GridFrame.x is the
+    closed form of the same point."""
+    with np.errstate(all="ignore"):
+        _, t, l11 = _sphere(g_jet)
+        g, g1 = g_jet.value, g_jet.d1
+        k = 2.0 / (t * t)
+        q1 = inner(g, g1)
+        q2 = inner(g, 1j * g1)
+        w1 = t * g1 - 2.0 * g * q1
+        w2 = t * (1j * g1) - 2.0 * g * q2
+        h1, h2, _, _ = _gradient(f_jet, ell_jet, l11)
+        l = ell_jet.value
+        return np.stack([(h1 * (k * n1) + h2 * (k * n2)) / l11 + l * n
+                         for n1, n2, n in zip((w1.real, w1.imag, -2.0 * q1),
+                                              (w2.real, w2.imag, -2.0 * q2),
+                                              _unit_normal(g, t))], axis=-1)
 
 
 def profile_ratio(ell_jet: Jet2) -> np.ndarray:
@@ -155,6 +200,7 @@ def grid_frame(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
         frame = GridFrame(
             exists=exists, regular=exists & (abs(det) > eps * (1.0 + trace * trace)),
             normal=np.stack(_unit_normal(g_jet.value, t), axis=-1),
+            x=np.stack(_closed_form_xyz(f_jet, g_jet, ell_jet, gp2, t), axis=-1),
             psi=ell_jet.value, trace_v=trace, det_v=det)
         if not diagnostics:
             return frame

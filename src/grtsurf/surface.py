@@ -1,14 +1,9 @@
 """Surface points and meshes.
 
-Two equivalent parameterizations are provided: the closed form
-
-    X = ell'(mu)/(2|g'|^2) * (T g' conj(f') - 2 g <g', g f'>, -2 <g', g f'>)
-        + ell(mu) * (2g, 2-T)/T
-
-and the direct sum X = sum_j (h_,j / L_jj) N_,j + h N obtained by pushing the
-jets of g through the normal map.  Their pointwise agreement is one of the
-verification targets.  The rotation family X_ab realizes the surfaces of
-revolution obtained for f = a z + b, g = exp(z).
+The points come from geometry: the closed form as GridFrame.x, which the
+frame of every block carries, and the direct sum as geometry.direct_xyz,
+which a spec with ``method="direct"`` samples.  The rotation family X_ab
+realizes the surfaces of revolution obtained for f = a z + b, g = exp(z).
 
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
 det V numerically zero) and emit quad faces only over regular corners.  The
@@ -30,7 +25,6 @@ import numpy as np
 from . import geometry
 from .expr import (Add, Const, ExprNode, Fn, InputError, Jet2, Mul, Var,
                    eval_jet2, eval_jet2_array, parse_expr, unparse)
-from .geometry import inner
 
 # Grid points evaluated together: sample_blocks hands its kernel at most this
 # many consecutive points of the flattened grid, so the temporaries of the
@@ -132,43 +126,6 @@ def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
     f_jet = eval_jet2_array(spec.f, z)
     g_jet = eval_jet2_array(spec.g, z)
     return f_jet, g_jet, eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
-
-
-# The point formulas return the three coordinates of X elementwise over jet
-# arrays; both take the (|g'|^2, T, L11) of geometry._sphere.
-
-def _closed_form_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2,
-                     gp2, t, l11) -> tuple:
-    g, g1 = g_jet.value, g_jet.d1
-    s = inner(g1, g * f_jet.d1)
-    w = t * g1 * f_jet.d1.conjugate() - 2.0 * g * s
-    l, l1 = ell_jet.value, ell_jet.d1
-    a = l1 / (2.0 * gp2)
-    return (a * w.real + l * 2.0 * g.real / t,
-            a * w.imag + l * 2.0 * g.imag / t,
-            a * (-2.0 * s) + l * (2.0 - t) / t)
-
-
-def _direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2, gp2, t, l11) -> tuple:
-    g, g1 = g_jet.value, g_jet.d1
-    k = 2.0 / (t * t)
-    q1 = inner(g, g1)
-    q2 = inner(g, 1j * g1)
-    w1 = t * g1 - 2.0 * g * q1
-    w2 = t * (1j * g1) - 2.0 * g * q2
-    h1, h2, _, _ = geometry._gradient(f_jet, ell_jet, l11)
-    l = ell_jet.value
-    # X = (h_,1 N_,1 + h_,2 N_,2) / L11 + h N, one coordinate at a time
-    return tuple((h1 * (k * n1) + h2 * (k * n2)) / l11 + l * n
-                 for n1, n2, n in zip((w1.real, w1.imag, -2.0 * q1),
-                                      (w2.real, w2.imag, -2.0 * q2),
-                                      geometry._unit_normal(g, t)))
-
-
-def xyz_array(point_xyz, jets: tuple) -> np.ndarray:
-    """The points of ``point_xyz`` (_closed_form_xyz or _direct_xyz) over
-    jet arrays, with x, y, z along a last axis."""
-    return np.stack(point_xyz(*jets, *geometry._sphere(jets[1])), axis=-1)
 
 
 def _rotation_xyz(a: float, jet: Jet2, u1, u2) -> tuple:
@@ -310,9 +267,8 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None,
     """
     jets = jets_array(spec, z)
     frame = geometry.grid_frame(*jets, spec.regularity_eps, diagnostics)
-    point_xyz = _closed_form_xyz if spec.method == "closed_form" else _direct_xyz
+    x = frame.x if spec.method == "closed_form" else geometry.direct_xyz(*jets)
     with np.errstate(all="ignore"):
-        x = xyz_array(point_xyz, jets)
         regular = {"normals": frame.normal, "vertices": x}
         if rotation_a is not None:
             regular.update(closed_form=x, vertices=np.stack(

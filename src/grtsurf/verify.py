@@ -2,8 +2,9 @@
 
 The oracle, fd_oracle, recomputes fundamental forms and curvatures from
 sampled surface points and normals alone (central differences in parameter
-space) in four shifted array passes, and returns them as arrays with a mask;
-it has no one-point form.  run_checks compares them with the closed form at
+space) in four shifted array passes, each a geometry.grid_frame without
+diagnostics whose points x and normals it reads, and returns them as arrays
+with a mask; it has no one-point form.  run_checks compares them with the closed form at
 the grid centres, a surface.sample_blocks block at a time: each row of
 CHECKS maps a block to arrays.  Only the centres' jets are evaluated point
 by point, about 7.4 us a centre on a 2-core x86-64 host (30 ms of a 64^2 job
@@ -177,9 +178,9 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
     with np.errstate(all="ignore"):
         for w in (z + off for off in (step, -step, 1j * step, -1j * step)):
             jets = surface.jets_array(spec, w)
-            frame = geometry.grid_frame(*jets, spec.regularity_eps)
+            frame = geometry.grid_frame(*jets, spec.regularity_eps, diagnostics=False)
             ok &= frame.regular
-            xs.append(surface.xyz_array(surface._closed_form_xyz, jets))
+            xs.append(frame.x)
             ns.append(frame.normal)
             f_values.append(jets[0].value.real)
         x_u1, x_u2 = ((xs[i] - xs[i + 1]) * (0.5 / step) for i in (0, 2))
@@ -214,7 +215,6 @@ class _Block(NamedTuple):
 
     jets: tuple             # Jet2 arrays of f, g and ell
     frame: GridFrame
-    x: np.ndarray           # (..., 3) closed-form points
     oracle: dict            # fd_oracle's arrays
     step: float
 
@@ -267,8 +267,8 @@ CLASS_TOLERANCES = {ALGEBRAIC: 1e-9, FD: 1e-4}
 
 CHECKS = (
     Check("param_equivalence", ALGEBRAIC, lambda b: _distance(
-        b.x, surface.xyz_array(surface._direct_xyz, b.jets))),
-    *(Check(name, ALGEBRAIC, lambda b, kernel=kernel: kernel(b.frame, b.x))
+        b.frame.x, geometry.direct_xyz(*b.jets))),
+    *(Check(name, ALGEBRAIC, lambda b, kernel=kernel: kernel(b.frame, b.frame.x))
       for name, _, kernel in surface.IDENTITIES),
     Check("forms_vs_fd", FD, lambda b: _vs_fd(b, b.frame.forms, slice(0, 6))),
     Check("curvature_vs_fd", FD, lambda b: _vs_fd(
@@ -287,8 +287,7 @@ def _check_block(spec: SurfaceSpec, z: np.ndarray, step: float) -> dict:
     regular (so the jets evaluate) and the row does not exclude the centre."""
     jets = _centre_jets(spec, z)
     frame = geometry.grid_frame(*jets, spec.regularity_eps)
-    block = _Block(jets, frame, surface.xyz_array(surface._closed_form_xyz, jets),
-                   fd_oracle(spec, z, step), step)
+    block = _Block(jets, frame, fd_oracle(spec, z, step), step)
     abs_err, rel_err, excluded = zip(*(row.kernel(block) for row in CHECKS))
     return {"abs": np.stack(abs_err, axis=-1), "rel": np.stack(rel_err, axis=-1),
             "counted": np.stack([frame.regular & ~np.asarray(e) for e in excluded],
@@ -340,13 +339,9 @@ def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
     second-order stencil should land near 2.
     """
     margin = max(CONVERGENCE_STEPS) * 2.0
-    lo1, hi1 = spec.u1_range
-    lo2, hi2 = spec.u2_range
-    us = np.linspace(lo1 + margin + 0.05 * (hi1 - lo1),
-                     hi1 - margin - 0.05 * (hi1 - lo1), CONVERGENCE_SAMPLES)
-    vs = np.linspace(lo2 + margin + 0.05 * (hi2 - lo2),
-                     hi2 - margin - 0.05 * (hi2 - lo2), CONVERGENCE_SAMPLES)
-    z = us[:, None] + 1j * vs
+    z = surface.grid_points(*(
+        np.linspace(lo + margin + 0.05 * (hi - lo), hi - margin - 0.05 * (hi - lo),
+                    CONVERGENCE_SAMPLES) for lo, hi in (spec.u1_range, spec.u2_range)))
     frame = geometry.grid_frame(*surface.jets_array(spec, z), spec.regularity_eps)
     closed = np.concatenate((frame.forms, np.stack((frame.mean, frame.gauss), axis=-1)),
                             axis=-1)

@@ -4,8 +4,8 @@ random expression sampler.
 The package evaluates frames and surface points over arrays only.  A test
 reaches one point by wrapping each part of its scalar jets in a one-element
 array (``point_arrays``) and taking the one value of ``geometry.grid_frame``
-(``frame_at``), ``surface.xyz_array`` (``xyz_at``) or the rotation formula
-(``rotation_at``).
+(``frame_at``; its ``x`` is the closed-form point), ``geometry.direct_xyz``
+(``direct_at``) or the rotation formula (``rotation_at``).
 
 Samples are (source, ast, point) triples accepted only when the expression
 and its first two symbolic derivatives evaluate cleanly at the point, every
@@ -41,10 +41,9 @@ def frame_at(f_jet, g_jet, ell_jet, eps=geometry.REGULARITY_EPS):
     return geometry.GridFrame(*(field[0] for field in frame))
 
 
-def xyz_at(point_xyz, jets):
-    """surface.xyz_array of ``point_xyz`` (surface._closed_form_xyz or
-    _direct_xyz) at the one point of the scalar jets."""
-    return surface.xyz_array(point_xyz, point_arrays(*jets))[0]
+def direct_at(jets):
+    """geometry.direct_xyz at the one point of the scalar jets."""
+    return geometry.direct_xyz(*point_arrays(*jets))[0]
 
 
 def rotation_at(a, b, ell, u1, u2):

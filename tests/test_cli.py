@@ -338,6 +338,43 @@ def test_extension_picks_format_in_any_case(tmp_path, capsys, name, head):
     assert out.read_text().split("\n")[0] == head
 
 
+# Consecutive calls whose flags differ: a value, default or format of one
+# call must not reach the next through the parser they share.
+SUCCESSIVE_ARGV = (
+    ("generate", "--preset", "fig1", "--n", "6", "--eps", "1e-3", "--u1", "-0.5:0.5",
+     "--format", "ply", "--out", "a.json"),
+    ("generate", "--preset", "fig1", "--n", "6", "--out", "b.json"),
+    ("verify", "--ell", "cos(t)", "--n", "8", "--tol-fd", "1e-9", "--out", "c.json"),
+    ("verify", "--n", "8", "--out", "d.json"),
+    ("rotate", "--preset", "fig5", "--cross-check", "--n", "6", "--format", "json"),
+    ("rotate", "--preset", "fig5", "--n", "6"),
+    ("generate", "--f", "z", "--n", "1"),
+    ("info", "--ell", "t^2", "--json"),
+    ("info", "--ell", "t^2"),
+)
+
+
+def test_successive_calls_match_calls_with_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process; a fresh parser is what each
+    # call built before
+    results = []
+    for fresh in (False, True):
+        cwd = tmp_path / ("fresh" if fresh else "shared")
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        calls = []
+        for argv in SUCCESSIVE_ARGV:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+            calls.append(run(capsys, *argv))
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        results.append((calls, files))
+    assert [code for code, _, _ in results[0][0]] == [0, 0, 5, 0, 0, 0, 2, 0, 0]
+    assert sorted(results[0][1]) == ["a.json", "b.json", "c.json", "d.json", "fig5.json",
+                                     "fig5.obj"]
+    assert results[0] == results[1]
+
+
 def test_values_may_start_with_minus(tmp_path, capsys):
     code, _, stderr = run(capsys, "generate", "--f", "-z", "--g", "z",
                           "--ell", "-t^2+2", "--n", "4",

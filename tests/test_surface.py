@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import frame_at, rotation_at, xyz_at
-from grtsurf import surface
+from conftest import direct_at, frame_at, rotation_at
+from grtsurf import geometry, surface
 from grtsurf.expr import EvalError, eval_jet2, eval_jet2_array, parse_expr
 from grtsurf.geometry import PSI_EPS, inner
 from grtsurf.surface import (EmptyMeshError, MeshDiagnostics, SurfaceMesh,
@@ -32,13 +32,13 @@ def spec_for(f, g, l, **kw):
 
 def point_closed_form(spec, z):
     """The closed-form surface point at z."""
-    return xyz_at(surface._closed_form_xyz, jets_at(spec, z))
+    return frame_at(*jets_at(spec, z)).x
 
 
 def point_direct(spec, z):
     """The surface point at z as gradient-plus-support combination of the
     normal jets."""
-    return xyz_at(surface._direct_xyz, jets_at(spec, z))
+    return direct_at(jets_at(spec, z))
 
 
 def normal_at(spec, z):
@@ -394,8 +394,6 @@ def reference_mesh(spec, rotation=None):
     vertices = np.full(shape + (3,), np.nan)
     normals = np.full(shape + (3,), np.nan)
     diag = {name: np.full(shape, np.nan) for name in DIAGNOSTICS}
-    point_xyz = (surface._closed_form_xyz if spec.method == "closed_form"
-                 else surface._direct_xyz)
     for i, u1 in enumerate(spec.grid_u1()):
         for j, u2 in enumerate(spec.grid_u2()):
             try:
@@ -405,7 +403,7 @@ def reference_mesh(spec, rotation=None):
             frame = frame_at(*jets, spec.regularity_eps)
             if not frame.exists:
                 continue
-            x = xyz_at(point_xyz, jets)
+            x = frame.x if spec.method == "closed_form" else direct_at(jets)
             diag["psi"][i, j] = frame.psi
             diag["lam"][i, j] = frame.lam
             diag["det_v"][i, j] = frame.det_v
@@ -556,3 +554,18 @@ def test_mesh_without_diagnostics_keeps_every_written_array(case):
     for name in SKIPPED_DIAGNOSTICS:
         assert getattr(lean.diagnostics, name) is None, name
         assert getattr(full.diagnostics, name).shape == full.valid.shape, name
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("case", [case for name, case in LEAN_CASES.items()
+                                  if name != "direct"],
+                         ids=[name for name in LEAN_CASES if name != "direct"])
+def test_closed_form_block_computes_the_sphere_once(monkeypatch, case, diagnostics):
+    # the block's frame carries its closed-form points, from the same
+    # |g'|^2 and T as the frame itself
+    calls = []
+    sphere = geometry._sphere
+    monkeypatch.setattr(geometry, "_sphere",
+                        lambda g_jet: calls.append(1) or sphere(g_jet))
+    lean_case_mesh(case, diagnostics)
+    assert len(calls) == -(-48 * 48 // surface.BLOCK_POINTS) == 2

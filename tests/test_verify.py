@@ -2,12 +2,14 @@
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import frame_at, gen_source, rotation_at, xyz_at
+from conftest import direct_at, frame_at, gen_source, rotation_at
 from grtsurf import geometry, surface, verify
 from grtsurf.expr import EvalError, ExprError, eval_jet2, parse_expr
 from grtsurf.cli import main
@@ -91,8 +93,9 @@ def test_laplacian_mu_fd_vanishes():
 
 
 # The one-point oracle API that fd_oracle's arrays replaced, the scalar
-# frame and surface-point layer that grid_frame and xyz_array replaced, and
-# the residual functions that surface.IDENTITIES replaced
+# frame and surface-point layer that grid_frame replaced, xyz_array, whose
+# points GridFrame.x and geometry.direct_xyz took over, and the residual
+# functions that surface.IDENTITIES replaced
 REMOVED_NAMES = ("fd_fundamental_forms", "FdOracleResult", "StencilError",
                  "laplacian_mu_fd", "_per_point",
                  "SingularPointError", "GaussFrame", "FundamentalForms",
@@ -100,7 +103,8 @@ REMOVED_NAMES = ("fd_fundamental_forms", "FdOracleResult", "StencilError",
                  "xi", "v_matrix", "fundamental_forms", "point_frame",
                  "_point_closed_form", "point_closed_form", "_point_direct",
                  "point_direct", "rotation_point", "support_residual",
-                 "distance_residual", "weingarten_residual", "pde_residual")
+                 "distance_residual", "weingarten_residual", "pde_residual",
+                 "xyz_array")
 
 
 def test_package_exports_resolve():
@@ -113,15 +117,22 @@ def test_package_exports_resolve():
             assert not hasattr(module, name), (module.__name__, name)
 
 
+def test_no_module_reads_another_modules_private_names():
+    # each module reaches the others through their public names only
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(Path(verify.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"\b(expr|geometry|surface|verify|cli)\._[A-Za-z]", line)]
+    assert hits == []
+
+
 def array_point(spec, w):
     """The jets of f, g and ell, whether they all evaluate, the frame, the
     closed-form point and the normal at the point w by the array path."""
     jets = surface.jets_array(spec, np.array([w]))
     frame = geometry.grid_frame(*jets, spec.regularity_eps)
-    array_x = np.stack(surface._closed_form_xyz(
-        *jets, *geometry._sphere(jets[1])), axis=-1)
     ok = all(np.isfinite(jet.value[0]) for jet in jets)
-    return jets, ok, frame, array_x[0], frame.normal[0]
+    return jets, ok, frame, frame.x[0], frame.normal[0]
 
 
 # A regularity decision is clear where its value lies beyond its threshold by
@@ -190,7 +201,7 @@ def reference_oracle(spec, step):
                 if not frame.exists:
                     same = False
                 elif frame.regular:
-                    xs.append(xyz_at(surface._closed_form_xyz, jets))
+                    xs.append(frame.x)
                     ns.append(frame.normal)
                     same = (same and np.array_equal(x, xs[-1])
                             and np.array_equal(normal, ns[-1])
@@ -224,6 +235,19 @@ def reference_oracle(spec, step):
                              + 1.0) * moved + moved * moved
     return (np.array(ok), np.array(forms), np.array(f_ok), np.array(f_values),
             np.array(clear), np.array(same_points), np.array(slack))
+
+
+def test_fd_oracle_frames_skip_the_diagnostics(monkeypatch):
+    # the oracle reads only regular, x and normal of its four frames, all
+    # of which a frame without diagnostics holds
+    calls = []
+    for name in ("_gradient", "profile_ratio", "_forms"):
+        monkeypatch.setattr(geometry, name, lambda *args, name=name, original=getattr(
+            geometry, name): calls.append(name) or original(*args))
+    spec = spec_for("z", "z", "t^2+t+1", n=9)
+    assert verify.fd_oracle(spec, surface.grid_points(spec.grid_u1(),
+                                                      spec.grid_u2()))["ok"].any()
+    assert calls == []
 
 
 def assert_close(got, ref, slack=0.0):
@@ -436,10 +460,11 @@ def test_rotation_match_against_pointwise_reference(a, b, ell, u1_range):
             except EvalError:
                 excluded += 1
                 continue
-            if not frame_at(*jets).regular:
+            frame = frame_at(*jets)
+            if not frame.regular:
                 excluded += 1
                 continue
-            x = xyz_at(surface._closed_form_xyz, jets)
+            x = frame.x
             y = rotation_at(a, b, ell, u1, u2)
             rels.append(np.linalg.norm(y - x) / (1.0 + np.linalg.norm(x)))
     check = rotation_match(sample_rotation_mesh(a, b, ell, **window))
@@ -600,8 +625,8 @@ def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
         frame = frame_at(*jets, spec.regularity_eps)
         if not frame.regular:
             continue
-        x = xyz_at(surface._closed_form_xyz, jets)
-        direct = xyz_at(surface._direct_xyz, jets)
+        x = frame.x
+        direct = direct_at(jets)
         oracle = fd_at(spec, z, step)
         psi, lam, c = frame.psi, frame.lam, frame.c
         v11, v12, v22 = frame.v
