@@ -16,13 +16,14 @@ parameterizations: the closed form
 which grid_frame returns as GridFrame.x, and the direct sum
 X = sum_j (h_,j / L_jj) N_,j + h N obtained by pushing the jets of g
 through the normal map, :func:`direct_xyz`.  Their pointwise agreement is
-one of the verification targets.  The paper's profile ratio
-C = ell*ell''/ell'^2 is written once, in :func:`profile_ratio`, and
-:func:`profile_class` names its special cases (Appell for C = 0,
-TR-surface for C = 1).
+one of the verification targets.  For f = a z + b, g = e^z, X is a surface
+of rotation, (m cos u2, m sin u2, n) with the profile :func:`rotation_profile`.
+The paper's profile ratio C = ell*ell''/ell'^2 is written once, in
+:func:`profile_ratio`, and :func:`profile_class` names its special cases
+(Appell for C = 0, TR-surface for C = 1).
 
-All inner products of complex numbers use <a,b> = Re(a)Re(b) + Im(a)Im(b),
-implemented once in :func:`inner`.
+The complex inner product <a,b> = Re(a)Re(b) + Im(a)Im(b) is written once, in
+:func:`inner`, and the relative error |err| / (1 + |ref|) in :func:`relative_error`.
 """
 from __future__ import annotations
 
@@ -47,6 +48,11 @@ PROFILE_RATIO_MAX = 1e6
 def inner(a, b) -> float:
     """Euclidean inner product of complex numbers viewed as plane vectors."""
     return a.real * b.real + a.imag * b.imag
+
+
+def relative_error(err, ref):
+    """|err| / (1 + |ref|) elementwise, which stays stable near zeros of ref."""
+    return abs(err) / (1.0 + abs(ref))
 
 
 class GridFrame(NamedTuple):
@@ -162,6 +168,18 @@ def direct_xyz(f_jet: Jet2, g_jet: Jet2, ell_jet: Jet2) -> np.ndarray:
                          for n1, n2, n in zip((w1.real, w1.imag, -2.0 * q1),
                                               (w2.real, w2.imag, -2.0 * q2),
                                               _unit_normal(g, t))], axis=-1)
+
+
+def rotation_profile(a: float, ell_jet: Jet2, u1) -> tuple:
+    """The profile (m, n) of X_ab = (m cos u2, m sin u2, n), the closed form for
+    f = a z + b, g = exp(z), elementwise over u1 from ell's jet at a*u1 + b."""
+    with np.errstate(all="ignore"):
+        e1 = np.exp(u1)
+        e2 = e1 * e1
+        denom = 1.0 + e2
+        l, l1 = ell_jet.value, ell_jet.d1
+        m = (a * l1 * (np.exp(-u1) - e2 * e1) + 4.0 * l * e1) / (2.0 * denom)
+        return m, (l * (1.0 - e2) - a * l1 * denom) / denom
 
 
 def profile_ratio(ell_jet: Jet2) -> np.ndarray:

@@ -3,7 +3,8 @@
 The points come from geometry: the closed form as GridFrame.x, which the
 frame of every block carries, and the direct sum as geometry.direct_xyz,
 which a spec with ``method="direct"`` samples.  The rotation family X_ab
-realizes the surfaces of revolution obtained for f = a z + b, g = exp(z).
+realizes the surfaces of revolution obtained for f = a z + b, g = exp(z):
+their mesh is that pair's, with geometry.rotation_profile turned about e3.
 
 Meshes sample a uniform parameter grid, flag irregular vertices (g' = 0 or
 det V numerically zero) and emit quad faces only over regular corners.  The
@@ -35,7 +36,7 @@ BLOCK_POINTS = 2048
 # stays under 2 GiB.  Peak RSS grows linearly in the points and, with blocks
 # cut from the flattened grid, barely with its shape.  At 2^22 points, 2048^2
 # and 2 x 2^21, the worst peak of generate, rotate --cross-check and verify
-# was 1032 MiB: 258 bytes a point, in rotate --cross-check to mesh JSON on
+# was 1029 MiB: 257 bytes a point, in rotate --cross-check to mesh JSON on
 # 2048^2 (x86-64 Linux, numpy 2.4.6).  To OBJ it peaks at 964 MiB; generate
 # peaks at 868 (OBJ), 741 (PLY) and 906 MiB (mesh JSON; 760 on two rows),
 # verify at 876 MiB.  2^23 points would take about 2.1 GiB.
@@ -128,18 +129,6 @@ def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
     return f_jet, g_jet, eval_jet2_array(spec.ell, f_jet.value.real, variable="t")
 
 
-def _rotation_xyz(a: float, jet: Jet2, u1, u2) -> tuple:
-    """X_ab at the arrays (u1, u2) from the jet of ell at mu = a*u1 + b.
-
-    Equals the closed-form parameterization with f = a z + b, g = exp(z)."""
-    e1 = np.exp(u1)
-    e2 = e1 * e1
-    denom = 1.0 + e2
-    m = (a * jet.d1 * (np.exp(-u1) - e2 * e1) + 4.0 * jet.value * e1) / (2.0 * denom)
-    nz = (jet.value * (1.0 - e2) - a * jet.d1 * denom) / denom
-    return m * np.cos(u2), m * np.sin(u2), nz
-
-
 def rotation_spec(a: float, b: float, ell: ExprNode, **kwargs) -> SurfaceSpec:
     """SurfaceSpec equivalent to the rotation family: f = a*z + b, g = exp(z)."""
     f = Add(Mul(Const(complex(a)), Var()), Const(complex(b)))
@@ -214,7 +203,7 @@ class SurfaceMesh:
 
 def _residual(value, reference, unchecked=False) -> tuple:
     err = abs(value - reference)
-    return err, err / (1.0 + abs(reference)), unchecked
+    return err, geometry.relative_error(err, reference), unchecked
 
 
 IDENTITIES = (
@@ -250,34 +239,28 @@ def sample_blocks(spec: SurfaceSpec, kernel) -> dict:
             for key, values in flat.items()}
 
 
-def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None,
-                   diagnostics: bool = True) -> dict:
+def _sample_points(spec: SurfaceSpec, z: np.ndarray, diagnostics: bool = True) -> dict:
     """The per-point kernel of the mesh: every per-vertex array at the points
     ``z``, elementwise, with z's shape first.
 
     A vertex is valid where its frame is regular (so f, g and ell evaluate);
     diagnostics are NaN elsewhere, but psi, lam, C and det V are kept where
     a frame exists, and so are NaN there only where f or ell fails or C is
-    undefined.  With ``rotation_a`` the vertices come from the rotation
-    formula, and the closed-form ones are kept as ``closed_form``.  Without
-    ``diagnostics`` only what OBJ, PLY and rotate read is sampled: vertices,
-    normals, valid, psi and det V (and closed_form); the frame stops at
+    undefined.  Without ``diagnostics`` only what OBJ, PLY and rotate read
+    is sampled: vertices, normals, valid, psi and det V; the frame stops at
     det V, and the IDENTITIES kernels and the mean, gauss, lam and C grids,
     which only mesh JSON writes, are skipped.
     """
     jets = jets_array(spec, z)
     frame = geometry.grid_frame(*jets, spec.regularity_eps, diagnostics)
     x = frame.x if spec.method == "closed_form" else geometry.direct_xyz(*jets)
-    with np.errstate(all="ignore"):
-        regular = {"normals": frame.normal, "vertices": x}
-        if rotation_a is not None:
-            regular.update(closed_form=x, vertices=np.stack(
-                _rotation_xyz(rotation_a, jets[2], z.real, z.imag), axis=-1))
-        if diagnostics:
+    regular = {"normals": frame.normal, "vertices": x}
+    if diagnostics:
+        with np.errstate(all="ignore"):
             for _, key, kernel in IDENTITIES:  # NaN where left unchecked
                 _, rel, unchecked = kernel(frame, x)
                 regular[key] = np.where(unchecked, np.nan, rel)
-            regular.update(mean=frame.mean, gauss=frame.gauss)
+        regular.update(mean=frame.mean, gauss=frame.gauss)
 
     def where(mask, value):
         mask = mask.reshape(mask.shape + (1,) * (value.ndim - mask.ndim))
@@ -290,9 +273,16 @@ def _sample_points(spec: SurfaceSpec, z: np.ndarray, rotation_a: float | None,
     return points
 
 
-def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None,
-                 diagnostics: bool = True) -> SurfaceMesh:
-    grid = sample_blocks(spec, lambda z: _sample_points(spec, z, rotation_a, diagnostics))
+def sample_mesh(spec: SurfaceSpec, diagnostics: bool = True) -> SurfaceMesh:
+    """Evaluate the spec on its uniform grid and assemble a quad mesh.
+
+    Irregular vertices (g' = 0, det V below threshold, or evaluation errors)
+    are flagged invalid and excluded from faces; the mesh is deterministic
+    for a given spec.  Without ``diagnostics`` the MeshDiagnostics fields
+    other than psi and det_v are None and are not computed; everything else
+    is bit-identical.
+    """
+    grid = sample_blocks(spec, lambda z: _sample_points(spec, z, diagnostics))
     valid = grid.pop("valid")
     if not valid.any():
         raise EmptyMeshError("no regular vertex in the sampled window")
@@ -304,22 +294,9 @@ def _sample_grid(spec: SurfaceSpec, rotation_a: float | None = None,
     quads = corners[(corners >= 0).all(axis=-1)]
     return SurfaceMesh(u1=spec.grid_u1(), u2=spec.grid_u2(),
                        vertices=grid.pop("vertices"),
-                       normals=grid.pop("normals"), valid=valid,
-                       faces=quads, closed_form=grid.pop("closed_form", None),
+                       normals=grid.pop("normals"), valid=valid, faces=quads,
                        diagnostics=MeshDiagnostics(
                            **{f.name: grid.get(f.name) for f in fields(MeshDiagnostics)}))
-
-
-def sample_mesh(spec: SurfaceSpec, diagnostics: bool = True) -> SurfaceMesh:
-    """Evaluate the spec on its uniform grid and assemble a quad mesh.
-
-    Irregular vertices (g' = 0, det V below threshold, or evaluation errors)
-    are flagged invalid and excluded from faces; the mesh is deterministic
-    for a given spec.  Without ``diagnostics`` the MeshDiagnostics fields
-    other than psi and det_v are None and are not computed; everything else
-    is bit-identical.
-    """
-    return _sample_grid(spec, diagnostics=diagnostics)
 
 
 def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
@@ -329,12 +306,21 @@ def sample_rotation_mesh(a: float, b: float, ell: ExprNode,
                          diagnostics: bool = True) -> SurfaceMesh:
     """Mesh of the rotation family, with diagnostics from f = a*z + b, g = e^z.
 
-    Vertices are evaluated by the rotation formula itself; normals and frame
-    data come from the equivalent holomorphic pair, whose profile jets at
-    mu = Re f = a*u1 + b the rotation formula reuses.  The pair's closed-form
-    vertices are kept as ``closed_form``, for verify.rotation_match.
-    ``diagnostics`` is that of sample_mesh.
+    sample_mesh samples that pair, whose vertices are kept as ``closed_form``
+    for verify.rotation_match.  The vertices are (m cos u2, m sin u2, n), NaN
+    where invalid, from one geometry.rotation_profile per u1 at mu = a*u1 + b
+    (bit for bit the pair's Re f).  ``diagnostics`` is that of sample_mesh.
     """
     spec = rotation_spec(a, b, ell, u1_range=u1_range, u2_range=u2_range,
                          nu1=nu1, nu2=nu2, regularity_eps=regularity_eps)
-    return _sample_grid(spec, rotation_a=a, diagnostics=diagnostics)
+    mesh = sample_mesh(spec, diagnostics)
+    m, n = geometry.rotation_profile(
+        a, eval_jet2_array(ell, a * mesh.u1 + b, variable="t"), mesh.u1)
+    vertices = np.empty_like(mesh.vertices)
+    with np.errstate(all="ignore"):
+        np.multiply(m[:, None], np.cos(mesh.u2), out=vertices[..., 0])
+        np.multiply(m[:, None], np.sin(mesh.u2), out=vertices[..., 1])
+    vertices[..., 2] = n[:, None]
+    vertices[~mesh.valid] = np.nan
+    mesh.closed_form, mesh.vertices = mesh.vertices, vertices
+    return mesh

@@ -18,11 +18,10 @@ also give the mesh diagnostics.  run_checks writes the whole report, the
 spec's profile class (geometry.profile_class of C at a 9x9 sample of the
 window) included, so it is the report that `grtsurf verify` prints.
 
-Relative residuals use the denominator 1 + |reference| so they stay stable
-near zeros of the reference quantity.  Points excluded from a check (small
-|psi|, ell' = 0, irregular, stencil out of window) are counted; a check
-whose exclusions exceed half of the grid fails with an "insufficient
-coverage" status rather than passing vacuously.
+Relative residuals are geometry.relative_error.  Points excluded from a
+check (small |psi|, ell' = 0, irregular, stencil out of window) are
+counted; a check whose exclusions exceed half of the grid fails with an
+"insufficient coverage" status rather than passing vacuously.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import geometry, surface
 from .expr import EvalError, InputError, Jet2
-from .geometry import GridFrame, inner
+from .geometry import GridFrame, inner, relative_error
 from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
@@ -142,10 +141,6 @@ class ResidualReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-def _rel(err, ref):
-    return abs(err) / (1.0 + abs(ref))
-
-
 def _centre_jets(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
     """surface.jets_at at each point of the array z, stacked into Jet2
     arrays shaped like z; all three jets are NaN where one does not
@@ -224,7 +219,7 @@ def _distance(x: np.ndarray, y: np.ndarray) -> tuple:
     sqrt(<d, d>), which rounds as a one-vector np.linalg.norm does."""
     d = y - x
     err = np.sqrt(np.vecdot(d, d))
-    return err, err / (1.0 + np.sqrt(np.vecdot(x, x))), False
+    return err, relative_error(err, np.sqrt(np.vecdot(x, x))), False
 
 
 def _vs_fd(b: _Block, closed: np.ndarray, columns: slice) -> tuple:
@@ -232,15 +227,15 @@ def _vs_fd(b: _Block, closed: np.ndarray, columns: slice) -> tuple:
     closed form, at the column with the largest relative error or the first
     whose relative error is NaN; excluded where the oracle is not ``ok``."""
     err = b.oracle["forms"][..., columns] - closed
-    worst = np.argmax(_rel(err, closed), axis=-1)[..., None]
+    worst = np.argmax(relative_error(err, closed), axis=-1)[..., None]
     err, closed = (np.take_along_axis(a, worst, axis=-1)[..., 0] for a in (err, closed))
-    return abs(err), _rel(err, closed), ~b.oracle["ok"]
+    return abs(err), relative_error(err, closed), ~b.oracle["ok"]
 
 
 def _harmonicity_mu(b: _Block) -> tuple:
     mu = inner(1.0, b.jets[0].value)
     lap_mu = _laplacian(np.moveaxis(b.oracle["f_values"], -1, 0), mu, b.step)
-    return abs(lap_mu), _rel(lap_mu, mu), ~b.oracle["f_ok"]
+    return abs(lap_mu), relative_error(lap_mu, mu), ~b.oracle["f_ok"]
 
 
 def _wv_identity(b: _Block) -> tuple:
@@ -249,7 +244,7 @@ def _wv_identity(b: _Block) -> tuple:
     w = np.stack((v22, -v12, -v12, v11), axis=-1).reshape(v.shape) / b.frame.det_v[..., None, None]
     resid = np.abs(w @ v - np.eye(2))
     return (np.max(resid, axis=(-2, -1)),
-            np.max(resid / (1.0 + np.eye(2)), axis=(-2, -1)), False)
+            np.max(relative_error(resid, np.eye(2)), axis=(-2, -1)), False)
 
 
 class Check(NamedTuple):
@@ -351,6 +346,6 @@ def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
         counted = frame.regular & oracle["ok"]
         if not counted.any():
             raise InputError("no regular sample point for convergence study")
-        residuals.append(float(np.mean(_rel(oracle["forms"] - closed, closed)[counted])))
+        residuals.append(float(np.mean(relative_error(oracle["forms"] - closed, closed)[counted])))
     slope = np.polyfit(np.log(CONVERGENCE_STEPS), np.log(residuals), 1)[0]
     return float(slope), residuals

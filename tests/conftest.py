@@ -5,7 +5,8 @@ The package evaluates frames and surface points over arrays only.  A test
 reaches one point by wrapping each part of its scalar jets in a one-element
 array (``point_arrays``) and taking the one value of ``geometry.grid_frame``
 (``frame_at``; its ``x`` is the closed-form point), ``geometry.direct_xyz``
-(``direct_at``) or the rotation formula (``rotation_at``).
+(``direct_at``) or the profile of ``geometry.rotation_profile`` turned by u2
+(``rotation_at``).
 
 Samples are (source, ast, point) triples accepted only when the expression
 and its first two symbolic derivatives evaluate cleanly at the point, every
@@ -21,7 +22,7 @@ import random
 import numpy as np
 
 from grtsurf import expr as E
-from grtsurf import geometry, surface
+from grtsurf import geometry
 
 FD_STEP_D1 = 1e-5
 FD_STEP_D2 = 3e-4
@@ -50,8 +51,9 @@ def rotation_at(a, b, ell, u1, u2):
     """The rotation family X_ab at the one point (u1, u2), with mu = a*u1 + b;
     EvalError where ell fails at mu."""
     jet = E.eval_jet2(ell, a * u1 + b, variable="t")
-    return np.stack(surface._rotation_xyz(a, *point_arrays(jet), np.array([u1]),
-                                          np.array([u2])), axis=-1)[0]
+    m, n = geometry.rotation_profile(a, *point_arrays(jet), np.array([u1]))
+    u2 = np.array([u2])
+    return np.stack((m * np.cos(u2), m * np.sin(u2), n), axis=-1)[0]
 
 
 _NUMBERS = ("1", "2", "3", "0.5", "1.5", "0.25", "2.5", "4")

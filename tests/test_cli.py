@@ -1,4 +1,5 @@
 """CLI: subcommands, exit codes, file outputs, determinism."""
+import argparse
 import errno
 import hashlib
 import json
@@ -383,6 +384,18 @@ def test_values_may_start_with_minus(tmp_path, capsys):
     code, stdout, _ = run(capsys, "info", "--ell", "-t")
     assert code == 0
     assert "Appell" in stdout
+
+
+def test_switches_are_the_long_flags_without_a_value():
+    # _normalize_argv joins '--flag -x' into '--flag=-x' unless --flag is a
+    # switch, so a switch missing from _SWITCHES would swallow the next token
+    parsers = [cli._PARSER] + [sub for action in cli._PARSER._actions
+                               if isinstance(action, argparse._SubParsersAction)
+                               for sub in action.choices.values()]
+    switches = {flag for parser in parsers for action in parser._actions
+                if action.nargs == 0 for flag in action.option_strings
+                if flag.startswith("--")}
+    assert sorted(cli._SWITCHES) == sorted(switches)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,25 @@ def test_rotation_profile_error_propagates():
         rotation_at(1.0, -2.0, ell, 0.0, 0.0)  # mu = -2 outside log domain
 
 
+def test_rotation_mesh_evaluates_the_profile_once(monkeypatch):
+    # the profile depends on u1 alone: one call over the u1 axis of a mesh
+    # that spans two blocks, whatever its diagnostics
+    calls = []
+    profile = geometry.rotation_profile
+
+    def counted(a, ell_jet, u1):
+        calls.append(np.shape(u1))
+        return profile(a, ell_jet, u1)
+
+    monkeypatch.setattr(geometry, "rotation_profile", counted)
+    ell = parse_expr("t^2+t+1", "t", real=True)
+    for diagnostics in (True, False):
+        calls.clear()
+        mesh = sample_rotation_mesh(1.0, 0.0, ell, nu1=50, nu2=60, diagnostics=diagnostics)
+        assert mesh.valid.size > surface.BLOCK_POINTS
+        assert calls == [(50,)]
+
+
 # ---------------------------------------------------------------------------
 # Scale behavior
 # ---------------------------------------------------------------------------

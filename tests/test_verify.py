@@ -104,7 +104,7 @@ REMOVED_NAMES = ("fd_fundamental_forms", "FdOracleResult", "StencilError",
                  "_point_closed_form", "point_closed_form", "_point_direct",
                  "point_direct", "rotation_point", "support_residual",
                  "distance_residual", "weingarten_residual", "pde_residual",
-                 "xyz_array")
+                 "xyz_array", "_sample_grid", "_rotation_xyz", "_rel")
 
 
 def test_package_exports_resolve():
@@ -477,13 +477,13 @@ def test_rotation_match_against_pointwise_reference(a, b, ell, u1_range):
 def test_rotation_match_samples_once(monkeypatch, tmp_path, capsys):
     # rotate --cross-check checks the mesh it has just sampled
     calls = []
-    sample_grid = surface._sample_grid
+    sample = surface.sample_mesh
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sample_grid(*args, **kwargs)
+        return sample(*args, **kwargs)
 
-    monkeypatch.setattr(surface, "_sample_grid", counted)
+    monkeypatch.setattr(surface, "sample_mesh", counted)
     assert main(["rotate", "--preset", "fig3", "--n", "9", "--cross-check",
                  "--out", str(tmp_path / "fig3.obj")]) == 0
     assert "cross-check rotation vs closed form: ok" in capsys.readouterr().out
