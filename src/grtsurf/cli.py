@@ -10,9 +10,10 @@ or a grid too large for memory, 3 empty mesh, 4 I/O failure, 5 verification
 failure or insufficient coverage, 6 an internal error (any other exception,
 one stderr line 'internal error: <type>: <message>').  Input checks raise
 InputError.  Mesh and report outputs are byte-identical for identical
-inputs; OBJ and PLY numbers carry 17 significant digits and mesh JSON floats
-are shortest repr, so all round-trip, and one numpy formatter (_float_table)
-spells both, 0.0, -0.0 and non-finite values included.  Mesh files are
+inputs.  Every float of OBJ, PLY and mesh JSON is spelled one way, '%.17g'
+with '.0' after an integer (1.0, -0.0), so it round-trips and mesh JSON
+reads it as a float; one numpy formatter (_float_table) spells them all,
+non-finite values included (null in mesh JSON).  Mesh files are
 written as bytes and the verify report with newline='\\n', so both end
 lines in '\\n' on every platform.  generate and rotate sample the mesh
 diagnostics only for mesh JSON, the one format that writes them.
@@ -60,8 +61,8 @@ DEFAULT_U2 = (-math.pi, math.pi)
 # ---------------------------------------------------------------------------
 # Mesh writers (single writer, after computation completes).  Numbers come
 # from NUL-padded ASCII tables built with numpy: face indices (_index_table)
-# and floats (_float_table, from the tables of _lookup), in '%.17g' for OBJ
-# and PLY and in repr for mesh JSON.  _join lays rows of such tables out
+# and floats (_float_table, from the tables of _lookup), in '%.17g' with '.0'
+# after an integer.  _join lays rows of such tables out
 # between the literal bytes of a template: OBJ and PLY lines (_write_blocks)
 # and mesh JSON cells (_write_json_cells).  Files are opened in binary mode
 # and get these bytes with the NULs dropped.
@@ -101,36 +102,33 @@ def _lookup() -> types.SimpleNamespace:
     |q| <= _POWERS as hi + lo, hi the nearest double and lo the nearest to
     10^q - hi (0 for q in 0..22); digits4 and zeros4, 0..9999 as 4-byte digit
     words and their trailing zeros (4 for 0); suffixes, 'e+XX' per E + 400 in
-    8 bytes; specials, per style the rows of 0, -0, inf, -inf, nan and nan
-    (0.0 and -0.0 in repr); layouts, per (style, sign, slot, kept digits - 1)
-    the columns of _spell's source row that spell '%.17g' (style 0) or repr
-    (style 1), slot E + 4 in fixed notation, E from -4 to 16, or 21 for d.ddd
-    and the suffix."""
+    8 bytes; specials, the rows of 0.0, -0.0, inf, -inf, nan and nan;
+    layouts, per (sign, slot, kept digits - 1) the columns of _spell's source
+    row that spell '%.17g' with '.0' after an integer, slot E + 4 in fixed
+    notation, E from -4 to 16, or 21 for d.ddd and the suffix."""
     powers = np.empty((2, 2 * _POWERS + 1))
     for q in range(-_POWERS, _POWERS + 1):
         a, b = 10 ** max(q, 0), 10 ** max(-q, 0)
         hi = a / b  # int / int is correctly rounded
         num, den = hi.as_integer_ratio()
         powers[:, _POWERS + q] = hi, (a * den - num * b) / (b * den)
-    layouts = np.zeros((2, 2, 22, 17, 24), dtype=np.uint8)
+    layouts = np.zeros((2, 22, 17, 24), dtype=np.uint8)
     digits = list(range(7, 24))
-    for style, neg, slot, k in np.ndindex(2, 2, 22, 17):
+    for neg, slot, k in np.ndindex(2, 22, 17):
         e, k = slot - 4, k + 1
         if slot == 21:  # d.ddd, then the suffix
             columns = digits[:1] + [3] * (k > 1) + digits[1:k] + list(range(24, 29))
         elif e < 0:
             columns = [2, 3] + [4] * (-e - 1) + digits[:k]
-        else:  # a repr integer ends in '.0'
-            fraction = digits[e + 1:k] or [2] * style
-            columns = digits[:e + 1] + [3] * bool(fraction) + fraction
-        layouts[style, neg, slot, k - 1, :neg + len(columns)] = [1] * neg + columns
+        else:  # an integer ends in '.0'
+            columns = digits[:e + 1] + [3] + (digits[e + 1:k] or [2])
+        layouts[neg, slot, k - 1, :neg + len(columns)] = [1] * neg + columns
     suffixes = np.array([b"e%+03d" % e for e in range(-400, 401)], "S8").view(np.uint64)
     return types.SimpleNamespace(
         powers=powers, layouts=layouts, suffixes=suffixes,
         digits4=np.maximum(_index_table(10**4), ord("0")).view(np.uint32).ravel(),
         zeros4=sum((np.arange(10**4) % 10**k == 0).astype(np.uint8) for k in range(1, 5)),
-        specials=_text_rows(["0", "-0", "inf", "-inf", "nan", "nan",
-                             "0.0", "-0.0", "inf", "-inf", "nan", "nan"]).reshape(2, 6, 24))
+        specials=_text_rows(["0.0", "-0.0", "inf", "-inf", "nan", "nan"]))
 
 
 def _rint_product(x: np.ndarray, c: np.ndarray,
@@ -164,9 +162,9 @@ def _round17(size: np.ndarray, powers: np.ndarray):
     return n, r, e
 
 
-def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
+def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray,
            suffix: np.ndarray) -> np.ndarray:
-    """Rows of 24 ASCII bytes, NUL-padded: _lookup's layouts[style, neg, slot,
+    """Rows of 24 ASCII bytes, NUL-padded: _lookup's layouts[neg, slot,
     kept digits - 1] gathered from the source row b'\\0-0.000', the 17 digits
     of n (10^16 <= n < 10^17, trailing zeros not kept), then 8 bytes of suffix."""
     lookup = _lookup()
@@ -185,7 +183,7 @@ def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
         zeros = lookup.zeros4[group] + (group == 0) * zeros
     source.view(np.uint64)[:, 3] = suffix
     key = (neg * 22 + slot) * 17 + 16 - zeros
-    layouts = lookup.layouts[style].reshape(-1, 24)
+    layouts = lookup.layouts.reshape(-1, 24)
     text = np.empty((len(key), 24), dtype=np.uint8)
     for start in range(0, len(key), 1024):  # the gather's index array stays small
         columns = np.take(layouts, key[start:start + 1024], axis=0)
@@ -195,88 +193,62 @@ def _spell(n: np.ndarray, neg: np.ndarray, slot: np.ndarray, style: int,
 
 
 # The double-double decisions of _digits are off by less than 1e-13 in units
-# of D17's last digit; one closer than this to its threshold is left to Python.
+# of D17's last digit; one closer than this to its threshold is left to _g17.
 _MARGIN = 1e-9
 
 
-def _digits(size: np.ndarray, style: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The digits of '%.17g' (style 0) or repr (style 1) for each of ``size``
-    (|x|, finite, not 0): N in [10^16, 10^17) whose leading digits they are,
-    E, and where a decision came within _MARGIN of its threshold or, for
-    style 0, where D17 = 10^16 with a negative residual puts E one too high
-    (9.9999999999999995e-07 would read 1e-06).
-
-    D17 comes from _round17 with 10^q as a double-double.  D16 and D15 are
-    its roundings half to even; where its last digits are a tie (5, 50), the
-    sign of the residual decides.  Repr keeps the shortest candidate D that
-    reads back as x, D15 with trailing zeros dropped, else D16, else D17.  D,
-    m digits dropped, reads back where its gap, |D*10^m - |x|*10^q| less half
-    an ulp of x times 10^q, is negative; a gap within _MARGIN of 0 is left to
-    Python (a D exactly half an ulp away reads back to even)."""
+def _digits(size: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of '%.17g' for each of ``size`` (|x|, finite, not 0): D17
+    from _round17 with 10^q as a double-double, E, and the values to leave
+    to _g17: where the rounding came within _MARGIN of half a unit, and
+    where D17 = 10^16 with a negative residual puts E one too high
+    (9.9999999999999995e-07 would read 1e-06)."""
     powers = _lookup().powers
     n, r, e = _round17(size, powers)
-    hi, lo = np.take(powers, _POWERS + 16 - e, axis=1)
-    inexact = lo != 0
-    unsure = inexact & (abs(r) > 0.5 - _MARGIN)
-    if style == 0:
-        return n, e, unsure | (n == 10**16) & (r < 0)
-    near_tie = inexact & (abs(r) <= _MARGIN)
-    half_ulp = (size.view(np.int64) & 0x7ff << 52).view(float) * 2.0**-53
-    sign, exact = np.sign(r), r == 0
-    best = n
-    for m in (1, 2):  # D16, then D15
-        unit = 10 ** m
-        d = n // unit
-        rest = n - d * unit
-        # up above half, and at half as r says, or to even where r is 0
-        d += 2 * rest + sign + exact * (d & 1) > unit
-        unsure |= near_tie & (rest == unit // 2)
-        gap = (abs(d * unit - n - r) - half_ulp * hi) - half_ulp * lo
-        unsure |= abs(gap) <= _MARGIN
-        best = np.where(gap < 0, d * unit, best)
-    carry = best == 10**17
-    best[carry] = 10**16
-    return best, e + carry, unsure
+    inexact = powers[1, _POWERS + 16 - e] != 0
+    return n, e, inexact & (abs(r) > 0.5 - _MARGIN) | (n == 10**16) & (r < 0)
 
 
-def _float_table(values: np.ndarray, style: int) -> np.ndarray:
-    """Each of ``values`` in '%.17g' (style 0: OBJ, PLY) or repr (style 1: mesh
-    JSON), a NUL-padded row of 24 ASCII bytes from _digits's digits: fixed
-    notation for E from -4 to 16 - style, else d.ddde+XX.  Python spells |x|
-    outside [1e-280, 1e280], repr's powers of two (their rounding interval is
-    asymmetric) and _digits's unsure values; ±0, ±inf, NaN come from a table."""
+def _g17(x: float) -> str:
+    """'%.17g' of ``x`` with '.0' after an integer: 1.0, -0.0, 1e16 as
+    10000000000000000.0."""
+    text = "%.17g" % x
+    return text + ".0" if text.lstrip("-").isdigit() else text
+
+
+def _float_table(values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as _g17 spells it, a NUL-padded row of 24 ASCII bytes
+    from _digits's digits: fixed notation for E from -4 to 16, else
+    d.ddde+XX.  _g17 itself spells |x| outside [1e-280, 1e280] and _digits's
+    unsure values; ±0, ±inf, NaN come from a table."""
     lookup = _lookup()
     x = np.ravel(values)
     size = abs(x)
     fast = (size >= 1e-280) & (size <= 1e280)
-    if style:
-        fast &= x.view(np.int64) & (2**52 - 1) != 0
     size[~fast] = 1.5  # a stand-in, its row replaced below
-    n, e, unsure = _digits(size, style)
-    slot = np.where((e >= -4) & (e <= 16 - style), e + 4, 21)
-    table = _spell(n, np.signbit(x), slot, style, lookup.suffixes[e + 400])
+    n, e, unsure = _digits(size)
+    slot = np.where((e >= -4) & (e <= 16), e + 4, 21)
+    table = _spell(n, np.signbit(x), slot, lookup.suffixes[e + 400])
     special = ~np.isfinite(x) | (x == 0)
     if special.any():
         v = x[special]
-        table[special] = lookup.specials[style][
-            2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
+        table[special] = lookup.specials[2 * np.isinf(v) + np.signbit(v) + 4 * np.isnan(v)]
     others = (~fast | unsure) & ~special
     if others.any():
-        fmt = ("%.17g", "%r")[style]
-        table[others] = _text_rows([fmt % v for v in x[others].tolist()])
+        table[others] = _text_rows([_g17(v) for v in x[others].tolist()])
     return table
 
 
 def _write_blocks(fh, template: str, *columns: np.ndarray) -> None:
     """_join of ``template`` over the rows of ``columns`` side by side, by
     surface.BLOCK_POINTS rows, '{k}' as the k-th number of a row: a face
-    index (integer columns, from _index_table) or a float in '%.17g'."""
+    index (integer columns, from _index_table) or a float (_float_table)."""
     indices = columns[0].dtype.kind == "i"
     table = _index_table(int(columns[0].max(initial=0)) + 1) if indices else None
     for start in range(0, len(columns[0]), surface.BLOCK_POINTS):
         block = np.hstack([c[start:start + surface.BLOCK_POINTS] for c in columns])
         slots = ([table.take(column, axis=0) for column in block.T] if indices
-                 else _float_table(block, 0).reshape(*block.shape, 24).swapaxes(0, 1))
+                 else _float_table(block).reshape(*block.shape, 24).swapaxes(0, 1))
         fh.write(_join(template, slots).tobytes().translate(None, b"\0"))
 
 
@@ -315,7 +287,8 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
     """The cells of ``values`` (one per row) as json.dump(indent=1) lays out,
     at ``level``, a list of ``rows`` lists (a flat list where ``rows`` is 0).
     A cell is ``cell``, '{0}' as the separator and indentation set by its grid
-    position and '{k}' as the repr of its k-th value (null if not finite), or
+    position and '{k}' as _float_table spells its k-th value (null if not
+    finite), or
     the separator and ``other`` where ``valid`` is False.  Each block of at
     most 3 * surface.BLOCK_POINTS values (or cells, where a cell has none) is
     one _join.  A run of bit-equal neighbours is formatted once; null then
@@ -342,7 +315,7 @@ def _write_json_cells(fh, values: np.ndarray, rows: int, level: int,
         bits = np.ravel(block).view(np.int64)
         heads = np.ones(len(bits), bool)  # the first value of each run
         heads[1:] = bits[1:] != bits[:-1]
-        text = _float_table(bits[heads].view(float), 1).take(np.cumsum(heads) - 1, axis=0)
+        text = _float_table(bits[heads].view(float)).take(np.cumsum(heads) - 1, axis=0)
         text[~np.isfinite(bits.view(float))] = null
         text = text.reshape(block.shape + (24,)).swapaxes(0, 1)
         seps = prefixes.take(np.where(cells % cols > 0, 2, np.where(cells > 0, 1, 0)), axis=0)
@@ -361,8 +334,8 @@ _JSON_KEYS = {"mean": "mean_curvature", "gauss": "gauss_curvature"}
 
 
 def write_mesh_json(mesh: SurfaceMesh, path: str) -> None:
-    """Mesh JSON as json.dump(..., indent=1) writes it, null if not finite.
-    The mesh must carry all its diagnostics (sampled with the default
+    """Mesh JSON in the layout of json.dump(..., indent=1), each float as
+    _float_table spells it, so a JSON float, and null if not finite.  The mesh must carry all its diagnostics (sampled with the default
     ``diagnostics=True``)."""
     rows = len(mesh.valid)
     quad = ",\n  " + _json_list(["{0}", "{1}", "{2}", "{3}"], 2)

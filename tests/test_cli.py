@@ -72,15 +72,18 @@ def test_generate_byte_identical(tmp_path, capsys):
 
 
 # sha256 of `generate --preset fig1 --n 32` as written before the face
-# indices came from a digit table.  fig1 calls no transcendental function,
-# so its digits do not depend on the platform's libm.
+# indices came from a digit table; the JSON digests were recorded again when
+# mesh JSON floats went from shortest repr to '%.17g' with '.0' after an
+# integer (the old files with each float token spelled so hash the same).
+# fig1 calls no transcendental function, so its digits do not depend on the
+# platform's libm.
 FIG1_N32_SHA256 = {
     ("closed_form", "obj"): "a59b98324e3c5123468ddfcabe4323605e29bf57d1a808d272f08326342af6fa",
     ("closed_form", "ply"): "8ad9d189aeb4f4b6596e83122138279fc384687964798b6348fedc19a2cf39c0",
-    ("closed_form", "json"): "55495e814f3ff69ea05de672326cfffb15570ec6237f095c4ea2dc6a7bed7f40",
+    ("closed_form", "json"): "4f5bb24fe22ba22150fb2044b89c860170358a3b92bb3fd627ddf556104f1fdb",
     ("direct", "obj"): "c51abeb612d3896957f9e6b4148f96584e45c97d25eab9aefd24e65bf2c428b5",
     ("direct", "ply"): "9238f3409eeb40f47e2688923deeef369b0716eea76f1c1ca40b83b63850a510",
-    ("direct", "json"): "6a6efd74d8f861b9e6ec15e6d48711e6b49fd8884937f90ace4029811f3a45af",
+    ("direct", "json"): "a6ef4d9f449f61f3a922718dbd98c0c01aa11bd84552c9dbd94667e3f30bcad2",
 }
 
 
@@ -93,12 +96,12 @@ def test_fig1_outputs_match_recorded_digests(tmp_path, capsys, method, fmt):
     assert digest == FIG1_N32_SHA256[method, fmt]
 
 
-# sha256 of the masked mesh JSON at 33², as written while every printed
-# float went through the float table: null cells, 1,291 zero diagnostics
-# (33 of them -0.0), and psi and C constant along each row.  ell calls log,
-# so, as for the exp sweep below, the digest holds for the numpy 2.4 build on
-# x86-64 Linux it was recorded with.
-MASKED_N33_SHA256 = "cf2e76d87f5b9b373f0986c0a208b1d418144e8060f2d5a5650a1512931b7695"
+# sha256 of the masked mesh JSON at 33², recorded again when its floats went
+# from shortest repr to '%.17g' with '.0' after an integer: null cells,
+# 1,291 zero diagnostics (33 of them -0.0), and psi and C constant along
+# each row.  ell calls log, so, as for the exp sweep below, the digest holds
+# for the numpy 2.4 build on x86-64 Linux it was recorded with.
+MASKED_N33_SHA256 = "a00aa2a33b951a5cbef60a51f827fba7b18f9664dadde0c0538fee2843ea290c"
 
 
 def test_masked_mesh_json_matches_recorded_digest(tmp_path, capsys):

@@ -590,14 +590,39 @@ PINNED_OUTCOMES = [
         **{name: (1088, 1, "ok") for name in ALL_CHECKS},
         "weingarten_relation": (1056, 33, "ok"),
         "forms_vs_fd": (960, 129, "ok"), "curvature_vs_fd": (960, 129, "ok")}),
+    # the exp sweep at 128², where curvature_vs_fd fails (max_rel 5.47e-4)
+    (("z^2", "exp(z)", "t^2+1", 128), {"weingarten_relation": (16120, 264, "ok"),
+                                       "pde_lapla1": (16120, 264, "ok"),
+                                       "forms_vs_fd": (15876, 508, "ok"),
+                                       "curvature_vs_fd": (15876, 508, "fail")}),
+    # fig3-fig5 as rotation_spec(a, b, ell)
+    ((1.0, 0.0, "t^2+t+1", 33), {
+        "weingarten_relation": (1056, 33, "ok"), "pde_lapla1": (1056, 33, "ok"),
+        "forms_vs_fd": (961, 128, "ok"), "curvature_vs_fd": (961, 128, "ok")}),
+    ((0.0, 1.0, "t^2+t+1", 33), {"forms_vs_fd": (961, 128, "ok"),
+                                 "curvature_vs_fd": (961, 128, "ok")}),
+    ((1.0, 0.0, "sinh(t)", 33), {
+        **{name: (1056, 33, "ok") for name in ALL_CHECKS},
+        "forms_vs_fd": (930, 159, "ok"), "curvature_vs_fd": (930, 159, "ok")}),
 ]
+PINNED_IDS = ["fig1", "fig2", "exp", "mixed", "ell-1", "sinh", "exp-128",
+              "fig3", "fig4", "fig5"]
 
 
-@pytest.mark.parametrize("case, rows", PINNED_OUTCOMES,
-                         ids=["fig1", "fig2", "exp", "mixed", "ell-1", "sinh"])
+def pinned_spec(fgl, n):
+    """The spec of a PINNED_OUTCOMES case on [-1, 1]² at n²: (f, g, ell), or
+    (a, b, ell) of the rotation family."""
+    if isinstance(fgl[0], float):
+        a, b, ell = fgl
+        return rotation_spec(a, b, parse_expr(ell, "t", real=True), u1_range=(-1.0, 1.0),
+                             u2_range=(-1.0, 1.0), nu1=n, nu2=n)
+    return spec_for(*fgl, n=n)
+
+
+@pytest.mark.parametrize("case, rows", PINNED_OUTCOMES, ids=PINNED_IDS)
 def test_pinned_outcomes(case, rows):
     *fgl, n = case
-    report = run_checks(spec_for(*fgl, n=n))
+    report = run_checks(pinned_spec(fgl, n))
     got = {c.name: (c.count, c.excluded, c.status) for c in report.checks}
     assert got == {name: rows.get(name, (n * n, 0, "ok")) for name in ALL_CHECKS}
     for check in report.checks:
@@ -667,13 +692,12 @@ def reference_rows(spec, step=verify.DEFAULT_FD_STEP):
             for name in ALL_CHECKS}
 
 
-@pytest.mark.parametrize("case", [case for case, _ in PINNED_OUTCOMES],
-                         ids=["fig1", "fig2", "exp", "mixed", "ell-1", "sinh"])
+@pytest.mark.parametrize("case", [case for case, _ in PINNED_OUTCOMES], ids=PINNED_IDS)
 def test_checks_match_pointwise_reference(monkeypatch, case):
     # the pinned specs on a coarser grid of the same parity: the odd grids
     # keep z = 0 and the row u1 = 0; blocks of 7 points split the rows
     *fgl, n = case
-    spec = spec_for(*fgl, n=16 if n % 2 == 0 else 15)
+    spec = pinned_spec(fgl, 16 if n % 2 == 0 else 15)
     reference = reference_rows(spec)
     # Both paths apply the same formulas to the same jets.  They round apart
     # only where numpy's complex arithmetic rounds differently from Python's

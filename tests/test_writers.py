@@ -1,21 +1,22 @@
 """Mesh writers against the per-value formatting they replaced.
 
-The reference writers below format every number on its own: an f-string
-with format(v, ".17g") per OBJ/PLY line, and json.dumps(indent=1) over
-nested Python lists for mesh JSON.  The batch writers must produce the same
-bytes, also with blocks of 5 and of 1 point that split grid rows.  Both
-format the same mesh, so nothing here pins ulps across numpy versions.
-The numpy float table, cli._float_table in style 0 ('%.17g', OBJ and PLY)
-and style 1 (shortest repr, mesh JSON), is checked against '%.17g' % x and
-'%r' % x value by value.
+Every float of every mesh file is spelled one way: format(v, ".17g"), with
+".0" after an integer.  The reference writers below format every number on
+its own: an f-string per OBJ/PLY line, and json.dumps(indent=1) over nested
+Python lists for mesh JSON, each float token spelled again by that rule.
+The batch writers must produce the same bytes, also with blocks of 5 and of
+1 point that split grid rows.  Both format the same mesh, so nothing here
+pins ulps across numpy versions.  The numpy float table, cli._float_table,
+is checked against the rule value by value.
 """
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,7 +28,16 @@ from grtsurf.surface import MeshDiagnostics, SurfaceMesh, SurfaceSpec
 
 
 def _fmt(v):
-    return format(float(v), ".17g")
+    text = format(float(v), ".17g")
+    return text + ".0" if re.fullmatch(r"-?[0-9]+", text) else text
+
+
+# a number token of json.dumps; a float has a fraction or an exponent
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")
+
+
+def _respell(match):
+    return _fmt(float(match[0])) if match[1] or match[2] else match[0]
 
 
 def reference_obj(mesh):
@@ -100,7 +110,7 @@ def reference_mesh_json(mesh):
             "regular": [[bool(v) for v in row] for row in mesh.valid],
         },
     }
-    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    return _NUMBER.sub(_respell, json.dumps(doc, indent=1, allow_nan=False)) + "\n"
 
 
 DEFAULT_BLOCK_POINTS = surface.BLOCK_POINTS
@@ -304,10 +314,9 @@ def test_mesh_json_formats_each_run_once(tmp_path, monkeypatch):
     assert not mesh.valid.all() and np.isnan(diagnostics).any()
     received, float_table = [], cli._float_table
 
-    def spy(values, style):
-        assert style == 1
+    def spy(values):
         received.append(np.ravel(values).copy())
-        return float_table(values, style)
+        return float_table(values)
 
     monkeypatch.setattr(cli, "_float_table", spy)
     cli.write_mesh_json(mesh, str(tmp_path / "masked.json"))
@@ -345,24 +354,16 @@ def test_random_masks_match_reference(tmp_path, monkeypatch, data, nu1, nu2, fin
 
 
 # ---------------------------------------------------------------------------
-# The float tables: '%.17g' of OBJ and PLY, shortest repr of mesh JSON
+# The float table: '%.17g', with '.0' after an integer
 # ---------------------------------------------------------------------------
 
-TABLES = ((0, "%.17g"), (1, "%r"))  # (style, Python's format)
-
-
-def assert_tables_exact(values, tables=TABLES):
+def assert_tables_exact(values):
     values = np.asarray(values, dtype=float)
-    for style, fmt in tables:
-        rows = cli._float_table(values, style)
-        assert rows.shape == (values.size, 24)
-        # NULs only after the text
-        got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
-        assert got == [fmt % v for v in values.tolist()], fmt
-
-
-def assert_repr_exact(values):
-    assert_tables_exact(values, TABLES[1:])
+    rows = cli._float_table(values)
+    assert rows.shape == (values.size, 24)
+    # NULs only after the text
+    got = [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
+    assert got == [_fmt(v) for v in values.tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -405,107 +406,30 @@ def test_g17_table_rounding_up_to_a_power_of_ten():
                          9999999999999998.0, 0.099999999999999992])
 
 
+def test_g17_table_integers_end_in_point_zero():
+    values = [0.0, -0.0, 1.0, -3.0, 123456789.0, 9007199254740993.0, 1e16, -1e16,
+              1e17, 2.0**60, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf]
+    assert [row.tobytes().rstrip(b"\0").decode() for row in cli._float_table(values)] == [
+        "0.0", "-0.0", "1.0", "-3.0", "123456789.0", "9007199254740992.0",
+        "10000000000000000.0", "-10000000000000000.0", "1e+17",
+        "1.152921504606847e+18", "4.9406564584124654e-324",
+        "-4.9406564584124654e-324", "nan", "nan", "inf", "-inf"]
+
+
 def test_float_table_boundaries():
     # every power of ten and its neighbours, where E is one too high if
     # D17 = 10^16 is taken at face value (9.9999999999999995e-07), every
-    # power of two, the edges of fixed notation and of the fast range
+    # power of two, the edges of fixed notation and of the fast range,
+    # ±0 (and the least subnormal beside it), NaN, ±inf and small integers
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     twos = 2.0 ** np.arange(-1074, 1024)
-    edges = np.array([5e-324, 1e-280, 1e280, 1e-4, 1e16, 1e17])
-    values = np.concatenate([tens, twos, edges])
+    edges = np.array([5e-324, 1e-280, 1e280, 1e-4, 1e16, 1e17, 0.0, math.nan,
+                      math.inf])
+    values = np.concatenate([tens, twos, edges, np.arange(1.0, 1001.0)])
     values = np.concatenate([values, np.nextafter(values, 0.0),
                              np.nextafter(values, np.inf)])
     assert 9.9999999999999995e-07 in values
     assert_tables_exact(np.concatenate([values, -values]))
-
-
-def test_repr_table_powers_of_two():
-    # their rounding interval is asymmetric: every one, normal or subnormal
-    powers = 2.0 ** np.arange(-1074, 1024)
-    assert_repr_exact(np.concatenate([powers, -powers]))
-
-
-def test_repr_table_16_digits_at_or_above_2_53():
-    # 16-digit candidates D >= 2^53 do not read back in one rounding
-    rng = np.random.default_rng(5)
-    mantissas = rng.integers(9007199254740992, 10**16, 400).tolist()
-    values = [float(f"{m}e{e}") for m, e in zip(mantissas, range(-330, 330, 2))]
-    assert sum(len(repr(v).split("e")[0].replace(".", "").replace("-", "")
-                   .strip("0")) == 16 for v in values) > 100
-    assert_repr_exact(values + [-v for v in values])
-
-
-def _d17(x: float) -> tuple[int, int]:
-    """x's 17-digit rounding, half to even, as an integer, and the sign of
-    the residual x - D17 in its units."""
-    exact = Decimal(abs(x))
-    unit = Decimal(1).scaleb(exact.adjusted() - 16)
-    rounded = exact.quantize(unit, rounding=ROUND_HALF_EVEN)
-    return int(rounded.scaleb(16 - exact.adjusted())), (exact > rounded) - (exact < rounded)
-
-
-def test_repr_table_ties_in_the_last_digits():
-    # D17 ending in 5 (a tie for D16) or 50 (a tie for D15), with the exact
-    # value above, below or on the tie, where the shorter candidate reads back
-    rng = np.random.default_rng(11)
-    found = {}
-    for x in (rng.standard_normal(40000) * 10.0 ** rng.integers(-30, 30, 40000)).tolist():
-        n, side = _d17(x)
-        ending = 50 if n % 100 == 50 else 5 if n % 10 == 5 else None
-        if ending and len(repr(abs(x)).split("e")[0].replace(".", "").strip("0")) < 17:
-            found.setdefault((ending, side), []).append(x)
-    # k * 2^-j whose exact decimal has 17 (16) significant digits, the last a
-    # 5: on the tie of D16 (D15)
-    for j in range(2, 60):
-        for digits in (17, 16):
-            k = int(10 ** (digits - 1) * 1.7 * 0.2 ** j) | 1
-            for x in (float(k + 2 * i) * 2.0 ** -j for i in range(6)):
-                exact = Decimal(x).as_tuple()
-                if len(exact.digits) == digits and exact.digits[-1] == 5:
-                    found.setdefault((5 if digits == 17 else 50, 0), []).append(x)
-    assert set(found) >= {(5, -1), (5, 1), (50, -1), (50, 1), (5, 0), (50, 0)}
-    values = [x for xs in found.values() for x in xs]
-    assert_repr_exact(values + [-x for x in values])
-
-
-def test_repr_table_notation_switches():
-    assert_repr_exact([9999999999999998.0, 1e16, np.nextafter(1e16, 0.0),
-                       np.nextafter(1e16, np.inf), 1e-4, 9.999999999999999e-05,
-                       np.nextafter(1e-4, 0.0), 5e-324, 1.7976931348623157e308,
-                       -5e-324, -1.7976931348623157e308, 1e-280, 1e280,
-                       np.nextafter(1e-280, 0.0), np.nextafter(1e280, np.inf)])
-
-
-def test_repr_table_candidates_halfway_between_doubles():
-    # 2^v * 10^23 = 5^23 * 2^(v+23), 5^23 odd and of 54 bits, lies halfway
-    # between two doubles and reads back as the even one, below it; whether
-    # it is repr of the one below or above, double-double arithmetic cannot tell
-    below = [float((5**23 - 1) * 2**(v + 23)) for v in range(47, 54)]
-    above = [float((5**23 + 1) * 2**(v + 23)) for v in range(47, 54)]
-    assert [float(f"{2**v}e23") for v in range(47, 54)] == below
-    assert_repr_exact(below + above + [-v for v in below + above])
-
-
-def test_repr_table_residual_like_values():
-    # the mesh diagnostics hold residuals of a few ulps: k * 2^-53 and scaled
-    k = np.arange(1, 3000, dtype=float)
-    values = np.concatenate([k * 2.0 ** -53, k * 2.0 ** -60, k * 2.0 ** -45,
-                             (k + 0.5) * 2.0 ** -52])
-    assert_repr_exact(np.concatenate([values, -values]))
-
-
-def test_repr_table_short_decimals():
-    # doubles read from decimals of 1 to 16 significant digits, d.ddd * 10^E
-    # with E from -25 to 25: their short candidates read back, most of them
-    # with D < 2^53 and 10^|s| an exact double
-    rng = np.random.default_rng(2025)
-    count = 100_000
-    digits = rng.integers(1, 17, count)
-    mantissas = rng.integers(10 ** (digits - 1), 10 ** digits)
-    exponents = rng.integers(-25, 26, count) - (digits - 1)
-    signs = rng.choice(["", "-"], count)
-    assert_repr_exact([float(f"{s}{m}e{e}") for s, m, e in
-                       zip(signs.tolist(), mantissas.tolist(), exponents.tolist())])
 
 
 def test_import_grtsurf_leaves_the_writers_unloaded():
@@ -532,3 +456,48 @@ def test_mesh_json_is_strict_json(tmp_path, capsys):
     data = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert data["diagnostics"]["det_v"] == [[None] * 6] * 6
     assert "Infinity" not in out.read_text()
+
+
+def _loaded_numbers(value):
+    """The numbers of a json.load result in document order, null as None."""
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in _loaded_numbers(item)]
+    if isinstance(value, list):
+        return [x for item in value for x in _loaded_numbers(item)]
+    return [] if isinstance(value, (bool, str)) else [value]
+
+
+def _bits(values):
+    """Each value as (type, exact hex), None where the value is not finite."""
+    return [None if v is None or isinstance(v, float) and not math.isfinite(v)
+            else (type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+@pytest.mark.parametrize("f, g, ell", [
+    ("z", "z", "t^2+t+1"),
+    ("z", "z", "log(t+0.5)"),
+    ("exp(z)*sin(z)+z^3", "cosh(z)/(z^2+3)", "exp(t)*cos(t)+2"),
+], ids=["fig1", "masked", "mixed"])
+def test_mesh_json_numbers_are_the_mesh_floats(tmp_path, f, g, ell):
+    # 48² points: two vertex blocks.  json.load reads each number back as a
+    # float bit-equal to the mesh's, -0.0 included; faces stay integers.
+    spec = SurfaceSpec.from_strings(f, g, ell, u1_range=(-1.0, 1.0),
+                                    u2_range=(-math.pi, math.pi), nu1=48, nu2=48)
+    mesh = surface.sample_mesh(spec)
+    assert mesh.valid.size > surface.BLOCK_POINTS
+    path = tmp_path / "mesh.json"
+    cli.write_mesh_json(mesh, str(path))
+    data = json.loads(path.read_text(), parse_constant=_reject_constant)
+    faces = data.pop("faces")
+    assert _bits(_loaded_numbers(faces)) == _bits(mesh.faces.ravel().tolist())
+    regular = data["diagnostics"].pop("regular")
+    assert regular == mesh.valid.tolist()
+    expected = [*mesh.u1.tolist(), *mesh.u2.tolist()]
+    for grid in (mesh.vertices, mesh.normals):
+        expected += [x for ok, cell in zip(mesh.valid.ravel(), grid.reshape(-1, 3).tolist())
+                     for x in (cell if ok else [None])]
+    for field in fields(MeshDiagnostics):
+        expected += getattr(mesh.diagnostics, field.name).ravel().tolist()
+    got = _loaded_numbers(data)
+    assert all(type(x) is float for x in got if x is not None)
+    assert _bits(got) == _bits(expected)
