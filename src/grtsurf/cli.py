@@ -619,8 +619,8 @@ def _cmd_info(args) -> int:
     constant, c_value, label = geometry.profile_class(cs)
     result.update({"c_constant": constant, "c_value": c_value, "label": label})
     if not cs:
-        result["note"] = ("C undefined on the sampled range (ell' = 0 "
-                          "or evaluation failed everywhere)")
+        result["note"] = ("C undefined on the sampled range (ell'^2 = 0, "
+                          "C not finite or evaluation failed everywhere)")
     if args.as_json:
         print(json.dumps(result, indent=2))
         return EXIT_OK
@@ -640,7 +640,7 @@ def _cmd_info(args) -> int:
     else:
         print(result["note"])
     if degenerate:
-        print(f"degenerate points skipped (ell' = 0): {degenerate}")
+        print(f"degenerate points skipped (ell'^2 = 0 or C not finite): {degenerate}")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ CHECKS maps a block to arrays.  Only the centres' jets are evaluated point
 by point, about 7.4 us a centre on a 2-core x86-64 host (30 ms of a 64^2 job
 that array jets would finish in 13-15 ms), until perfbench can time a job
 shorter than its 50 ms sampling period (ROADMAP, item A).  convergence_order
-compares the oracle with the closed-form frame of one array pass.  CHECKS
+reads the order of each FD row from run_checks at several steps.  CHECKS
 lists every check: algebraic identities hold to near machine precision,
 finite-difference comparisons carry an O(step^2) floor and a looser
 tolerance.  Its rows 2-5 are the rows of surface.IDENTITIES, whose kernels
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,9 +39,13 @@ from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
 MAX_EXCLUDED_FRACTION = 0.5
-# The FD steps that convergence_order sweeps, and its centres per axis.
+# convergence_order runs the checks at each FD step on the window resampled
+# at CONVERGENCE_SAMPLES + 2 points per axis; the stencil of the outer ring
+# leaves the window, so CONVERGENCE_SAMPLES^2 centres are counted.  Where mu
+# is affine, harmonicity_mu is rounding alone and has no order.
 CONVERGENCE_STEPS = (1e-3, 5e-4, 2.5e-4)
 CONVERGENCE_SAMPLES = 5
+CONVERGENCE_ROWS = ("forms_vs_fd", "curvature_vs_fd")
 
 
 @dataclass
@@ -324,28 +328,19 @@ def rotation_match(mesh: SurfaceMesh) -> CheckResult:
                               mesh.valid)
 
 
-@np.errstate(all="ignore")  # a masked or overflowed centre gives inf or NaN
-def convergence_order(spec: SurfaceSpec) -> tuple[float, list[float]]:
-    """Measured order of the FD truncation error over CONVERGENCE_STEPS.
-
-    Averages the relative form/curvature residual over an interior subgrid
-    of CONVERGENCE_SAMPLES^2 centres, whose closed-form frame comes from one
-    array pass, and fits the slope of log(residual) against log(step); a
-    second-order stencil should land near 2.
-    """
-    margin = max(CONVERGENCE_STEPS) * 2.0
-    z = surface.grid_points(*(
-        np.linspace(lo + margin + 0.05 * (hi - lo), hi - margin - 0.05 * (hi - lo),
-                    CONVERGENCE_SAMPLES) for lo, hi in (spec.u1_range, spec.u2_range)))
-    frame = geometry.grid_frame(*surface.jets_array(spec, z), spec.regularity_eps)
-    closed = np.concatenate((frame.forms, np.stack((frame.mean, frame.gauss), axis=-1)),
-                            axis=-1)
-    residuals = []
-    for step in CONVERGENCE_STEPS:
-        oracle = fd_oracle(spec, z, step)
-        counted = frame.regular & oracle["ok"]
-        if not counted.any():
+def convergence_order(spec: SurfaceSpec) -> dict[str, tuple[float, list[float]]]:
+    """The measured order of the FD truncation error of each row of
+    CONVERGENCE_ROWS: {row: (order, mean_rels)}, the mean_rel of the row in
+    run_checks at each of CONVERGENCE_STEPS and the slope of log(mean_rel)
+    against log(step).  A second-order stencil lands near 2."""
+    n = CONVERGENCE_SAMPLES + 2
+    reports = [run_checks(replace(spec, nu1=n, nu2=n), step) for step in CONVERGENCE_STEPS]
+    orders = {}
+    for name in CONVERGENCE_ROWS:
+        checks = [report.check(name) for report in reports]
+        if not all(c.count for c in checks):
             raise InputError("no regular sample point for convergence study")
-        residuals.append(float(np.mean(relative_error(oracle["forms"] - closed, closed)[counted])))
-    slope = np.polyfit(np.log(CONVERGENCE_STEPS), np.log(residuals), 1)[0]
-    return float(slope), residuals
+        mean_rels = [c.mean_rel for c in checks]
+        slope = np.polyfit(np.log(CONVERGENCE_STEPS), np.log(mean_rels), 1)[0]
+        orders[name] = (float(slope), mean_rels)
+    return orders

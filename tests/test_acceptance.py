@@ -105,11 +105,14 @@ def test_criterion_4_fd_oracle(sweep_reports):
         worst_forms = max(worst_forms, rep.check("forms_vs_fd").max_rel)
         worst_curv = max(worst_curv, rep.check("curvature_vs_fd").max_rel)
         assert rep.check("forms_vs_fd").count > 0.8 * 64 * 64
-    order, residuals = convergence_order(sweep_spec(*SWEEPS[0], n=32))
-    ok = worst_forms <= 1e-4 and worst_curv <= 1e-4 and 1.8 <= order <= 2.2
+    orders = convergence_order(sweep_spec(*SWEEPS[0], n=32))
+    ok = (worst_forms <= 1e-4 and worst_curv <= 1e-4
+          and all(1.8 <= order <= 2.2 and rels[0] > rels[-1]
+                  for order, rels in orders.values()))
+    order_text = ", ".join(f"{name}={order:.3f}" for name, (order, _) in orders.items())
     report_line("criterion 4 (finite-difference oracle agreement)", ok,
                 f"forms max_rel={worst_forms:.3e}, curvature "
-                f"max_rel={worst_curv:.3e}, order={order:.3f} in [1.8, 2.2]")
+                f"max_rel={worst_curv:.3e}, orders {order_text} in [1.8, 2.2]")
 
 
 def test_criterion_5_support_and_distance(sweep_reports):

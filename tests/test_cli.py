@@ -655,6 +655,20 @@ def test_info_degenerate_profile(capsys):
     assert "undefined" in stdout
 
 
+def test_info_overflowed_c_names_its_cause(capsys):
+    # ell' = 2e300 t is nonzero off t = 0, but ell*ell'' and ell'^2 overflow
+    code, stdout, _ = run(capsys, "info", "--ell", "1e300*t^2")
+    assert code == 0
+    assert stdout.endswith("C undefined on the sampled range (ell'^2 = 0, C not finite "
+                           "or evaluation failed everywhere)\n"
+                           "degenerate points skipped (ell'^2 = 0 or C not finite): 101\n")
+    code, stdout, _ = run(capsys, "info", "--ell", "1e300*t^2", "--json")
+    data = json.loads(stdout)
+    assert (data["degenerate_points"], data["evaluation_errors"]) == (101, 0)
+    assert data["note"] == ("C undefined on the sampled range (ell'^2 = 0, "
+                            "C not finite or evaluation failed everywhere)")
+
+
 def test_info_parse_error(capsys):
     code, _, stderr = run(capsys, "info", "--ell", "t+")
     assert code == 2

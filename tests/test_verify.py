@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import direct_at, frame_at, gen_source, rotation_at
 from grtsurf import geometry, surface, verify
-from grtsurf.expr import EvalError, ExprError, eval_jet2, parse_expr
+from grtsurf.expr import EvalError, ExprError, InputError, eval_jet2, parse_expr
 from grtsurf.cli import main
 from grtsurf.surface import (SurfaceSpec, rotation_spec, sample_mesh,
                              sample_rotation_mesh)
@@ -730,10 +730,43 @@ def test_tolerance_override_fails_report():
 # ---------------------------------------------------------------------------
 
 def test_convergence_order_second_order():
-    spec = spec_for("z", "z", "t^2+t+1", n=32)
-    order, residuals = convergence_order(spec)
-    assert 1.8 <= order <= 2.2
-    assert residuals[0] > residuals[-1]
+    # convergence_order resamples the window, so the spec's n does not matter
+    orders = convergence_order(spec_for("z", "z", "t^2+t+1", n=32))
+    assert orders == convergence_order(spec_for("z", "z", "t^2+t+1", n=8))
+    assert set(orders) == set(verify.CONVERGENCE_ROWS)
+    for order, residuals in orders.values():
+        assert 1.8 <= order <= 2.2
+        assert residuals[0] > residuals[-1]
+
+
+@pytest.mark.parametrize("fgl", [("z", "z", "t^2+t+1"), ("z", "z", "cos(t)"),
+                                 ("z^2", "exp(z)", "t^2+1"), MIXED],
+                         ids=["fig1", "fig2", "exp", "mixed"])
+def test_convergence_order_per_row(fgl):
+    n = verify.CONVERGENCE_SAMPLES + 2
+    reports = [run_checks(spec_for(*fgl, n=n), step) for step in verify.CONVERGENCE_STEPS]
+    for name, (order, mean_rels) in convergence_order(spec_for(*fgl, n=32)).items():
+        assert 1.9 <= order <= 2.1, name
+        assert mean_rels[0] > mean_rels[1] > mean_rels[2], name
+        # every mean_rel is the one run_checks reports at that step
+        assert mean_rels == [report.check(name).mean_rel for report in reports], name
+
+
+def test_mixed_forms_failure_is_an_h2_floor():
+    # forms_vs_fd of the mixed case fails at 32² next to g'(0) = 0, and its
+    # error there falls as step^2: the closed form is right
+    spec = spec_for(*MIXED, n=32)
+    worst = [run_checks(spec, step).check("forms_vs_fd") for step in (1e-4, 5e-5)]
+    assert [c.status for c in worst] == ["fail", "fail"]
+    assert worst[0].worst_point == worst[1].worst_point
+    assert worst[0].max_rel / worst[1].max_rel == pytest.approx(4.0, rel=1e-3)
+    assert round(convergence_order(spec)["forms_vs_fd"][0], 4) == 2.0
+
+
+def test_convergence_order_without_frame_raises():
+    # g = 1 has g' = 0 everywhere, so no centre has a frame
+    with pytest.raises(InputError, match="no regular sample point"):
+        convergence_order(spec_for("z", "1", "t^2+t+1", n=8))
 
 
 # ---------------------------------------------------------------------------
