@@ -10,8 +10,8 @@ independent finite-difference oracle.
 """
 
 from .expr import (EvalError, ExprError, InputError, Jet2, ParseError,
-                   UnknownIdentifierError, differentiate, eval_jet2, evaluate,
-                   parse_expr, simplify, unparse)
+                   UnknownIdentifierError, differentiate, parse_expr, simplify,
+                   unparse)
 from .geometry import inner
 from .surface import (EmptyMeshError, SurfaceMesh, SurfaceSpec, rotation_spec,
                       sample_mesh, sample_rotation_mesh)
@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalError", "ExprError", "InputError", "Jet2", "ParseError",
     "UnknownIdentifierError",
-    "differentiate", "eval_jet2", "evaluate", "parse_expr", "simplify",
-    "unparse",
+    "differentiate", "parse_expr", "simplify", "unparse",
     "inner",
     "EmptyMeshError", "SurfaceMesh", "SurfaceSpec", "rotation_spec",
     "sample_mesh", "sample_rotation_mesh",

@@ -399,28 +399,28 @@ class _StrictParser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"error: {message}\n")
 
 
-def _checked(convert, rule: str, holds):
-    """An argparse type: the text through ``convert``, rejected unless
-    ``holds`` of the value; the exit-2 message names the flag and ``rule``."""
+def _checked(convert, rule: surface.Rule):
+    """An argparse type: the text through ``convert``, rejected unless the
+    value meets ``rule``; the exit-2 message names the flag and the rule."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid {convert.__name__} value: {text!r}") from None
-        if not holds(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
-        return value
+        try:
+            return rule.check(value)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
-_finite = _checked(float, "finite", math.isfinite)
-_non_negative = _checked(float, "finite and >= 0", lambda x: 0.0 <= x < math.inf)
-_fd_step = _checked(float, "finite and > 0, with a square neither 0 nor inf",
-                    lambda h: 0.0 < h < math.inf and 0.0 < h * h < math.inf)
-_resolution = _checked(int, ">= 2", lambda n: n >= 2)
-_samples = _checked(int, f"between 1 and {surface.MAX_GRID_POINTS}",
-                    lambda n: 1 <= n <= surface.MAX_GRID_POINTS)
+_finite = _checked(float, surface.FINITE)
+_non_negative = _checked(float, surface.NON_NEGATIVE)
+_fd_step = _checked(float, verify.FD_STEP)
+_resolution = _checked(int, surface.Rule(">= 2", lambda n: n >= 2))
+_samples = _checked(int, surface.Rule(f"between 1 and {surface.MAX_GRID_POINTS}",
+                                      lambda n: 1 <= n <= surface.MAX_GRID_POINTS))
 
 
 def _parse_range(text: str) -> tuple[float, float]:

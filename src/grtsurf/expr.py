@@ -19,8 +19,9 @@ MAX_EXPONENT (1e150) only; general powers must be spelled ``exp(c*log(z))``.
 ``differentiate`` raises InputError rather than build a derivative deeper
 than MAX_DERIVATIVE_DEPTH.  Every constant that the parser or the simplifier
 makes is finite: a fold that overflows stays unfolded.  The parser, the
-unparser and the simplifier read the four binary operators from one table,
-``_BINARY``.
+unparser, the simplifier and the jet evaluator read the four binary
+operators from one table, ``_BINARY``; the evaluator's Add and Sub rule is
+the operator's fold on each part of the jet.
 
 Evaluation produces 2-jets (value, first, second derivative) by second-order
 forward-mode arithmetic over the tree; it raises instead of returning
@@ -600,30 +601,6 @@ class _JetEvaluator:
         if isinstance(node, Neg):
             v, d1, d2 = self.run(node.arg)
             return (-v, -d1, -d2)
-        if isinstance(node, Add):
-            a = self.run(node.left)
-            b = self.run(node.right)
-            return self.check(node, (a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-        if isinstance(node, Sub):
-            a = self.run(node.left)
-            b = self.run(node.right)
-            return self.check(node, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))
-        if isinstance(node, Mul):
-            a = self.run(node.left)
-            b = self.run(node.right)
-            return self.check(node, (
-                a[0] * b[0],
-                a[1] * b[0] + a[0] * b[1],
-                a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
-            ))
-        if isinstance(node, Div):
-            a = self.run(node.left)
-            b = self.run(node.right)
-            self.fail_where(node, b[0] == 0, "division by zero")
-            w0 = a[0] / b[0]
-            w1 = (a[1] - w0 * b[1]) / b[0]
-            w2 = (a[2] - 2 * w1 * b[1] - w0 * b[2]) / b[0]
-            return self.check(node, (w0, w1, w2))
         if isinstance(node, Pow):
             u = self.run(node.base)
             n = node.exponent
@@ -643,7 +620,23 @@ class _JetEvaluator:
         if isinstance(node, Fn):
             u = self.run(node.arg)
             return self.check(node, self.apply_fn(node, u))
-        raise TypeError(f"not an expression node: {node!r}")
+        if type(node) not in _BINARY_OF:
+            raise TypeError(f"not an expression node: {node!r}")
+        a, b = self.run(node.left), self.run(node.right)
+        if isinstance(node, Mul):
+            return self.check(node, (
+                a[0] * b[0],
+                a[1] * b[0] + a[0] * b[1],
+                a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
+            ))
+        if isinstance(node, Div):
+            self.fail_where(node, b[0] == 0, "division by zero")
+            w0 = a[0] / b[0]
+            w1 = (a[1] - w0 * b[1]) / b[0]
+            w2 = (a[2] - 2 * w1 * b[1] - w0 * b[2]) / b[0]
+            return self.check(node, (w0, w1, w2))
+        fold = _BINARY_OF[type(node)][2]  # Add and Sub: the fold on each part
+        return self.check(node, (fold(a[0], b[0]), fold(a[1], b[1]), fold(a[2], b[2])))
 
     def apply_fn(self, node: Fn, u):
         name = node.name
@@ -722,7 +715,3 @@ def eval_jet2_array(node: ExprNode, points, variable: str = "z") -> Jet2:
         jet = evaluator.check(node, evaluator.run(node))
     return Jet2(*(np.where(evaluator.ok, c, np.nan) for c in jet))
 
-
-def evaluate(node: ExprNode, point, variable: str = "z"):
-    """Value of the expression at ``point`` (no derivatives)."""
-    return eval_jet2(node, point, variable).value

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,26 @@ MAX_GRID_POINTS = 2 ** 22
 
 class EmptyMeshError(Exception):
     """No vertex of the sampled grid was regular."""
+
+
+class Rule(NamedTuple):
+    """A rule that a numeric input meets: its predicate and the text that
+    names it.  The library's checks and the CLI flags' argparse types both
+    read it, so they reject the same values in the same words."""
+
+    text: str
+    holds: Callable
+
+    def check(self, value, name: str = ""):
+        """``value``, or InputError '[name ]must be <text>, got <value>'."""
+        if not self.holds(value):
+            message = f"must be {self.text}, got {value!r}"
+            raise InputError(f"{name} {message}" if name else message)
+        return value
+
+
+FINITE = Rule("finite", math.isfinite)
+NON_NEGATIVE = Rule("finite and >= 0", lambda x: 0.0 <= x < math.inf)
 
 
 def check_range(name: str, lo: float, hi: float) -> None:
@@ -76,9 +97,7 @@ class SurfaceSpec:
         if self.nu1 * self.nu2 > MAX_GRID_POINTS:
             raise InputError(f"grid of {self.nu1} x {self.nu2} points exceeds "
                              f"the limit of {MAX_GRID_POINTS} points")
-        if not (0.0 <= self.regularity_eps < math.inf):
-            raise InputError(f"regularity eps must be finite and >= 0, "
-                             f"got {self.regularity_eps!r}")
+        NON_NEGATIVE.check(self.regularity_eps, "regularity eps")
         if self.method not in ("closed_form", "direct"):
             raise InputError(f"unknown method {self.method!r}")
 
@@ -130,7 +149,10 @@ def jets_array(spec: SurfaceSpec, z: np.ndarray) -> tuple[Jet2, Jet2, Jet2]:
 
 
 def rotation_spec(a: float, b: float, ell: ExprNode, **kwargs) -> SurfaceSpec:
-    """SurfaceSpec equivalent to the rotation family: f = a*z + b, g = exp(z)."""
+    """SurfaceSpec equivalent to the rotation family: f = a*z + b, g = exp(z),
+    for finite a and b."""
+    FINITE.check(a, "a")
+    FINITE.check(b, "b")
     f = Add(Mul(Const(complex(a)), Var()), Const(complex(b)))
     return SurfaceSpec(f=f, g=Fn("exp", Var()), ell=ell, **kwargs)
 

@@ -7,8 +7,8 @@ diagnostics whose points x and normals it reads, and returns them as arrays
 with a mask; it has no one-point form.  run_checks compares them with the closed form at
 the grid centres, a surface.sample_blocks block at a time: each row of
 CHECKS maps a block to arrays.  Only the centres' jets are evaluated point
-by point, about 7.4 us a centre on a 2-core x86-64 host (30 ms of a 64^2 job
-that array jets would finish in 13-15 ms), until perfbench can time a job
+by point, about 7 us a centre on a 2-core x86-64 host (28 ms of a 64^2 job
+that array jets would finish in 10-16 ms), until perfbench can time a job
 shorter than its 50 ms sampling period (ROADMAP, item A).  convergence_order
 reads the order of each FD row from run_checks at several steps.  CHECKS
 lists every check: algebraic identities hold to near machine precision,
@@ -38,6 +38,9 @@ from .geometry import GridFrame, inner, relative_error
 from .surface import SurfaceMesh, SurfaceSpec
 
 DEFAULT_FD_STEP = 1e-4
+# A step h of the FD oracle: its stencil divides by h^2.
+FD_STEP = surface.Rule("finite and > 0, with a square neither 0 nor inf",
+                       lambda h: 0.0 < h < math.inf and 0.0 < h * h < math.inf)
 MAX_EXCLUDED_FRACTION = 0.5
 # convergence_order runs the checks at each FD step on the window resampled
 # at CONVERGENCE_SAMPLES + 2 points per axis; the stencil of the outer ring
@@ -169,7 +172,9 @@ def fd_oracle(spec: SurfaceSpec, z: np.ndarray,
     point is irregular (a point where a jet fails is), or E G - F^2 = 0;
     ``f_values``, Re f at the four points along a last axis, NaN where f
     fails there, and ``f_ok``, False where one of them is NaN.
-    H follows the closed-form sign (H = -trace(V)/(2 det V))."""
+    H follows the closed-form sign (H = -trace(V)/(2 det V)).  A step
+    that FD_STEP rejects raises InputError."""
+    FD_STEP.check(step, "fd step")
     (lo1, hi1), (lo2, hi2) = spec.u1_range, spec.u2_range
     ok = ((lo1 <= z.real - step) & (z.real + step <= hi1)
           & (lo2 <= z.imag - step) & (z.imag + step <= hi2))
@@ -298,8 +303,16 @@ def run_checks(spec: SurfaceSpec, step: float = DEFAULT_FD_STEP,
                tolerances: dict | None = None) -> ResidualReport:
     """Evaluate every check over the spec grid, a block of points at a time,
     an evaluation error at a point as an exclusion.  ``tolerances`` maps a
-    tolerance class to its value; a class left out keeps its default."""
+    tolerance class to its value; a class left out keeps its default.  A
+    step that FD_STEP rejects, an unknown class or a tolerance that is not
+    finite and >= 0 raises InputError before any evaluation."""
+    FD_STEP.check(step, "fd step")
     tol = {**CLASS_TOLERANCES, **(tolerances or {})}
+    for cls, value in tol.items():
+        if cls not in CLASS_TOLERANCES:
+            raise InputError(f"unknown tolerance class {cls!r}; the classes are "
+                             f"{', '.join(CLASS_TOLERANCES)}")
+        surface.NON_NEGATIVE.check(value, f"{cls} tolerance")
     grid = surface.sample_blocks(spec, lambda z: _check_block(spec, z, step))
     points = surface.grid_points(spec.grid_u1(), spec.grid_u2())
     results = [CheckResult.reduce(row.name, tol[row.tolerance_class], points,

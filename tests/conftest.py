@@ -117,7 +117,7 @@ def draw_sample(rng: random.Random, real: bool = False):
                            -1j * FD_STEP_D1, FD_STEP_D2, -FD_STEP_D2]
             for n in (node, d1):
                 for off in offsets:
-                    E.evaluate(n, point + off, variable=var)
+                    E.eval_jet2(n, point + off, variable=var)
         except E.EvalError:
             continue
         mags = [abs(c) for j in jets for c in (j.value, j.d1, j.d2)]
@@ -127,11 +127,11 @@ def draw_sample(rng: random.Random, real: bool = False):
 
 
 def central_d1(node, point, var, h=FD_STEP_D1):
-    return (E.evaluate(node, point + h, variable=var)
-            - E.evaluate(node, point - h, variable=var)) / (2 * h)
+    return (E.eval_jet2(node, point + h, variable=var).value
+            - E.eval_jet2(node, point - h, variable=var).value) / (2 * h)
 
 
 def central_d2(node, point, var, h=FD_STEP_D2):
-    return (E.evaluate(node, point + h, variable=var)
-            - 2 * E.evaluate(node, point, variable=var)
-            + E.evaluate(node, point - h, variable=var)) / (h * h)
+    return (E.eval_jet2(node, point + h, variable=var).value
+            - 2 * E.eval_jet2(node, point, variable=var).value
+            + E.eval_jet2(node, point - h, variable=var).value) / (h * h)

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import gen_source
 from grtsurf import cli, surface
 from grtsurf.cli import main
-from grtsurf.expr import MAX_DEPTH
-from grtsurf.surface import MAX_GRID_POINTS, SurfaceSpec
+from grtsurf.expr import MAX_DEPTH, InputError, parse_expr
+from grtsurf.surface import MAX_GRID_POINTS, SurfaceSpec, rotation_spec
 from grtsurf.verify import FD_CHECKS, run_checks
 
 
@@ -719,6 +719,43 @@ def test_bad_numeric_input_exits_2(tmp_path, capsys, argv, flag):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert flag in stderr
     assert not out.exists() and stdout == ""
+
+
+_TINY = SurfaceSpec.from_strings("z", "z", "t^2+t+1", nu1=4, nu2=4)
+_PROFILE = parse_expr("t^2+t+1", "t", real=True)
+# flag -> (its argparse type, the library call that takes the value)
+_LIBRARY_RULES = {
+    "--fd-step": (cli._fd_step, lambda h: run_checks(_TINY, step=h)),
+    "--tol-fd": (cli._non_negative, lambda tol: run_checks(_TINY, tolerances={"fd": tol})),
+    "--a": (cli._finite, lambda a: rotation_spec(a, 0.0, _PROFILE)),
+    "--b": (cli._finite, lambda b: rotation_spec(1.0, b, _PROFILE)),
+}
+
+
+@pytest.mark.parametrize("flag, text", [
+    *(("--fd-step", text) for text in ("1e-4", "0.25", "1e-154", "1e-160", "1e154", "0",
+                                       "-0.0", "-1e-4", "1e-200", "1e160", "nan", "inf",
+                                       "-inf")),
+    *(("--tol-fd", text) for text in ("1e-4", "0", "-0.0", "1e300", "-1e-9", "nan", "inf")),
+    *((flag, text) for flag in ("--a", "--b")
+      for text in ("0", "-2.5", "1e308", "nan", "inf", "-inf")),
+])
+def test_flag_type_accepts_exactly_what_the_library_accepts(flag, text):
+    # the flag's argparse type and the library read one rule, so a value
+    # passes both or neither, and both name the rule in the same words
+    flag_type, library = _LIBRARY_RULES[flag]
+    try:
+        flag_type(text)
+        flag_error = None
+    except argparse.ArgumentTypeError as exc:
+        flag_error = str(exc)
+    try:
+        library(float(text))
+        library_error = None
+    except InputError as exc:
+        library_error = str(exc)
+    assert (flag_error is None) == (library_error is None)
+    assert flag_error is None or library_error.endswith(" " + flag_error)
 
 
 @pytest.mark.parametrize("ell", ["(" * 199 + "t" + ")" * 199,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import direct_at, frame_at, gen_source, rotation_at
-from grtsurf import geometry, surface, verify
+from grtsurf import expr, geometry, surface, verify
 from grtsurf.expr import EvalError, ExprError, InputError, eval_jet2, parse_expr
 from grtsurf.cli import main
 from grtsurf.surface import (SurfaceSpec, rotation_spec, sample_mesh,
@@ -104,7 +104,7 @@ REMOVED_NAMES = ("fd_fundamental_forms", "FdOracleResult", "StencilError",
                  "_point_closed_form", "point_closed_form", "_point_direct",
                  "point_direct", "rotation_point", "support_residual",
                  "distance_residual", "weingarten_residual", "pde_residual",
-                 "xyz_array", "_sample_grid", "_rotation_xyz", "_rel")
+                 "xyz_array", "_sample_grid", "_rotation_xyz", "_rel", "evaluate")
 
 
 def test_package_exports_resolve():
@@ -113,8 +113,10 @@ def test_package_exports_resolve():
         assert hasattr(grtsurf, name), name
     for name in REMOVED_NAMES:
         assert name not in grtsurf.__all__
-        for module in (grtsurf, verify, geometry, surface):
+        for module in (grtsurf, expr, verify, geometry, surface):
             assert not hasattr(module, name), (module.__name__, name)
+    # the scalar evaluator stays in grtsurf.expr, out of the package API
+    assert "eval_jet2" not in grtsurf.__all__ and not hasattr(grtsurf, "eval_jet2")
 
 
 def test_no_module_reads_another_modules_private_names():
@@ -767,6 +769,49 @@ def test_convergence_order_without_frame_raises():
     # g = 1 has g' = 0 everywhere, so no centre has a frame
     with pytest.raises(InputError, match="no regular sample point"):
         convergence_order(spec_for("z", "1", "t^2+t+1", n=8))
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-200, -1e-4, math.nan, math.inf, -math.inf],
+                         ids=["zero", "square-underflows", "negative", "nan", "inf",
+                              "minus-inf"])
+def test_bad_fd_step_raises_input_error(step):
+    # each step that --fd-step rejects: the stencil divides by step and by
+    # step^2, which is 0 for 1e-200, so none may reach the numerics
+    spec = spec_for("z", "z", "t^2+t+1", n=4)
+    message = f"fd step must be finite and > 0, with a square neither 0 nor inf, got {step!r}"
+    with pytest.raises(InputError) as err:
+        run_checks(spec, step=step)
+    assert str(err.value) == message
+    with pytest.raises(InputError) as err:
+        fd_oracle(spec, np.array([0j]), step)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"fd": math.inf}, "fd tolerance must be finite and >= 0, got inf"),
+    ({"fd": math.nan}, "fd tolerance must be finite and >= 0, got nan"),
+    ({"algebraic": -1e-9}, "algebraic tolerance must be finite and >= 0, got -1e-09"),
+    ({"bogus": 1}, "unknown tolerance class 'bogus'; the classes are algebraic, fd"),
+], ids=["inf", "nan", "negative", "unknown-class"])
+def test_bad_tolerance_raises_input_error(tolerances, message):
+    # a report with a non-finite tolerance cannot be written as strict
+    # JSON, and a class no row reads would set nothing
+    with pytest.raises(InputError) as err:
+        run_checks(spec_for("z", "z", "t^2+t+1", n=4), tolerances=tolerances)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                                  (1.0, -math.inf)],
+                         ids=["nan-a", "nan-b", "inf-a", "minus-inf-b"])
+def test_non_finite_rotation_pair_raises_input_error(a, b):
+    # the non-finite input is named as the cause, not an empty mesh
+    ell = parse_expr("t^2+t+1", "t", real=True)
+    name, value = ("a", a) if not math.isfinite(a) else ("b", b)
+    for build in (rotation_spec, lambda *args: sample_rotation_mesh(*args, nu1=4, nu2=4)):
+        with pytest.raises(InputError) as err:
+            build(a, b, ell)
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
 
 
 # ---------------------------------------------------------------------------
